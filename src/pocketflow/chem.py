@@ -193,26 +193,27 @@ class Molecule:
 
 @dataclass
 class Pocket:
-    """Protein binding-pocket atoms with per-atom B-factors (Angstrom^2)."""
+    """Protein binding-pocket atoms with per-atom B-factors (Angstrom^2).
+
+    ``positions`` and ``elements`` are read-only arrays stacked once from the
+    atoms; a pocket is not meant to change after construction.
+    """
 
     atoms: list[Atom]
     bfactors: np.ndarray
+    positions: np.ndarray = field(init=False, repr=False)
+    elements: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.bfactors = np.asarray(self.bfactors, dtype=float)
         if self.bfactors.shape != (len(self.atoms),):
             raise ValueError("bfactors length must equal atom count")
+        self.positions = _positions(self.atoms)
+        self.elements = np.array([a.element for a in self.atoms], dtype=int)
+        self.positions.flags.writeable = self.elements.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.atoms)
-
-    @property
-    def positions(self) -> np.ndarray:
-        return _positions(self.atoms)
-
-    @property
-    def elements(self) -> np.ndarray:
-        return np.array([a.element for a in self.atoms], dtype=int)
 
     def centroid(self) -> np.ndarray:
         return self.positions.mean(axis=0)

@@ -66,6 +66,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def count(text: str) -> int:
+    """argparse type of ``generate --count``: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"count must be >= 0, got {value}")
+    return value
+
+
 def _atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
@@ -212,7 +220,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("generate", help="sample ligands into a pocket")
     p.add_argument("checkpoint", help="trained checkpoint")
     p.add_argument("pocket", help="pocket PDB file (ATOM records)")
-    p.add_argument("--count", type=int, default=1, help="number of molecules")
+    p.add_argument("--count", type=count, default=1, help="number of molecules")
     p.add_argument("--out", required=True, help="output directory")
     common(p)
     p.set_defaults(func=cmd_generate)

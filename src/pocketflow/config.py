@@ -92,48 +92,23 @@ class RunConfig:
             return Vocabulary.from_file(self.valence_table)
         return Vocabulary.default()
 
+    def _derive(self, cls, **extra):
+        """An instance of ``cls`` taking every field it shares with this config."""
+        mine = {f.name for f in fields(self)}
+        shared = {f.name: getattr(self, f.name) for f in fields(cls) if f.name in mine}
+        return cls(**shared, **extra)
+
     def model_config(self, vocab: Vocabulary | None = None) -> ModelConfig:
-        return ModelConfig(
-            vocab=vocab or self.vocabulary(),
-            rbf_centers=self.rbf_centers,
-            rbf_rmax=self.rbf_rmax,
-            embed_width=self.embed_width,
-            hidden_width=self.hidden_width,
-            encoder_layers=self.encoder_layers,
-            graph_cutoff=self.graph_cutoff,
-            bfactor_gating=self.bfactor_gating,
-            type_flow_layers=self.type_flow_layers,
-            coord_flow_layers=self.coord_flow_layers,
-            scale_floor=self.scale_floor,
-        )
+        return self._derive(ModelConfig, vocab=vocab or self.vocabulary())
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs,
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            seed=self.seed,
-            dequant_alpha=self.dequant_alpha,
-        )
+        return self._derive(TrainConfig)
 
     def gen_config(self) -> GenConfig:
-        return GenConfig(
-            max_atoms=self.max_atoms,
-            valence_constrained=self.valence_constrained,
-            clash_retries=self.clash_retries,
-            clash_factor=self.clash_factor,
-            bond_tolerance=self.bond_tolerance,
-            focal_rule=self.focal_rule,
-        )
+        return self._derive(GenConfig)
 
     def affinity_model(self) -> AffinityModel:
-        return AffinityModel(
-            weight_polar_polar=self.weight_polar_polar,
-            weight_polar_apolar=self.weight_polar_apolar,
-            weight_apolar_apolar=self.weight_apolar_apolar,
-            intercept=self.affinity_intercept,
-            temperature=self.temperature,
-        )
+        return self._derive(AffinityModel, intercept=self.affinity_intercept)
 
 
 _SECTIONS: dict[str, tuple[str, ...]] = {

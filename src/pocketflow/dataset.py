@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chem import Atom, Molecule, Pocket, Vocabulary
+from .chem import Atom, Molecule, Pocket, Vocabulary, VocabularyError
 from .pdb import ComplexEntry
 
 DATASET_FORMAT = "pocketflow-dataset"
@@ -56,25 +56,32 @@ def load_dataset(path: str | Path, vocab: Vocabulary) -> list[ComplexEntry]:
         payload = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise DatasetError(f"{path}: not valid JSON ({exc})") from None
-    if payload.get("format") != DATASET_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != DATASET_FORMAT:
         raise DatasetError(f"{path}: not a {DATASET_FORMAT} archive")
     if payload.get("version") != DATASET_VERSION:
         raise DatasetError(f"{path}: unsupported version {payload.get('version')!r}")
-    entries = []
-    for item in payload["entries"]:
-        pocket = Pocket(
-            [
-                Atom(vocab.index(sym), np.array(pos))
-                for sym, pos in zip(item["pocket"]["elements"], item["pocket"]["positions"])
-            ],
-            np.array(item["pocket"]["bfactors"]),
-        )
-        ligand = Molecule(
-            [
-                Atom(vocab.index(sym), np.array(pos))
-                for sym, pos in zip(item["ligand"]["elements"], item["ligand"]["positions"])
-            ],
-            [tuple(b) for b in item["ligand"]["bonds"]],
-        )
-        entries.append(ComplexEntry(pocket=pocket, ligand=ligand, entry_id=item["entry_id"]))
-    return entries
+    entries = payload.get("entries")
+    if not isinstance(entries, list):
+        raise DatasetError(f"{path}: 'entries' must be a list, got {type(entries).__name__}")
+    try:
+        return [
+            ComplexEntry(
+                pocket=Pocket(_atoms(item["pocket"], vocab), np.array(item["pocket"]["bfactors"])),
+                ligand=Molecule(
+                    _atoms(item["ligand"], vocab), [tuple(b) for b in item["ligand"]["bonds"]]
+                ),
+                entry_id=item["entry_id"],
+            )
+            for item in entries
+        ]
+    except VocabularyError:  # a KeyError, but already a data error with its own message
+        raise
+    except (KeyError, TypeError) as exc:
+        raise DatasetError(f"{path}: malformed entry ({exc!r})") from None
+
+
+def _atoms(block: dict, vocab: Vocabulary) -> list[Atom]:
+    return [
+        Atom(vocab.index(sym), np.array(pos))
+        for sym, pos in zip(block["elements"], block["positions"])
+    ]

@@ -16,11 +16,17 @@ Because messages depend on positions only through pairwise distances, the
 embeddings are invariant under rigid motions of the whole context.  The
 module also implements the exact reverse-mode derivative of the encoding,
 used by the trainer.
+
+Pocket cache: :meth:`Encoder.encode_pocket` computes what only the pocket
+determines (its edges' MLP outputs and the first layer's pocket rows) once,
+and :func:`extend_graph` adds placed atoms at O(L*(n+L)) cost.  Encoding the
+extended graph with that cache equals a full re-encode bit for bit, provided
+the encoder parameters do not change in between.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -59,6 +65,18 @@ class ContextGraph:
     def n_edges(self) -> int:
         return len(self.edge_src)
 
+    def source_major(self) -> ContextGraph:
+        """The same graph with edges ordered by source, then destination, as a
+        dense pairwise build lists them (the backward pass sums in this order).
+        Sorting by source alone suffices after :func:`extend_graph`."""
+        order = np.argsort(self.edge_src, kind="stable")
+        return replace(
+            self,
+            edge_src=self.edge_src[order],
+            edge_dst=self.edge_dst[order],
+            edge_dist=self.edge_dist[order],
+        )
+
 
 def build_graph(
     pocket: Pocket,
@@ -68,39 +86,72 @@ def build_graph(
     """Assemble the context graph for pocket atoms followed by placed atoms.
 
     Undirected edges link every pair (protein-protein, protein-ligand and
-    ligand-ligand alike) with distance <= cutoff.
+    ligand-ligand alike) with distance <= cutoff, in source-major order.
+    This is the pocket-only graph, extended by :func:`extend_graph` when
+    atoms are placed.
     """
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
     if len(pocket) + len(placed) == 0:
         raise ValueError("empty context")
-
-    elements = np.concatenate([pocket.elements, [a.element for a in placed]]).astype(int)
-    origins = np.concatenate(
-        [np.full(len(pocket), PROTEIN), np.full(len(placed), LIGAND)]
-    ).astype(int)
-    positions = (
-        np.vstack([pocket.positions, np.stack([a.position for a in placed])])
-        if placed
-        else pocket.positions.copy()
-    )
-    weights = np.zeros(len(elements))
-    if len(pocket):
-        weights[: len(pocket)] = normalize_bfactors(pocket)
-
-    diff = positions[:, None, :] - positions[None, :, :]
+    n = len(pocket)
+    diff = pocket.positions[:, None, :] - pocket.positions[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=-1))
-    mask = (dist <= cutoff) & ~np.eye(len(elements), dtype=bool)
-    src, dst = np.nonzero(mask)
-    return ContextGraph(
-        elements=elements,
-        origins=origins,
-        positions=positions,
+    src, dst = np.nonzero((dist <= cutoff) & ~np.eye(n, dtype=bool))
+    graph = ContextGraph(
+        elements=pocket.elements,
+        origins=np.full(n, PROTEIN),
+        positions=pocket.positions,
         edge_src=src,
         edge_dst=dst,
         edge_dist=dist[src, dst],
-        bfactor_weights=weights,
+        bfactor_weights=normalize_bfactors(pocket) if n else np.zeros(0),
     )
+    return extend_graph(graph, placed, cutoff).source_major() if len(placed) else graph
+
+
+def extend_graph(
+    graph: ContextGraph,
+    placed: Sequence[Atom],
+    cutoff: float = DEFAULT_GRAPH_CUTOFF,
+) -> ContextGraph:
+    """``graph`` plus ``placed`` as ligand atoms, at O(L*(n+L)) distance cost.
+
+    The edges of ``graph`` keep the head of the list; the new ones follow as
+    old->new then new->any, each ordered by source then destination.  Every
+    node thus meets its edges in increasing neighbour order, as in a fully
+    source-major list, so the encoder's sums match such a list bit for bit.
+    """
+    n, n_new = graph.n_atoms, len(placed)
+    new_pos = np.array([a.position for a in placed], dtype=float).reshape(n_new, 3)
+    positions = np.vstack([graph.positions, new_pos])
+    diff = new_pos[:, None, :] - positions[None, :, :]
+    dist = np.sqrt((diff**2).sum(axis=-1))  # (L, n + L)
+    near = dist <= cutoff
+    near[:, n:] &= ~np.eye(n_new, dtype=bool)
+    old_src, new_dst = np.nonzero(near[:, :n].T)
+    new_src, any_dst = np.nonzero(near)
+    return ContextGraph(
+        elements=np.concatenate([graph.elements, [a.element for a in placed]]).astype(int),
+        origins=np.concatenate([graph.origins, np.full(n_new, LIGAND)]),
+        positions=positions,
+        edge_src=np.concatenate([graph.edge_src, old_src, n + new_src]),
+        edge_dst=np.concatenate([graph.edge_dst, n + new_dst, any_dst]),
+        edge_dist=np.concatenate(
+            [graph.edge_dist, dist[new_dst, old_src], dist[new_src, any_dst]]
+        ),
+        bfactor_weights=np.concatenate([graph.bfactor_weights, np.zeros(n_new)]),
+    )
+
+
+@dataclass(frozen=True)
+class PocketEncoding:
+    """The part of an encoding that only the pocket determines; valid only
+    while the encoder parameters stay fixed."""
+
+    graph: ContextGraph  # the pocket alone
+    messages: list[np.ndarray]  # per layer, the edge-MLP output on its edges
+    aggregate: np.ndarray  # layer 0's output on pocket rows, before ligand messages
 
 
 @dataclass(frozen=True)
@@ -172,8 +223,9 @@ class Encoder:
         self._check_elements(graph)
         return self.store["encoder.embed"][graph.origins, graph.elements].copy()
 
-    def edge_features(self, graph: ContextGraph) -> np.ndarray:
-        return rbf_expand(graph.edge_dist, self.bank)
+    def edge_features(self, graph: ContextGraph, start: int = 0) -> np.ndarray:
+        """RBF features of the edges from index ``start`` on."""
+        return rbf_expand(graph.edge_dist[start:], self.bank)
 
     def message_layer(
         self,
@@ -182,23 +234,29 @@ class Encoder:
         layer: int,
         edge_feat: np.ndarray | None = None,
         with_cache: bool = False,
+        pocket: PocketEncoding | None = None,
     ):
-        """One residual message-passing update; returns h' (and a cache)."""
+        """One residual message-passing update; returns h' (and a cache).
+
+        With ``pocket``, ``graph`` extends ``pocket.graph``: the edge MLP runs
+        only on the edges after the pocket's own (all that ``edge_feat``
+        covers) and the rest is read from ``pocket``.
+        """
         if h.shape != (graph.n_atoms, self.cfg.embed_width):
             raise ValueError(
                 f"embedding shape {h.shape} does not match "
                 f"({graph.n_atoms}, {self.cfg.embed_width})"
             )
+        start = 0 if pocket is None else pocket.graph.n_edges
         if edge_feat is None:
-            edge_feat = self.edge_features(graph)
+            edge_feat = self.edge_features(graph, start)
         w1 = self.store[f"encoder.layer{layer}.w1"]
         b1 = self.store[f"encoder.layer{layer}.b1"]
         w2 = self.store[f"encoder.layer{layer}.w2"]
         b2 = self.store[f"encoder.layer{layer}.b2"]
 
-        t = np.tanh(edge_feat @ w1 + b1)  # (E, hidden)
-        m = t @ w2 + b2  # (E, H)
-        msg = h[graph.edge_src] * m
+        t = np.tanh(edge_feat @ w1 + b1)  # (E - start, hidden)
+        m = t @ w2 + b2  # (E - start, H)
         gamma = None
         if self.cfg.bfactor_gating:
             gate = float(self.store[f"encoder.layer{layer}.gate"])
@@ -206,26 +264,46 @@ class Encoder:
             gamma = np.where(
                 protein_src, 1.0 + gate * graph.bfactor_weights[graph.edge_src], 1.0
             )
-            msg = msg * gamma[:, None]
         h_next = h.copy()
-        np.add.at(h_next, graph.edge_dst, msg)
+        blocks = [(slice(start, None), m)]
+        if pocket is not None and layer == 0:
+            h_next[: pocket.graph.n_atoms] = pocket.aggregate
+        elif pocket is not None:
+            blocks.insert(0, (slice(0, start), pocket.messages[layer]))
+        for edges, m_edges in blocks:  # np.add.at adds one edge at a time, in list order
+            msg = h[graph.edge_src[edges]] * m_edges
+            if gamma is not None:
+                msg = msg * gamma[edges, None]
+            np.add.at(h_next, graph.edge_dst[edges], msg)
         if with_cache:
             return h_next, {"h_in": h, "t": t, "m": m, "gamma": gamma}
         return h_next
 
-    def encode(self, graph: ContextGraph) -> np.ndarray:
-        h, _ = self.encode_with_cache(graph)
+    def encode(self, graph: ContextGraph, pocket: PocketEncoding | None = None) -> np.ndarray:
+        h, _ = self.encode_with_cache(graph, pocket)
         return h
 
-    def encode_with_cache(self, graph: ContextGraph):
-        """Embed atoms then run all message layers, keeping what backward needs."""
-        edge_feat = self.edge_features(graph)
+    def encode_with_cache(self, graph: ContextGraph, pocket: PocketEncoding | None = None):
+        """Embed atoms then run all message layers, keeping what backward needs.
+
+        With ``pocket`` (see :meth:`encode_pocket`) the embeddings are the
+        same, but the cache covers only non-pocket edges: no backward pass.
+        """
+        edge_feat = self.edge_features(graph, 0 if pocket is None else pocket.graph.n_edges)
         h = self.initial_embeddings(graph)
         layers = []
         for layer in range(self.cfg.n_layers):
-            h, cache = self.message_layer(h, graph, layer, edge_feat, with_cache=True)
+            h, cache = self.message_layer(h, graph, layer, edge_feat, True, pocket)
             layers.append(cache)
         return h, {"edge_feat": edge_feat, "layers": layers}
+
+    def encode_pocket(self, graph: ContextGraph) -> PocketEncoding:
+        """Encode a pocket-only graph once for reuse by every context built on
+        it with :func:`extend_graph`."""
+        h, cache = self.encode_with_cache(graph)
+        layers = cache["layers"]
+        aggregate = layers[1]["h_in"] if len(layers) > 1 else h
+        return PocketEncoding(graph, [c["m"] for c in layers], aggregate)
 
     # -- backward --------------------------------------------------------
 

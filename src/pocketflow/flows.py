@@ -73,16 +73,12 @@ class FlowStack:
             out[f"{prefix}.layer{i}.b"] = (2 * event_dim,)
         return out
 
-    def init(self, rng: np.random.Generator | None = None, weight_scale: float = 0.0) -> None:
-        """Start every layer at the identity: zero (or small random) conditioner
-        weights, raw-scale bias solving softplus(raw) + floor = 1, zero shift."""
+    def init(self) -> None:
+        """Start every layer at the identity: zero conditioner weights, raw-scale
+        bias solving softplus(raw) + floor = 1, zero shift."""
         raw_identity = softplus_inverse(1.0 - self.scale_floor)
         for i in range(self.n_layers):
-            w = self.store[f"{self.prefix}.layer{i}.w"]
-            if weight_scale > 0.0 and rng is not None:
-                w[...] = rng.uniform(-weight_scale, weight_scale, size=w.shape)
-            else:
-                w[...] = 0.0
+            self.store[f"{self.prefix}.layer{i}.w"][...] = 0.0
             b = self.store[f"{self.prefix}.layer{i}.b"]
             b[: self.event_dim] = raw_identity
             b[self.event_dim :] = 0.0

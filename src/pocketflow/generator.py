@@ -6,6 +6,12 @@ conditioned on the encoded context), then update bonds and open valences.
 Placements that clash with any context atom are resampled a bounded number of
 times.  Generation stops when no focal atom with open valence remains, the
 atom budget is reached, or resampling is exhausted.
+
+The pocket is encoded once per molecule (:class:`GenerationState` keeps the
+:class:`~pocketflow.encoder.PocketEncoding`) and each step only adds the
+placed atoms' edges.  This equals a full re-encode of the context bit for
+bit, on the condition that the model parameters stay fixed while one
+molecule grows.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from .chem import (
     infer_bonds,
     open_valence,
 )
-from .encoder import aggregate_readout, build_graph
+from .encoder import ContextGraph, PocketEncoding, aggregate_readout, build_graph, extend_graph
 from .model import Model
 
 
@@ -51,16 +57,28 @@ class GenConfig:
 
 @dataclass
 class GenerationState:
-    """Pocket plus the molecule grown so far, with open-valence bookkeeping."""
+    """Pocket plus the molecule grown so far, with open-valence bookkeeping.
+
+    ``encoding`` caches the pocket's share of the context encoding; it is
+    built on first use and assumes one model with fixed parameters.
+    """
 
     pocket: Pocket
     placed: list[Atom] = field(default_factory=list)
     bonds: list[Bond] = field(default_factory=list)
     open_valences: list[int] = field(default_factory=list)
+    encoding: PocketEncoding | None = field(default=None, repr=False)
 
     @property
     def t(self) -> int:
         return len(self.placed)
+
+    def context(self, model: Model) -> tuple[ContextGraph, PocketEncoding]:
+        """The current context graph plus the pocket encoding it extends."""
+        cutoff = model.cfg.graph_cutoff
+        if self.encoding is None:
+            self.encoding = model.encoder.encode_pocket(build_graph(self.pocket, cutoff=cutoff))
+        return extend_graph(self.encoding.graph, self.placed, cutoff), self.encoding
 
     def molecule(self) -> Molecule:
         return Molecule(list(self.placed), list(self.bonds))
@@ -85,9 +103,11 @@ def select_focal(state: GenerationState) -> int | None:
     return len(state.pocket) + candidates[int(np.argmin(d))]
 
 
-def _context_condition(model: Model, state: GenerationState, focal: int) -> np.ndarray:
-    graph = build_graph(state.pocket, state.placed, cutoff=model.cfg.graph_cutoff)
-    return aggregate_readout(model.encoder.encode(graph), focal)
+def _context_condition(
+    model: Model, state: GenerationState, focal: int
+) -> tuple[ContextGraph, np.ndarray]:
+    graph, pocket = state.context(model)
+    return graph, aggregate_readout(model.encoder.encode(graph, pocket), focal)
 
 
 def _focal_position(state: GenerationState, focal: int) -> np.ndarray:
@@ -120,7 +140,7 @@ def generate_type(
 ) -> int:
     """Sample an element index through the type flow, argmax-decoded."""
     if cond is None:
-        cond = _context_condition(model, state, focal)
+        _, cond = _context_condition(model, state, focal)
     z = rng.standard_normal(model.type_flow.event_dim)
     x, _ = model.type_flow.forward(z, cond)
     if valence_constrained:
@@ -140,29 +160,22 @@ def generate_coord(
 ) -> np.ndarray:
     """Sample the new atom position as a flow offset from the focal atom."""
     if cond is None:
-        cond = _context_condition(model, state, focal)
+        _, cond = _context_condition(model, state, focal)
     z = rng.standard_normal(3)
     offset, _ = model.coord_flow.forward(z, np.concatenate([cond, model.one_hot(element)]))
     return _focal_position(state, focal) + offset
 
 
 def _clashes(
-    state: GenerationState,
+    graph: ContextGraph,
     element: int,
     position: np.ndarray,
     model: Model,
     clash_factor: float,
 ) -> bool:
-    vocab = model.cfg.vocab
-    r_new = vocab.radii[element]
-    ctx_pos = (
-        np.vstack([state.pocket.positions, np.stack([a.position for a in state.placed])])
-        if state.placed
-        else state.pocket.positions
-    )
-    ctx_elem = np.concatenate([state.pocket.elements, [a.element for a in state.placed]]).astype(int)
-    d = np.linalg.norm(ctx_pos - position, axis=1)
-    return bool(np.any(d < clash_factor * (vocab.radii[ctx_elem] + r_new)))
+    radii = model.cfg.vocab.radii
+    d = np.linalg.norm(graph.positions - position, axis=1)
+    return bool(np.any(d < clash_factor * (radii[graph.elements] + radii[element])))
 
 
 def step(
@@ -183,11 +196,11 @@ def step(
     if focal is None:
         return True
     vocab = model.cfg.vocab
-    cond = _context_condition(model, state, focal)
+    graph, cond = _context_condition(model, state, focal)
     for _ in range(1 + cfg.clash_retries):
         element = generate_type(model, state, focal, rng, cfg.valence_constrained, cond)
         position = generate_coord(model, state, focal, element, rng, cond)
-        if _clashes(state, element, position, model, cfg.clash_factor):
+        if _clashes(graph, element, position, model, cfg.clash_factor):
             continue
         candidate = state.placed + [Atom(element, position)]
         bonds = infer_bonds(candidate, vocab, cfg.bond_tolerance, cfg.clash_factor)

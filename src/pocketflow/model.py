@@ -10,13 +10,13 @@ model without the original configuration file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .chem import ElementKind, Vocabulary
-from .encoder import Encoder, EncoderConfig, aggregate_readout
+from .encoder import Encoder, EncoderConfig
 from .flows import FlowStack
 from .geometry import RbfBank
 from .params import CheckpointError, ParamStore, load_checkpoint, save_checkpoint
@@ -46,6 +46,10 @@ class ModelConfig:
             n_layers=self.encoder_layers,
             bfactor_gating=self.bfactor_gating,
         )
+
+
+# every ModelConfig field but the vocabulary, with the type of its default
+_SCALAR_FIELDS = {f.name: type(f.default) for f in fields(ModelConfig) if f.name != "vocab"}
 
 
 class Model:
@@ -80,8 +84,8 @@ class Model:
     def initialized(cls, cfg: ModelConfig, rng: np.random.Generator) -> "Model":
         model = cls(cfg)
         model.encoder.init(rng)
-        model.type_flow.init(rng)
-        model.coord_flow.init(rng)
+        model.type_flow.init()
+        model.coord_flow.init()
         return model
 
     @property
@@ -91,9 +95,6 @@ class Model:
     def zero_grads(self) -> ParamStore:
         return self.store.zeros_like()
 
-    def condition(self, embeddings: np.ndarray, focal: int) -> np.ndarray:
-        return aggregate_readout(embeddings, focal)
-
     def one_hot(self, element: int) -> np.ndarray:
         v = np.zeros(len(self.cfg.vocab))
         v[element] = 1.0
@@ -102,24 +103,17 @@ class Model:
     # -- checkpointing ------------------------------------------------------
 
     def meta(self) -> dict[str, str]:
-        cfg = self.cfg
-        vocab_txt = ",".join(
-            f"{e.symbol}:{e.atomic_number}:{e.covalent_radius!r}:{e.max_valence}"
-            for e in cfg.vocab.elements
-        )
-        return {
-            "vocab": vocab_txt,
-            "rbf_centers": str(cfg.rbf_centers),
-            "rbf_rmax": repr(cfg.rbf_rmax),
-            "embed_width": str(cfg.embed_width),
-            "hidden_width": str(cfg.hidden_width),
-            "encoder_layers": str(cfg.encoder_layers),
-            "graph_cutoff": repr(cfg.graph_cutoff),
-            "bfactor_gating": str(int(cfg.bfactor_gating)),
-            "type_flow_layers": str(cfg.type_flow_layers),
-            "coord_flow_layers": str(cfg.coord_flow_layers),
-            "scale_floor": repr(cfg.scale_floor),
+        """Checkpoint metadata: the vocabulary plus every other config field."""
+        out = {
+            "vocab": ",".join(
+                f"{e.symbol}:{e.atomic_number}:{e.covalent_radius!r}:{e.max_valence}"
+                for e in self.cfg.vocab.elements
+            )
         }
+        for name in _SCALAR_FIELDS:
+            value = getattr(self.cfg, name)
+            out[name] = str(int(value)) if isinstance(value, bool) else repr(value)
+        return out
 
     def save(self, path: str | Path) -> None:
         save_checkpoint(path, self.store, self.meta())
@@ -132,19 +126,11 @@ class Model:
             for item in meta["vocab"].split(","):
                 sym, z, radius, valence = item.split(":")
                 elements.append(ElementKind(sym, int(z), float(radius), int(valence)))
-            cfg = ModelConfig(
-                vocab=Vocabulary(elements),
-                rbf_centers=int(meta["rbf_centers"]),
-                rbf_rmax=float(meta["rbf_rmax"]),
-                embed_width=int(meta["embed_width"]),
-                hidden_width=int(meta["hidden_width"]),
-                encoder_layers=int(meta["encoder_layers"]),
-                graph_cutoff=float(meta["graph_cutoff"]),
-                bfactor_gating=bool(int(meta["bfactor_gating"])),
-                type_flow_layers=int(meta["type_flow_layers"]),
-                coord_flow_layers=int(meta["coord_flow_layers"]),
-                scale_floor=float(meta["scale_floor"]),
-            )
+            scalars = {
+                name: kind(int(meta[name])) if kind is bool else kind(meta[name])
+                for name, kind in _SCALAR_FIELDS.items()
+            }
+            cfg = ModelConfig(vocab=Vocabulary(elements), **scalars)
         except (KeyError, ValueError) as exc:
             raise CheckpointError(f"{path}: incomplete model metadata ({exc})") from exc
         return cls(cfg, store)

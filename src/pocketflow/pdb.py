@@ -81,18 +81,9 @@ class ComplexEntry:
             raise ValueError("pocket and ligand must both be non-empty")
 
 
-def _parse_float(text: str, lineno: int, what: str) -> float:
+def _parse(kind: type, text: str, lineno: int, what: str):
     try:
-        return float(text)
-    except ValueError:
-        raise PdbParseError(
-            f"line {lineno}: cannot parse {what} from {text.strip()!r}"
-        ) from None
-
-
-def _parse_int(text: str, lineno: int, what: str) -> int:
-    try:
-        return int(text)
+        return kind(text)
     except ValueError:
         raise PdbParseError(
             f"line {lineno}: cannot parse {what} from {text.strip()!r}"
@@ -130,9 +121,9 @@ def parse_pdb(
             continue
         if len(line) < 66:
             raise PdbParseError(f"line {lineno}: truncated record ({len(line)} cols < 66)")
-        x = _parse_float(line[30:38], lineno, "x coordinate")
-        y = _parse_float(line[38:46], lineno, "y coordinate")
-        z = _parse_float(line[46:54], lineno, "z coordinate")
+        x = _parse(float, line[30:38], lineno, "x coordinate")
+        y = _parse(float, line[38:46], lineno, "y coordinate")
+        z = _parse(float, line[46:54], lineno, "z coordinate")
         element = line[76:78].strip() if len(line) >= 77 else ""
         name = line[12:16].strip()
         if not element:
@@ -140,14 +131,14 @@ def parse_pdb(
         records.append(
             StructureRecord(
                 record_kind=kind,
-                serial=_parse_int(line[6:11], lineno, "serial"),
+                serial=_parse(int, line[6:11], lineno, "serial"),
                 atom_name=name,
                 residue_name=line[17:20].strip(),
                 chain=line[21:22],
-                residue_seq=_parse_int(line[22:26], lineno, "residue number"),
+                residue_seq=_parse(int, line[22:26], lineno, "residue number"),
                 position=np.array([x, y, z]),
-                occupancy=_parse_float(line[54:60], lineno, "occupancy"),
-                bfactor=_parse_float(line[60:66], lineno, "B-factor"),
+                occupancy=_parse(float, line[54:60], lineno, "occupancy"),
+                bfactor=_parse(float, line[60:66], lineno, "B-factor"),
                 element=element,
             )
         )

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import ContextGraph, aggregate_readout, build_graph, readout_backward
+from .encoder import ContextGraph, aggregate_readout, build_graph, extend_graph, readout_backward
 from .model import Model, ModelConfig
 from .params import ParamStore
 from .pdb import ComplexEntry
@@ -95,8 +95,9 @@ def sequentialize(
     v = len(cfg.vocab)
     steps: list[TrajectoryStep] = []
     placed = []
+    pocket_graph = build_graph(entry.pocket, cutoff=cfg.graph_cutoff)
     for idx in order:
-        graph = build_graph(entry.pocket, placed, cutoff=cfg.graph_cutoff)
+        graph = extend_graph(pocket_graph, placed, cfg.graph_cutoff).source_major()
         target_pos = lig_pos[idx]
         focal = int(np.argmin(np.linalg.norm(graph.positions - target_pos, axis=1)))
         target_type = np.zeros(v)

@@ -141,6 +141,14 @@ class TestTrain:
         code = main(["train", str(tmp_path / "none.json"), "--out", str(tmp_path / "m.ckpt")])
         assert code == EXIT_DATA
 
+    def test_archive_without_entries_is_data_error(self, workspace, capsys):
+        tmp_path, _, cfg_path = workspace
+        archive = tmp_path / "data.json"
+        archive.write_text('{"format": "pocketflow-dataset", "version": 1}')
+        code = main(["train", str(archive), "--out", str(tmp_path / "m.ckpt"), "--config", str(cfg_path)])
+        assert code == EXIT_DATA
+        assert "entries" in capsys.readouterr().err
+
 
 class TestGenerate:
     def test_writes_requested_count(self, workspace):
@@ -174,6 +182,19 @@ class TestGenerate:
                 b"".join(p.read_bytes() for p in sorted(out_dir.glob("*")))
             )
         assert outputs[0] == outputs[1]
+
+    def test_negative_count_is_usage_error(self, workspace, capsys):
+        tmp_path, manifest, cfg_path = workspace
+        _, ckpt = run_pipeline(tmp_path, manifest, cfg_path)
+        pocket_pdb = next((tmp_path / "pdb").glob("*.pdb"))
+        out_dir = tmp_path / "gen"
+        code = main(
+            ["generate", str(ckpt), str(pocket_pdb), "--count", "-3",
+             "--out", str(out_dir), "--config", str(cfg_path)]
+        )
+        assert code == EXIT_USAGE
+        assert "count" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_missing_checkpoint(self, workspace):
         tmp_path, manifest, cfg_path = workspace

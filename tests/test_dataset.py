@@ -42,3 +42,21 @@ def test_not_json(tmp_path):
     path.write_text("not json at all")
     with pytest.raises(DatasetError):
         load_dataset(path, VOCAB)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"format": "pocketflow-dataset", "version": 1}',
+        '{"format": "pocketflow-dataset", "version": 1, "entries": {"a": 1}}',
+        '{"format": "pocketflow-dataset", "version": 1, "entries": [1]}',
+        '{"format": "pocketflow-dataset", "version": 1, "entries": [{"pocket": {}}]}',
+        '["pocketflow-dataset", 1]',
+        "3",
+    ],
+)
+def test_malformed_archive_is_dataset_error(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(DatasetError):
+        load_dataset(path, VOCAB)

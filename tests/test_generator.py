@@ -1,9 +1,12 @@
 """Focal selection, rigged-flow sampling, stepping, and full generation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from pocketflow.chem import Atom, Molecule, Pocket, Vocabulary, check_validity
+from pocketflow.encoder import build_graph
 from pocketflow.generator import (
     GenConfig,
     GenerationState,
@@ -266,3 +269,52 @@ class TestGenerateLigand:
                     assert sum(state.open_valences) >= 0
                 if finished:
                     break
+
+
+def random_pocket(n_atoms=400, seed=0):
+    """Seeded protein-sized pocket: atoms in a 4-14 A shell around a cavity."""
+    rng = np.random.default_rng(seed)
+    direction = rng.standard_normal((n_atoms, 3))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    radius = rng.uniform(4.0, 14.0, size=(n_atoms, 1))
+    elements = rng.choice([C, N, O, VOCAB.index("S")], size=n_atoms, p=[0.6, 0.2, 0.17, 0.03])
+    atoms = [Atom(int(e), p) for e, p in zip(elements, direction * radius)]
+    return Pocket(atoms, rng.uniform(5.0, 60.0, size=n_atoms))
+
+
+def dense_source_major(graph, cutoff):
+    """The same context with its edges rebuilt densely, ordered by source
+    then destination: the order a plain pairwise construction gives."""
+    diff = graph.positions[:, None, :] - graph.positions[None, :, :]
+    dist = np.sqrt((diff**2).sum(axis=-1))
+    src, dst = np.nonzero((dist <= cutoff) & ~np.eye(graph.n_atoms, dtype=bool))
+    return dataclasses.replace(graph, edge_src=src, edge_dst=dst, edge_dist=dist[src, dst])
+
+
+class TestPocketCache:
+    @pytest.mark.parametrize("gating", [False, True])
+    @pytest.mark.parametrize("pocket_name", ["toy", "random400"])
+    def test_incremental_encoding_equals_full_reencode(self, gating, pocket_name):
+        # every encoder parameter random and nonzero, so each cached piece
+        # (edge-MLP outputs, layer-0 aggregate, gates) carries real messages
+        cfg = ModelConfig(vocab=VOCAB, bfactor_gating=gating)
+        model = Model.initialized(cfg, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        for name, shape in model.store.shapes.items():
+            if name.startswith("encoder."):
+                model.store[name][...] = rng.uniform(-0.3, 0.3, size=shape)
+        pocket = toy_complex(VOCAB).pocket if pocket_name == "toy" else random_pocket()
+        state = GenerationState(pocket=pocket)
+        gen_cfg = GenConfig(max_atoms=8)
+        rng = np.random.default_rng(3)
+        finished = False
+        while True:
+            graph, cache = state.context(model)
+            full = build_graph(pocket, state.placed, cutoff=cfg.graph_cutoff)
+            h = model.encoder.encode(graph, cache)
+            assert np.array_equal(h, model.encoder.encode(full))
+            assert np.array_equal(h, model.encoder.encode(dense_source_major(full, cfg.graph_cutoff)))
+            if finished:
+                break
+            finished = step(model, state, rng, gen_cfg)
+        assert state.t >= 4, f"only {state.t} atoms placed"
