@@ -16,6 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .geometry import distance_matrix
+
 Bond = tuple[int, int, int]
 
 
@@ -252,8 +254,7 @@ def infer_bonds(
         raise ValueError("need at least one atom")
     pos = _positions(atoms)
     radii = vocab.radii[[a.element for a in atoms]]
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=-1))
+    dist = distance_matrix(pos, pos)
     rsum = radii[:, None] + radii[None, :]
     iu, ju = np.triu_indices(len(atoms), k=1)
     clashing = dist[iu, ju] < clash_factor * rsum[iu, ju]
@@ -315,13 +316,10 @@ def check_validity(
 
     pos = molecule.positions
     radii = vocab.radii[molecule.elements]
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=-1))
-    rsum = radii[:, None] + radii[None, :]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dist[i, j] < clash_factor * rsum[i, j]:
-                violations.append((i, f"clash with atom {j} at {dist[i, j]:.3f} A"))
+    dist = distance_matrix(pos, pos)
+    clashing = np.triu(dist < clash_factor * (radii[:, None] + radii[None, :]), k=1)
+    for i, j in zip(*np.nonzero(clashing)):
+        violations.append((int(i), f"clash with atom {j} at {dist[i, j]:.3f} A"))
 
     for i in range(n):
         cap = int(vocab.max_valences[molecule.atoms[i].element])

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .chem import Atom, Pocket, VocabularyError
-from .geometry import RbfBank, rbf_expand
+from .geometry import RbfBank, distance_matrix, rbf_expand
 from .params import ParamStore
 from .pdb import normalize_bfactors
 
@@ -95,8 +95,7 @@ def build_graph(
     if len(pocket) + len(placed) == 0:
         raise ValueError("empty context")
     n = len(pocket)
-    diff = pocket.positions[:, None, :] - pocket.positions[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=-1))
+    dist = distance_matrix(pocket.positions, pocket.positions)
     src, dst = np.nonzero((dist <= cutoff) & ~np.eye(n, dtype=bool))
     graph = ContextGraph(
         elements=pocket.elements,
@@ -125,8 +124,7 @@ def extend_graph(
     n, n_new = graph.n_atoms, len(placed)
     new_pos = np.array([a.position for a in placed], dtype=float).reshape(n_new, 3)
     positions = np.vstack([graph.positions, new_pos])
-    diff = new_pos[:, None, :] - positions[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=-1))  # (L, n + L)
+    dist = distance_matrix(new_pos, positions)  # (L, n + L)
     near = dist <= cutoff
     near[:, n:] &= ~np.eye(n_new, dtype=bool)
     old_src, new_dst = np.nonzero(near[:, :n].T)

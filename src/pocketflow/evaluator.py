@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .chem import ClashError, Molecule, Pocket, Vocabulary, check_validity, infer_bonds
-from .geometry import rmsd
+from .geometry import distance_matrix, rmsd
 
 POLAR_SYMBOLS = frozenset({"N", "O", "S", "P"})
 GAS_CONSTANT_KCAL = 1.9872e-3  # kcal / (mol K)
@@ -76,10 +76,7 @@ def count_contacts(
         raise ValueError("pocket and ligand must be non-empty")
     pocket_polar = np.array([is_polar(vocab[e].symbol) for e in pocket.elements])
     ligand_polar = np.array([is_polar(vocab[e].symbol) for e in ligand.elements])
-    d = np.linalg.norm(
-        pocket.positions[:, None, :] - ligand.positions[None, :, :], axis=-1
-    )
-    within = d <= cutoff
+    within = distance_matrix(pocket.positions, ligand.positions) <= cutoff
     both = pocket_polar[:, None] & ligand_polar[None, :]
     neither = ~pocket_polar[:, None] & ~ligand_polar[None, :]
     pp = int(np.sum(within & both))

@@ -31,10 +31,8 @@ from .chem import (
     open_valence,
 )
 from .encoder import ContextGraph, PocketEncoding, aggregate_readout, build_graph, extend_graph
+from .geometry import distance_matrix
 from .model import Model
-
-
-FOCAL_RULES = ("nearest_centroid",)
 
 
 @dataclass
@@ -44,15 +42,16 @@ class GenConfig:
     clash_retries: int = 10
     clash_factor: float = DEFAULT_CLASH_FACTOR
     bond_tolerance: float = DEFAULT_BOND_TOLERANCE
-    # anchor-selection policy; a single rule exists today, but the choice is
-    # a modeling decision and stays visible in the configuration
-    focal_rule: str = "nearest_centroid"
 
     def __post_init__(self) -> None:
         if self.max_atoms < 1:
             raise ValueError("max_atoms must be >= 1")
-        if self.focal_rule not in FOCAL_RULES:
-            raise ValueError(f"unknown focal rule {self.focal_rule!r}")
+        if self.clash_retries < 0:
+            raise ValueError("clash_retries must be >= 0")
+        if not 0 < self.clash_factor < 1:
+            raise ValueError("clash_factor must lie in (0, 1)")
+        if self.bond_tolerance < 0:
+            raise ValueError("bond_tolerance must be >= 0")
 
 
 @dataclass
@@ -174,7 +173,7 @@ def _clashes(
     clash_factor: float,
 ) -> bool:
     radii = model.cfg.vocab.radii
-    d = np.linalg.norm(graph.positions - position, axis=1)
+    d = distance_matrix(graph.positions, position[None])[:, 0]
     return bool(np.any(d < clash_factor * (radii[graph.elements] + radii[element])))
 
 

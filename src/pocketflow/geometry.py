@@ -9,10 +9,12 @@ properties of everything built on top of distances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .chem import Molecule
+if TYPE_CHECKING:
+    from .chem import Molecule
 
 
 class TransformError(ValueError):
@@ -51,6 +53,13 @@ def pairwise_distance(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return float(np.linalg.norm(a - b))
+
+
+def distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances from every row of ``a`` (n, 3) to every row of
+    ``b`` (m, 3), shape (n, m)."""
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sqrt((diff**2).sum(axis=-1))
 
 
 def rbf_expand(d: float | np.ndarray, bank: RbfBank) -> np.ndarray:

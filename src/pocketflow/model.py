@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .chem import ElementKind, Vocabulary
-from .encoder import Encoder, EncoderConfig
-from .flows import FlowStack
+from .encoder import DEFAULT_GRAPH_CUTOFF, Encoder, EncoderConfig
+from .flows import DEFAULT_SCALE_FLOOR, FlowStack
 from .geometry import RbfBank
 from .params import CheckpointError, ParamStore, load_checkpoint, save_checkpoint
 
@@ -30,11 +30,27 @@ class ModelConfig:
     embed_width: int = 32
     hidden_width: int = 64
     encoder_layers: int = 2
-    graph_cutoff: float = 6.0
+    graph_cutoff: float = DEFAULT_GRAPH_CUTOFF
     bfactor_gating: bool = False
     type_flow_layers: int = 6
     coord_flow_layers: int = 6
-    scale_floor: float = 1e-4
+    scale_floor: float = DEFAULT_SCALE_FLOOR
+
+    def __post_init__(self) -> None:
+        checks = [
+            (self.rbf_centers >= 2, "rbf_centers must be >= 2"),
+            (self.rbf_rmax > 0, "rbf_rmax must be positive"),
+            (self.embed_width >= 1, "embed_width must be >= 1"),
+            (self.hidden_width >= 1, "hidden_width must be >= 1"),
+            (self.encoder_layers >= 1, "encoder_layers must be >= 1"),
+            (self.graph_cutoff > 0, "graph_cutoff must be positive"),
+            (self.type_flow_layers >= 1, "type_flow_layers must be >= 1"),
+            (self.coord_flow_layers >= 1, "coord_flow_layers must be >= 1"),
+            (self.scale_floor > 0, "scale_floor must be positive"),
+        ]
+        for ok, message in checks:
+            if not ok:
+                raise ValueError(message)
 
     def bank(self) -> RbfBank:
         return RbfBank.default(self.rbf_centers, self.rbf_rmax)

@@ -10,6 +10,7 @@ one section per block with shape and round-trip-exact decimal values.
 from __future__ import annotations
 
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -122,7 +123,7 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, dict[str, str]]:
 
     meta: dict[str, str] = {}
     sections: dict[str, tuple[int, ...]] = {}
-    payload: dict[str, list[float]] = {}
+    payload: dict[str, list[str]] = {}
     current: str | None = None
     for lineno, line in enumerate(lines[1:], start=2):
         if line.startswith("meta "):
@@ -139,16 +140,22 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, dict[str, str]]:
         elif line.strip():
             if current is None:
                 raise CheckpointError(f"{path}:{lineno}: values before any section")
-            payload[current].extend(float(tok) for tok in line.split())
+            payload[current].append(line)
 
     store = ParamStore(sections)
     for name, shape in sections.items():
+        try:
+            with warnings.catch_warnings():  # older numpy only warns on a bad token
+                warnings.simplefilter("error", DeprecationWarning)
+                values = np.fromstring(" ".join(payload[name]), sep=" ")
+        except (ValueError, DeprecationWarning) as exc:
+            raise CheckpointError(f"{path}: section {name}: {exc}") from None
         expected = int(np.prod(shape, dtype=int)) if shape else 1
-        if len(payload[name]) != expected:
+        if values.size != expected:
             raise CheckpointError(
-                f"{path}: section {name} has {len(payload[name])} values, expected {expected}"
+                f"{path}: section {name} has {values.size} values, expected {expected}"
             )
-        store.set(name, np.array(payload[name]))
+        store.set(name, values)
     if not np.all(np.isfinite(store.flat)):
         raise CheckpointError(f"{path}: non-finite parameter values")
     return store, meta

@@ -62,11 +62,15 @@ class TrainConfig:
     divergence_bound: float = 1e6
 
     def __post_init__(self) -> None:
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        if self.batch_size < 0:
+            raise ValueError("batch_size must be >= 0")
         # rate 0 is allowed: it freezes the parameters, useful for smoke tests
         if self.learning_rate < 0:
-            raise ValueError("learning rate must be non-negative")
+            raise ValueError("learning_rate must be >= 0")
         if not 0.0 < self.dequant_alpha <= 0.5:
-            raise ValueError("dequantization scale must lie in (0, 0.5]")
+            raise ValueError("dequant_alpha must lie in (0, 0.5]")
 
 
 def sequentialize(
@@ -115,33 +119,11 @@ def sequentialize(
     return steps
 
 
-def _step_nll(model: Model, step: TrajectoryStep) -> float:
-    h = model.encoder.encode(step.graph)
-    cond = aggregate_readout(h, step.focal)
-    a_t = int(np.argmax(step.target_type))
-    cond_coord = np.concatenate([cond, model.one_hot(a_t)])
-    return model.type_flow.nll(step.target_type, cond) + model.coord_flow.nll(
-        step.target_offset, cond_coord
-    )
-
-
-def nll_loss(model: Model, steps: list[TrajectoryStep]) -> float:
-    """Mean per-step negative log-likelihood."""
+def _mean_nll(model: Model, steps: list[TrajectoryStep], grads: ParamStore | None = None) -> float:
+    """Mean per-step NLL; with ``grads``, also add the exact gradient of the
+    summed NLL into ``grads`` (the loss and the gradient share this forward)."""
     if not steps:
         raise ValueError("empty batch")
-    total = 0.0
-    for i, step in enumerate(steps):
-        value = _step_nll(model, step)
-        if not np.isfinite(value):
-            raise NumericError(f"non-finite loss at step {i}")
-        total += value
-    return total / len(steps)
-
-
-def _loss_and_grad(model: Model, steps: list[TrajectoryStep]) -> tuple[float, ParamStore]:
-    if not steps:
-        raise ValueError("empty batch")
-    grads = model.zero_grads()
     width = 2 * model.cfg.embed_width
     total = 0.0
     for i, step in enumerate(steps):
@@ -149,21 +131,38 @@ def _loss_and_grad(model: Model, steps: list[TrajectoryStep]) -> tuple[float, Pa
         cond = aggregate_readout(h, step.focal)
         a_t = int(np.argmax(step.target_type))
         cond_coord = np.concatenate([cond, model.one_hot(a_t)])
-        nll_type, dcond_type = model.type_flow.nll_backward(step.target_type, cond, grads)
-        nll_coord, dcond_coord = model.coord_flow.nll_backward(
-            step.target_offset, cond_coord, grads
-        )
-        value = nll_type + nll_coord
+        if grads is None:
+            value = model.type_flow.nll(step.target_type, cond) + model.coord_flow.nll(
+                step.target_offset, cond_coord
+            )
+        else:
+            nll_type, dcond_type = model.type_flow.nll_backward(step.target_type, cond, grads)
+            nll_coord, dcond_coord = model.coord_flow.nll_backward(
+                step.target_offset, cond_coord, grads
+            )
+            value = nll_type + nll_coord
         if not np.isfinite(value):
             raise NumericError(f"non-finite loss at step {i}")
-        dcond = dcond_type + dcond_coord[:width]
-        dh = readout_backward(dcond, step.graph.n_atoms, step.focal)
-        model.encoder.backward(step.graph, cache, dh, grads)
+        if grads is not None:
+            dcond = dcond_type + dcond_coord[:width]
+            dh = readout_backward(dcond, step.graph.n_atoms, step.focal)
+            model.encoder.backward(step.graph, cache, dh, grads)
         total += value
+    return total / len(steps)
+
+
+def nll_loss(model: Model, steps: list[TrajectoryStep]) -> float:
+    """Mean per-step negative log-likelihood."""
+    return _mean_nll(model, steps)
+
+
+def _loss_and_grad(model: Model, steps: list[TrajectoryStep]) -> tuple[float, ParamStore]:
+    grads = model.zero_grads()
+    loss = _mean_nll(model, steps, grads)
     grads.flat /= len(steps)
     if not np.all(np.isfinite(grads.flat)):
         raise NumericError("non-finite gradient")
-    return total / len(steps), grads
+    return loss, grads
 
 
 def grad(model: Model, steps: list[TrajectoryStep]) -> ParamStore:

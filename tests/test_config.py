@@ -12,6 +12,9 @@ from pocketflow.config import (
     read_config,
     write_config,
 )
+from pocketflow.generator import GenConfig
+from pocketflow.model import ModelConfig
+from pocketflow.trainer import TrainConfig
 
 
 def non_default_config():
@@ -67,9 +70,17 @@ class TestRoundTrip:
 
 
 class TestParsing:
-    def test_unknown_key_rejected(self):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[trainer]\nwarp_speed = 9\n",
+            "[generator]\nfocal_rule = nearest_centroid\n",  # removed key
+        ],
+        ids=["warp_speed", "focal_rule"],
+    )
+    def test_unknown_key_rejected(self, text):
         with pytest.raises(ConfigError, match="unknown key"):
-            parse_config("[trainer]\nwarp_speed = 9\n")
+            parse_config(text)
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="unknown section"):
@@ -114,11 +125,37 @@ class TestValidation:
             {"temperature": -1.0},
             {"learning_rate": -0.1},
             {"scale_floor": 0.0},
+            {"bond_tolerance": -0.1},
+            {"pocket_cutoff": 0},
+            {"contact_cutoff": 0},
+            {"clash_retries": -1},
+            {"epochs": -1},
+            {"batch_size": -1},
+            {"hidden_width": 0},
+            {"type_flow_layers": 0},
         ],
     )
     def test_out_of_range_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             RunConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "cls, kwargs",
+        [
+            (ModelConfig, {"encoder_layers": 0}),
+            (ModelConfig, {"rbf_centers": 1}),
+            (ModelConfig, {"graph_cutoff": 0.0}),
+            (ModelConfig, {"scale_floor": 0.0}),
+            (GenConfig, {"clash_factor": 1.5}),
+            (GenConfig, {"bond_tolerance": -0.1}),
+            (GenConfig, {"clash_retries": -1}),
+            (TrainConfig, {"epochs": -1}),
+            (TrainConfig, {"batch_size": -1}),
+        ],
+    )
+    def test_module_configs_reject_out_of_range(self, cls, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            cls(**kwargs)
 
     def test_derived_configs_materialize(self):
         cfg = RunConfig()

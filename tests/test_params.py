@@ -73,6 +73,14 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_malformed_value_names_file_and_section(self, tmp_path):
+        store = ParamStore({"a": (2,), "w": (4,)})
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, store)
+        path.write_text(path.read_text().replace("0.0 0.0 0.0 0.0", "0.0 0.0 zero 0.0"))
+        with pytest.raises(CheckpointError, match=r"model\.ckpt: section w"):
+            load_checkpoint(path)
+
 
 class TestNumericHelpers:
     def test_max_relative_error_basic(self):
