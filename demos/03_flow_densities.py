@@ -1,8 +1,9 @@
 """Conditional affine flows: invertibility, log-determinants, exact densities.
 
 Shows the change-of-variables machinery on a small stack: forward and
-inverse transforms, the diagonal log-determinant, the density chain rule,
-and a quadrature check that the 1-D density integrates to one.
+inverse transforms, the closed form x = A(c) * z + M(c) of the whole stack,
+the diagonal log-determinant, the density chain rule, and a quadrature check
+that the 1-D density integrates to one.
 """
 
 import math
@@ -10,6 +11,7 @@ import math
 import numpy as np
 
 from pocketflow import FlowStack, base_log_prob
+from pocketflow.params import softplus
 
 rng = np.random.default_rng(0)
 
@@ -34,8 +36,23 @@ print("\nAfter randomizing the conditioner:")
 print("  round-trip error:", float(np.max(np.abs(z_back - z))))
 print("  forward log|det| + inverse log|det| =", logdet + logdet_inv)
 
-# The density follows the telescoping chain: log p(x) = log N(z0) - sum of
-# per-layer log-determinants.
+# No layer looks at x, so the stack is one conditional diagonal Gaussian:
+# x = A(c) * z + M(c), A the product of the layer scales and M the composed
+# shifts (odd layers read their conditioner rows reversed).
+A, M = np.ones(3), np.zeros(3)
+for i in range(stack.n_layers):
+    out = stack.store[f"flow.layer{i}.w"] @ cond + stack.store[f"flow.layer{i}.b"]
+    raw, shift = out[:3], out[3:]
+    if i % 2:
+        raw, shift = raw[::-1], shift[::-1]
+    s = softplus(raw) + stack.scale_floor
+    A, M = s * A, s * M + shift
+print("  A(c) =", np.array2string(A, precision=4), " M(c) =", np.array2string(M, precision=4))
+assert np.allclose(x, A * z + M, rtol=0.0, atol=1e-12)
+assert abs(logdet - float(np.log(A).sum())) < 1e-12
+
+# The density follows the change of variables: log p(x) = log N(z0) - log|det J|,
+# with log|det J| = sum log A.
 lp = stack.log_prob(x, cond)
 print("  log p(x) =", lp, " = base(z0) + logdet_inv =", base_log_prob(z_back) + logdet_inv)
 

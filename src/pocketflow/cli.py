@@ -52,7 +52,7 @@ _DATA_ERRORS = (
     SplitError,
     CheckpointError,
     VocabularyError,
-    FileNotFoundError,
+    OSError,
     ValueError,
 )
 

@@ -3,17 +3,19 @@
 Each layer is an elementwise affine map whose scale and shift come from a
 linear conditioner applied to the conditioning vector only:
 
-    x = P_i^-1( s_i(c) * P_i(z) + b_i(c) ),    s_i = softplus(raw) + floor
+    x_i = s_i(c) * x_{i-1} + b_i(c),    s_i = softplus(raw_i) + floor
 
-``P_i`` is a fixed permutation that alternates (identity, reversal) across
-layers and is applied in conjugated form, so it relabels which conditioner
-slot drives which dimension while leaving an all-identity stack the exact
-identity map.  The Jacobian in z is diagonal, hence
+Odd layers read their conditioner rows in reverse, so the slot that drives
+dimension d alternates across layers, and an all-identity stack is the exact
+identity map.  Since no layer looks at x, a K-layer stack composes to one
+conditional diagonal Gaussian:
 
-    log|det J| = sum_i sum_d log s_id
+    x = A(c) * z + M(c),    A = prod_i s_i,    M_i = s_i * M_{i-1} + b_i
 
-and the inverse is closed-form.  Densities follow the change-of-variables
-chain: log p(x) = log N(z_0) - sum_i log|det J_i|.
+with z ~ N(0, I).  Depth makes the conditioner c -> (A, M) nonlinear; it does
+not widen the family of densities.  The Jacobian in z is diag(A), hence
+log|det J| = sum_i sum_d log s_id, the inverse is z = (x - M) / A, and
+log p(x) = log N(z) - log|det J|.
 """
 
 from __future__ import annotations
@@ -32,11 +34,6 @@ def base_log_prob(z: np.ndarray) -> float:
     """Standard-normal log-density of a D-vector."""
     z = np.asarray(z, dtype=float)
     return float(-0.5 * z.size * math.log(2.0 * math.pi) - 0.5 * np.dot(z, z))
-
-
-def _layer_permutation(layer: int, dim: int) -> np.ndarray:
-    idx = np.arange(dim)
-    return idx if layer % 2 == 0 else idx[::-1].copy()
 
 
 @dataclass
@@ -58,10 +55,14 @@ class FlowStack:
     def __post_init__(self) -> None:
         if self.n_layers < 1:
             raise ValueError("need at least one layer")
-        self._perms = [
-            _layer_permutation(i, self.event_dim) for i in range(self.n_layers)
-        ]
-        self._inv_perms = [np.argsort(p) for p in self._perms]
+        k, d = self.n_layers, self.event_dim
+        self._w_names = [f"{self.prefix}.layer{i}.w" for i in range(k)]
+        self._b_names = [f"{self.prefix}.layer{i}.b" for i in range(k)]
+        # rows of the stacked (2KD,) conditioner output, gathered as
+        # (raw | shift, layer, dimension) with odd layers reversed
+        rows = np.arange(2 * k * d).reshape(k, 2, d)
+        rows[1::2] = rows[1::2, :, ::-1].copy()
+        self._order = rows.transpose(1, 0, 2).copy()
 
     @staticmethod
     def sections(
@@ -77,9 +78,9 @@ class FlowStack:
         """Start every layer at the identity: zero conditioner weights, raw-scale
         bias solving softplus(raw) + floor = 1, zero shift."""
         raw_identity = softplus_inverse(1.0 - self.scale_floor)
-        for i in range(self.n_layers):
-            self.store[f"{self.prefix}.layer{i}.w"][...] = 0.0
-            b = self.store[f"{self.prefix}.layer{i}.b"]
+        for w_name, b_name in zip(self._w_names, self._b_names):
+            self.store[w_name][...] = 0.0
+            b = self.store[b_name]
             b[: self.event_dim] = raw_identity
             b[self.event_dim :] = 0.0
 
@@ -98,22 +99,28 @@ class FlowStack:
         stack.init()
         return stack
 
-    # -- parameters per layer ---------------------------------------------
+    # -- the closed form ------------------------------------------------------
 
-    def layer_scale_shift(self, layer: int, cond: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(scale, shift, raw) for one layer at one conditioning vector."""
-        cond = self._check_cond(cond)
-        w = self.store[f"{self.prefix}.layer{layer}.w"]
-        b = self.store[f"{self.prefix}.layer{layer}.b"]
-        out = w @ cond + b
-        raw, shift = out[: self.event_dim], out[self.event_dim :]
-        return softplus(raw) + self.scale_floor, shift, raw
+    def _affine(self, cond: np.ndarray):
+        """The whole stack at one conditioning vector.
 
-    def _check_cond(self, cond: np.ndarray) -> np.ndarray:
+        Returns ``(w, raw, s, means, amps)``: the stacked conditioner weights
+        (2KD, cond_dim), the raw scales and scales s_i (K, D) in event order,
+        and the running shifts M_0..M_K and scales A_0..A_K, each (K+1, D).
+        """
         cond = np.asarray(cond, dtype=float)
         if cond.shape != (self.cond_dim,):
             raise ValueError(f"conditioning shape {cond.shape} != ({self.cond_dim},)")
-        return cond
+        w = np.concatenate([self.store[name] for name in self._w_names])
+        b = np.concatenate([self.store[name] for name in self._b_names])
+        raw, shift = (w @ cond + b)[self._order]
+        s = softplus(raw) + self.scale_floor
+        means = np.zeros((self.n_layers + 1, self.event_dim))
+        for i in range(self.n_layers):
+            means[i + 1] = s[i] * means[i] + shift[i]
+        amps = np.ones_like(means)
+        np.cumprod(s, axis=0, out=amps[1:])
+        return w, raw, s, means, amps
 
     def _check_event(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -125,33 +132,15 @@ class FlowStack:
 
     def forward(self, z: np.ndarray, cond: np.ndarray) -> tuple[np.ndarray, float]:
         """Latent -> data; returns (x, log|det J|)."""
-        x = self._check_event(z).copy()
-        logdet = 0.0
-        for i in range(self.n_layers):
-            scale, shift, _ = self.layer_scale_shift(i, cond)
-            y = x[self._perms[i]]
-            u = scale * y + shift
-            x = u[self._inv_perms[i]]
-            logdet += float(np.log(scale).sum())
-        return x, logdet
+        z = self._check_event(z)
+        _, _, s, means, amps = self._affine(cond)
+        return amps[-1] * z + means[-1], float(np.log(s).sum())
 
     def inverse(self, x: np.ndarray, cond: np.ndarray) -> tuple[np.ndarray, float]:
         """Data -> latent; returns (z, log|det J^-1|) = (z, -forward logdet)."""
-        z, logdet_inv, _ = self._inverse_with_cache(x, cond)
-        return z, logdet_inv
-
-    def _inverse_with_cache(self, x: np.ndarray, cond: np.ndarray):
-        z = self._check_event(x).copy()
-        logdet_inv = 0.0
-        caches = [None] * self.n_layers
-        for i in reversed(range(self.n_layers)):
-            scale, shift, raw = self.layer_scale_shift(i, cond)
-            y = z[self._perms[i]]
-            v = (y - shift) / scale
-            z = v[self._inv_perms[i]]
-            logdet_inv -= float(np.log(scale).sum())
-            caches[i] = {"scale": scale, "raw": raw, "v": v}
-        return z, logdet_inv, caches
+        x = self._check_event(x)
+        _, _, s, means, amps = self._affine(cond)
+        return (x - means[-1]) / amps[-1], -float(np.log(s).sum())
 
     def log_prob(self, x: np.ndarray, cond: np.ndarray) -> float:
         """Exact log-density of x under the flow-transformed standard normal."""
@@ -178,24 +167,22 @@ class FlowStack:
         ``(nll, d nll / d cond)`` so the conditioning pathway can continue
         into the encoder.
         """
-        cond = self._check_cond(cond)
-        z0, logdet_inv, caches = self._inverse_with_cache(x, cond)
-        nll = -(base_log_prob(z0) + logdet_inv)
+        x = self._check_event(x)
+        w, raw, s, means, amps = self._affine(cond)
+        z = (x - means[-1]) / amps[-1]
+        nll = -(base_log_prob(z) - float(np.log(s).sum()))
 
-        dcond = np.zeros(self.cond_dim)
-        g = z0.copy()  # d nll / d z0
-        for i in range(self.n_layers):
-            c = caches[i]
-            scale, raw, v = c["scale"], c["raw"], c["v"]
-            dv = g[self._perms[i]]
-            dy = dv / scale
-            dshift = -dy
-            dscale = -dv * v / scale + 1.0 / scale  # data path + logdet term
-            draw = dscale * sigmoid(raw)  # softplus'(raw) = sigmoid(raw)
-            dout = np.concatenate([draw, dshift])
-            w = self.store[f"{self.prefix}.layer{i}.w"]
-            grads[f"{self.prefix}.layer{i}.w"][...] += np.outer(dout, cond)
-            grads[f"{self.prefix}.layer{i}.b"][...] += dout
-            dcond += w.T @ dout
-            g = dy[self._inv_perms[i]]
-        return float(nll), dcond
+        # Walking M_i = s_i M_{i-1} + b_i and A_i = s_i A_{i-1} back from
+        # z = (x - M_K) / A_K multiplies each adjoint by the later s_j, so
+        # d nll / d b_i = -z / A_i and d nll / d s_i = (d nll / d b_i) x_{i-1}
+        # + 1 / s_i, where x_{i-1} = A_{i-1} z + M_{i-1} enters layer i.
+        dshift = -z / amps[1:]
+        dscale = dshift * (amps[:-1] * z + means[:-1]) + 1.0 / s
+        dout = np.empty(w.shape[0])
+        dout[self._order] = (dscale * sigmoid(raw), dshift)
+        dw = np.outer(dout, cond)
+        rows = 2 * self.event_dim
+        for i, (w_name, b_name) in enumerate(zip(self._w_names, self._b_names)):
+            grads[w_name][...] += dw[i * rows : (i + 1) * rows]
+            grads[b_name][...] += dout[i * rows : (i + 1) * rows]
+        return float(nll), w.T @ dout

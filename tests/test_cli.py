@@ -1,12 +1,19 @@
 """End-to-end command-line pipeline: ingest, train, generate, evaluate."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import pocketflow
 from pocketflow.chem import Vocabulary
 from pocketflow.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from pocketflow.config import RunConfig, write_config
+from pocketflow.model import Model
 from pocketflow.molio import write_xyz
 from pocketflow.synthetic import toy_complex, toy_complex_pdb, toy_dataset
 
@@ -277,3 +284,26 @@ class TestUsageAndConfig:
         cfg_path.write_text("[nope]\nbad = 1\n")
         assert main(["ingest", str(manifest), "--out", str(tmp_path / "x.json"),
                      "--config", str(cfg_path)]) == EXIT_DATA
+
+    @pytest.mark.parametrize("case", ["checkpoint", "pocket", "dataset", "config"])
+    def test_directory_path_is_data_error(self, workspace, case):
+        tmp_path, manifest, cfg_path = workspace
+        pdb_dir = tmp_path / "pdb"
+        pocket_pdb = next(pdb_dir.glob("*.pdb"))
+        ckpt = tmp_path / "model.ckpt"
+        Model.initialized(RunConfig().model_config(VOCAB), np.random.default_rng(0)).save(ckpt)
+        argv = {
+            "checkpoint": ["generate", str(pdb_dir), str(pocket_pdb), "--out", str(tmp_path / "g")],
+            "pocket": ["generate", str(ckpt), str(pdb_dir), "--out", str(tmp_path / "g")],
+            "dataset": ["train", str(pdb_dir), "--out", str(tmp_path / "m.ckpt")],
+            "config": ["ingest", str(manifest), "--out", str(tmp_path / "x.json"),
+                       "--config", str(pdb_dir)],
+        }[case]
+        src = str(Path(pocketflow.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        env.pop("POCKETFLOW_CONFIG", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "pocketflow.cli", *argv], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == EXIT_DATA, proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from pocketflow.flows import FlowStack, base_log_prob
-from pocketflow.params import softplus_inverse
+from pocketflow.params import max_relative_error, softplus, softplus_inverse
 
 LN2 = math.log(2.0)
 
@@ -185,3 +185,81 @@ class TestSample:
         draws = np.array([stack.sample(COND, rng)[0][0] for _ in range(10_000)])
         statistic = stats.kstest(draws, "norm").statistic
         assert statistic < 0.02
+
+
+def reference_layers(stack, cond):
+    """(P_i, s_i, b_i) per layer of x = P_i^-1(s_i * P_i(x) + b_i), P_i reversing odd layers."""
+    d = stack.event_dim
+    for i in range(stack.n_layers):
+        out = stack.store[f"flow.layer{i}.w"] @ cond + stack.store[f"flow.layer{i}.b"]
+        perm = np.arange(d)[::-1] if i % 2 else np.arange(d)
+        yield perm, softplus(out[:d]) + stack.scale_floor, out[d:]
+
+
+def reference_forward(stack, z, cond):
+    x, logdet = z, 0.0
+    for perm, s, b in reference_layers(stack, cond):
+        x = (s * x[perm] + b)[np.argsort(perm)]
+        logdet += np.log(s).sum()
+    return x, logdet
+
+
+def reference_inverse(stack, x, cond):
+    z, logdet = x, 0.0
+    for perm, s, b in reversed(list(reference_layers(stack, cond))):
+        z = ((z[perm] - b) / s)[np.argsort(perm)]
+        logdet -= np.log(s).sum()
+    return z, logdet
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("event_dim", [1, 3, 10])
+    @pytest.mark.parametrize("n_layers", range(1, 9))
+    def test_matches_layer_by_layer_composition(self, n_layers, event_dim):
+        rng = np.random.default_rng(100 * n_layers + event_dim)
+        for _ in range(10):
+            stack = random_stack(rng, n_layers, event_dim)
+            cond = rng.standard_normal(4)
+            z = rng.standard_normal(event_dim)
+            x, logdet = stack.forward(z, cond)
+            x_ref, logdet_ref = reference_forward(stack, z, cond)
+            np.testing.assert_allclose(x, x_ref, rtol=1e-12, atol=1e-12)
+            assert logdet == pytest.approx(logdet_ref, rel=1e-12, abs=1e-12)
+            z_back, logdet_inv = stack.inverse(x_ref, cond)
+            z_ref, logdet_inv_ref = reference_inverse(stack, x_ref, cond)
+            np.testing.assert_allclose(z_back, z_ref, rtol=1e-12, atol=1e-12)
+            assert logdet_inv == pytest.approx(logdet_inv_ref, rel=1e-12, abs=1e-12)
+            lp_ref = base_log_prob(z_ref) + logdet_inv_ref
+            assert stack.log_prob(x_ref, cond) == pytest.approx(lp_ref, rel=1e-12, abs=1e-12)
+
+
+class TestNllBackward:
+    @pytest.mark.parametrize("event_dim", [1, 3, 10])
+    @pytest.mark.parametrize("n_layers", range(1, 7))
+    def test_gradients_match_central_differences(self, n_layers, event_dim):
+        rng = np.random.default_rng(10 * n_layers + event_dim)
+        stack = random_stack(rng, n_layers, event_dim)
+        cond = rng.standard_normal(4)
+        x = rng.standard_normal(event_dim)
+        grads = stack.store.zeros_like()
+        nll, dcond = stack.nll_backward(x, cond, grads)
+        assert nll == pytest.approx(stack.nll(x, cond), rel=1e-12, abs=1e-12)
+
+        h = 1e-5
+        flat = stack.store.flat
+        fd_params = np.zeros(flat.size)
+        for k in range(flat.size):
+            saved = flat[k]
+            flat[k] = saved + h
+            up = stack.nll(x, cond)
+            flat[k] = saved - h
+            down = stack.nll(x, cond)
+            flat[k] = saved
+            fd_params[k] = (up - down) / (2 * h)
+        fd_cond = np.zeros(cond.size)
+        for k in range(cond.size):
+            e = np.zeros(cond.size)
+            e[k] = h
+            fd_cond[k] = (stack.nll(x, cond + e) - stack.nll(x, cond - e)) / (2 * h)
+        assert max_relative_error(grads.flat, fd_params) < 1e-4
+        assert max_relative_error(dcond, fd_cond) < 1e-4
