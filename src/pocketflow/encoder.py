@@ -18,15 +18,24 @@ module also implements the exact reverse-mode derivative of the encoding,
 used by the trainer.
 
 Pocket cache: :meth:`Encoder.encode_pocket` computes what only the pocket
-determines (its edges' MLP outputs and the first layer's pocket rows) once,
-and :func:`extend_graph` adds placed atoms at O(L*(n+L)) cost.  Encoding the
-extended graph with that cache equals a full re-encode bit for bit, provided
-the encoder parameters do not change in between.
+determines (its edges' RBF features and edge-MLP values, and the first
+layer's pocket rows) once, and :func:`extend_graph` adds placed atoms at
+O(L*(n+L)) cost.  Encoding the extended graph with that cache equals a full
+re-encode bit for bit, provided the encoder parameters do not change in
+between.  Generation shares one cache across the steps that grow a molecule;
+training shares one across the steps of a trajectory within a gradient
+evaluation.  There, :meth:`Encoder.backward` adds the pocket edges' message
+adjoints into a per-pocket buffer and :meth:`Encoder.pocket_backward` runs
+the edge-MLP backward pass once on their sum: exact, since that half of the
+pass is linear in the adjoint, but the summed MLP gradients can move in the
+last ulp.  Every scatter goes through :func:`scatter_add`, which adds in the
+same order as a row-wise ``np.add.at``, so the forward pass and the scattered
+adjoints are bit-identical to it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -65,18 +74,6 @@ class ContextGraph:
     def n_edges(self) -> int:
         return len(self.edge_src)
 
-    def source_major(self) -> ContextGraph:
-        """The same graph with edges ordered by source, then destination, as a
-        dense pairwise build lists them (the backward pass sums in this order).
-        Sorting by source alone suffices after :func:`extend_graph`."""
-        order = np.argsort(self.edge_src, kind="stable")
-        return replace(
-            self,
-            edge_src=self.edge_src[order],
-            edge_dst=self.edge_dst[order],
-            edge_dist=self.edge_dist[order],
-        )
-
 
 def build_graph(
     pocket: Pocket,
@@ -86,9 +83,9 @@ def build_graph(
     """Assemble the context graph for pocket atoms followed by placed atoms.
 
     Undirected edges link every pair (protein-protein, protein-ligand and
-    ligand-ligand alike) with distance <= cutoff, in source-major order.
-    This is the pocket-only graph, extended by :func:`extend_graph` when
-    atoms are placed.
+    ligand-ligand alike) with distance <= cutoff.  This is the pocket-only
+    graph, its edges in source-major order, extended by :func:`extend_graph`
+    when atoms are placed.
     """
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
@@ -106,7 +103,7 @@ def build_graph(
         edge_dist=dist[src, dst],
         bfactor_weights=normalize_bfactors(pocket) if n else np.zeros(0),
     )
-    return extend_graph(graph, placed, cutoff).source_major() if len(placed) else graph
+    return extend_graph(graph, placed, cutoff) if len(placed) else graph
 
 
 def extend_graph(
@@ -119,7 +116,8 @@ def extend_graph(
     The edges of ``graph`` keep the head of the list; the new ones follow as
     old->new then new->any, each ordered by source then destination.  Every
     node thus meets its edges in increasing neighbour order, as in a fully
-    source-major list, so the encoder's sums match such a list bit for bit.
+    source-major list, so the encoder's per-node sums (the forward pass and
+    the scattered adjoints) match such a list bit for bit.
     """
     n, n_new = graph.n_atoms, len(placed)
     new_pos = np.array([a.position for a in placed], dtype=float).reshape(n_new, 3)
@@ -148,8 +146,22 @@ class PocketEncoding:
     while the encoder parameters stay fixed."""
 
     graph: ContextGraph  # the pocket alone
-    messages: list[np.ndarray]  # per layer, the edge-MLP output on its edges
+    edge_feat: np.ndarray  # RBF features of its edges
+    hidden: list[np.ndarray]  # per layer, the edge-MLP hidden activations t
+    messages: list[np.ndarray]  # per layer, the edge-MLP output m on its edges
     aggregate: np.ndarray  # layer 0's output on pocket rows, before ligand messages
+
+
+def scatter_add(out: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
+    """Add each row of ``rows`` (n, w) into row ``index[i]`` of ``out`` viewed
+    as (-1, w): ``np.add.at(out, index, rows)`` for a C-contiguous ``out``, as one
+    1-D ``np.add.at`` over flat element indices.  Every element receives its
+    terms in the same order, so the result is the same bit for bit."""
+    if not out.flags.c_contiguous:
+        raise ValueError("scatter_add needs a C-contiguous output")
+    width = rows.shape[1]
+    flat = (index[:, None] * width + np.arange(width)).ravel()
+    np.add.at(out.reshape(-1), flat, rows.reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -225,6 +237,12 @@ class Encoder:
         """RBF features of the edges from index ``start`` on."""
         return rbf_expand(graph.edge_dist[start:], self.bank)
 
+    def _edge_mlp(self, layer: int, edge_feat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The edge MLP's hidden activations t and its output m per edge."""
+        p = f"encoder.layer{layer}"
+        t = np.tanh(edge_feat @ self.store[f"{p}.w1"] + self.store[f"{p}.b1"])
+        return t, t @ self.store[f"{p}.w2"] + self.store[f"{p}.b2"]
+
     def message_layer(
         self,
         h: np.ndarray,
@@ -248,13 +266,7 @@ class Encoder:
         start = 0 if pocket is None else pocket.graph.n_edges
         if edge_feat is None:
             edge_feat = self.edge_features(graph, start)
-        w1 = self.store[f"encoder.layer{layer}.w1"]
-        b1 = self.store[f"encoder.layer{layer}.b1"]
-        w2 = self.store[f"encoder.layer{layer}.w2"]
-        b2 = self.store[f"encoder.layer{layer}.b2"]
-
-        t = np.tanh(edge_feat @ w1 + b1)  # (E - start, hidden)
-        m = t @ w2 + b2  # (E - start, H)
+        t, m = self._edge_mlp(layer, edge_feat)  # (E - start, hidden), (E - start, H)
         gamma = None
         if self.cfg.bfactor_gating:
             gate = float(self.store[f"encoder.layer{layer}.gate"])
@@ -263,16 +275,16 @@ class Encoder:
                 protein_src, 1.0 + gate * graph.bfactor_weights[graph.edge_src], 1.0
             )
         h_next = h.copy()
-        blocks = [(slice(start, None), m)]
+        first, pocket_m = 0, None
         if pocket is not None and layer == 0:
             h_next[: pocket.graph.n_atoms] = pocket.aggregate
+            first = start
         elif pocket is not None:
-            blocks.insert(0, (slice(0, start), pocket.messages[layer]))
-        for edges, m_edges in blocks:  # np.add.at adds one edge at a time, in list order
-            msg = h[graph.edge_src[edges]] * m_edges
-            if gamma is not None:
-                msg = msg * gamma[edges, None]
-            np.add.at(h_next, graph.edge_dst[edges], msg)
+            pocket_m = pocket.messages[layer]
+        msg = _times_messages(h[graph.edge_src[first:]], pocket_m, m)
+        if gamma is not None:
+            msg *= gamma[first:, None]
+        scatter_add(h_next, graph.edge_dst[first:], msg)
         if with_cache:
             return h_next, {"h_in": h, "t": t, "m": m, "gamma": gamma}
         return h_next
@@ -285,7 +297,8 @@ class Encoder:
         """Embed atoms then run all message layers, keeping what backward needs.
 
         With ``pocket`` (see :meth:`encode_pocket`) the embeddings are the
-        same, but the cache covers only non-pocket edges: no backward pass.
+        same, but the cache holds the edge-MLP values of the non-pocket edges
+        only, and :meth:`backward` needs a ``pocket_dm`` buffer.
         """
         edge_feat = self.edge_features(graph, 0 if pocket is None else pocket.graph.n_edges)
         h = self.initial_embeddings(graph)
@@ -293,15 +306,19 @@ class Encoder:
         for layer in range(self.cfg.n_layers):
             h, cache = self.message_layer(h, graph, layer, edge_feat, True, pocket)
             layers.append(cache)
-        return h, {"edge_feat": edge_feat, "layers": layers}
+        return h, {"edge_feat": edge_feat, "layers": layers, "pocket": pocket}
 
     def encode_pocket(self, graph: ContextGraph) -> PocketEncoding:
         """Encode a pocket-only graph once for reuse by every context built on
-        it with :func:`extend_graph`."""
-        h, cache = self.encode_with_cache(graph)
-        layers = cache["layers"]
-        aggregate = layers[1]["h_in"] if len(layers) > 1 else h
-        return PocketEncoding(graph, [c["m"] for c in layers], aggregate)
+        it with :func:`extend_graph`: every layer's edge MLP, plus layer 0."""
+        edge_feat = self.edge_features(graph)
+        h0 = self.initial_embeddings(graph)
+        aggregate, cache = self.message_layer(h0, graph, 0, edge_feat, True)
+        mlp = [(cache["t"], cache["m"])]
+        mlp += [self._edge_mlp(layer, edge_feat) for layer in range(1, self.cfg.n_layers)]
+        return PocketEncoding(
+            graph, edge_feat, [t for t, _ in mlp], [m for _, m in mlp], aggregate
+        )
 
     # -- backward --------------------------------------------------------
 
@@ -311,37 +328,75 @@ class Encoder:
         cache: dict,
         dh: np.ndarray,
         grads: ParamStore,
+        pocket_dm: list[np.ndarray] | None = None,
     ) -> None:
-        """Accumulate d(loss)/d(params) into ``grads`` given d(loss)/d(h_out)."""
-        edge_feat = cache["edge_feat"]
+        """Accumulate d(loss)/d(params) into ``grads`` given d(loss)/d(h_out).
+
+        For a cache made with a pocket, the pocket edges' rows of each
+        layer's d(loss)/d(m) are added into ``pocket_dm[layer]`` instead of
+        being pushed through the edge MLP; :meth:`pocket_backward` finishes
+        them once for every step that shares the pocket.
+        """
+        pocket = cache["pocket"]
+        if pocket is not None and pocket_dm is None:
+            raise ValueError("a cache made with a pocket needs pocket_dm")
+        start = 0 if pocket is None else pocket.graph.n_edges
         src, dst = graph.edge_src, graph.edge_dst
         g = dh
         for layer in reversed(range(self.cfg.n_layers)):
             lc = cache["layers"][layer]
-            h_in, t, m, gamma = lc["h_in"], lc["t"], lc["m"], lc["gamma"]
-            w2 = self.store[f"encoder.layer{layer}.w2"]
+            h_in, m, gamma = lc["h_in"], lc["m"], lc["gamma"]
+            pocket_m = None if pocket is None else pocket.messages[layer]
 
+            h_src = h_in[src]
             dmsg = g[dst]  # (E, H)
             if gamma is not None:
-                msg_pre = h_in[src] * m
+                msg_pre = _times_messages(h_src.copy(), pocket_m, m)
                 dgamma = (dmsg * msg_pre).sum(axis=1)
                 protein_src = graph.origins[src] == PROTEIN
                 grads[f"encoder.layer{layer}.gate"][...] += np.sum(
                     dgamma[protein_src] * graph.bfactor_weights[src][protein_src]
                 )
-                dmsg = dmsg * gamma[:, None]
-            dm = dmsg * h_in[src]
+                dmsg *= gamma[:, None]
+            dm = dmsg * h_src
             dprev = g.copy()  # residual path
-            np.add.at(dprev, src, dmsg * m)
+            scatter_add(dprev, src, _times_messages(dmsg, pocket_m, m))
 
-            grads[f"encoder.layer{layer}.w2"][...] += t.T @ dm
-            grads[f"encoder.layer{layer}.b2"][...] += dm.sum(axis=0)
-            dt = dm @ w2.T
-            da = dt * (1.0 - t**2)
-            grads[f"encoder.layer{layer}.w1"][...] += edge_feat.T @ da
-            grads[f"encoder.layer{layer}.b1"][...] += da.sum(axis=0)
+            self._mlp_backward(layer, cache["edge_feat"], lc["t"], dm[start:], grads)
+            if pocket is not None:
+                pocket_dm[layer] += dm[:start]
             g = dprev
-        np.add.at(grads["encoder.embed"], (graph.origins, graph.elements), g)
+        scatter_add(grads["encoder.embed"], graph.origins * self.vocab_size + graph.elements, g)
+
+    def pocket_backward(
+        self, pocket: PocketEncoding, pocket_dm: list[np.ndarray], grads: ParamStore
+    ) -> None:
+        """The edge-MLP backward pass for the pocket's own edges, given their
+        d(loss)/d(m) summed over the steps that share ``pocket`` (see
+        :meth:`backward`).  One pass serves them all: this half of the
+        backward pass is linear in d(loss)/d(m)."""
+        for layer, dm in enumerate(pocket_dm):
+            self._mlp_backward(layer, pocket.edge_feat, pocket.hidden[layer], dm, grads)
+
+    def _mlp_backward(
+        self, layer: int, edge_feat: np.ndarray, t: np.ndarray, dm: np.ndarray, grads: ParamStore
+    ) -> None:
+        """Add the edge MLP's parameter gradients given d(loss)/d(m)."""
+        p = f"encoder.layer{layer}"
+        grads[f"{p}.w2"][...] += t.T @ dm
+        grads[f"{p}.b2"][...] += dm.sum(axis=0)
+        da = (dm @ self.store[f"{p}.w2"].T) * (1.0 - t**2)
+        grads[f"{p}.w1"][...] += edge_feat.T @ da
+        grads[f"{p}.b1"][...] += da.sum(axis=0)
+
+
+def _times_messages(rows: np.ndarray, pocket_m: np.ndarray | None, m: np.ndarray) -> np.ndarray:
+    """``rows`` (one per edge) times the edge messages, in place: ``pocket_m``
+    on the leading pocket edges when given, ``m`` on the trailing ones."""
+    if pocket_m is not None:
+        rows[: len(pocket_m)] *= pocket_m
+    rows[len(rows) - len(m) :] *= m
+    return rows
 
 
 def aggregate_readout(embeddings: np.ndarray, focal: int) -> np.ndarray:

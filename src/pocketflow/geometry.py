@@ -58,8 +58,10 @@ def pairwise_distance(a: np.ndarray, b: np.ndarray) -> float:
 def distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distances from every row of ``a`` (n, 3) to every row of
     ``b`` (m, 3), shape (n, m)."""
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt((diff**2).sum(axis=-1))
+    x = a[:, None, 0] - b[None, :, 0]
+    y = a[:, None, 1] - b[None, :, 1]
+    z = a[:, None, 2] - b[None, :, 2]
+    return np.sqrt(x * x + y * y + z * z)
 
 
 def rbf_expand(d: float | np.ndarray, bank: RbfBank) -> np.ndarray:

@@ -27,6 +27,8 @@ def read_xyz(text: str, vocab: Vocabulary) -> Molecule:
         count = int(lines[0].strip())
     except ValueError:
         raise ValueError(f"bad XYZ count line: {lines[0]!r}") from None
+    if count < 0:
+        raise ValueError(f"negative XYZ atom count: {count}")
     if len(lines) < 2 + count:
         raise ValueError(f"XYZ input truncated: expected {count} atom lines")
     atoms = []

@@ -10,6 +10,7 @@ one section per block with shape and round-trip-exact decimal values.
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -17,6 +18,7 @@ import numpy as np
 
 CHECKPOINT_MAGIC = "pocketflow-checkpoint"
 CHECKPOINT_VERSION = 1
+_SECTION_HEADER = re.compile(r"section (\S+) (scalar|[0-9]+(?:x[0-9]+)*)")
 
 
 class CheckpointError(ValueError):
@@ -130,11 +132,15 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, dict[str, str]]:
             key, _, value = line.removeprefix("meta ").partition("=")
             meta[key] = value
         elif line.startswith("section "):
-            _, name, shape_txt = line.split(" ", 2)
-            shape = () if shape_txt == "scalar" else tuple(
+            header = _SECTION_HEADER.fullmatch(line.rstrip())
+            if header is None:
+                raise CheckpointError(f"{path}:{lineno}: malformed section header {line!r}")
+            name, shape_txt = header.groups()
+            if name in sections:
+                raise CheckpointError(f"{path}:{lineno}: repeated section {name!r}")
+            sections[name] = () if shape_txt == "scalar" else tuple(
                 int(d) for d in shape_txt.split("x")
             )
-            sections[name] = shape
             payload[name] = []
             current = name
         elif line.strip():

@@ -10,6 +10,14 @@ coordinate as a focal-relative offset.
 The loss is the mean per-step negative log-likelihood under the type and
 coordinate flows; gradients are exact reverse-mode derivatives assembled from
 the flow and encoder backward passes, and the optimizer is plain SGD.
+
+Every step of a trajectory extends the same pocket graph, so one loss or
+gradient evaluation encodes each pocket once (:meth:`Encoder.encode_pocket`)
+and runs the pocket-edge MLP backward pass once, on the pocket-edge adjoints
+summed over that pocket's steps.  The per-step losses, and so the loss, are
+bit-identical to encoding every step on its own; the encoder's MLP gradients,
+and the order in which steps add into the gradient, can move the gradient in
+the last ulp.
 """
 
 from __future__ import annotations
@@ -18,7 +26,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import ContextGraph, aggregate_readout, build_graph, extend_graph, readout_backward
+from .encoder import (
+    ContextGraph,
+    PocketEncoding,
+    aggregate_readout,
+    build_graph,
+    extend_graph,
+    readout_backward,
+)
 from .model import Model, ModelConfig
 from .params import ParamStore
 from .pdb import ComplexEntry
@@ -46,6 +61,7 @@ class TrajectoryStep:
     focal: int  # graph node index
     target_type: np.ndarray  # dequantized one-hot, width V
     target_offset: np.ndarray  # target position minus focal position
+    pocket: ContextGraph  # the pocket alone; ``graph`` is extend_graph(pocket, placed)
 
     def __post_init__(self) -> None:
         if not np.all(np.isfinite(self.target_offset)):
@@ -101,7 +117,7 @@ def sequentialize(
     placed = []
     pocket_graph = build_graph(entry.pocket, cutoff=cfg.graph_cutoff)
     for idx in order:
-        graph = extend_graph(pocket_graph, placed, cfg.graph_cutoff).source_major()
+        graph = extend_graph(pocket_graph, placed, cfg.graph_cutoff)
         target_pos = lig_pos[idx]
         focal = int(np.argmin(np.linalg.norm(graph.positions - target_pos, axis=1)))
         target_type = np.zeros(v)
@@ -113,40 +129,68 @@ def sequentialize(
                 focal=focal,
                 target_type=target_type,
                 target_offset=target_pos - graph.positions[focal],
+                pocket=pocket_graph,
             )
         )
         placed.append(entry.ligand.atoms[idx])
     return steps
 
 
+def _step_nll(
+    model: Model,
+    i: int,
+    step: TrajectoryStep,
+    pocket: PocketEncoding,
+    grads: ParamStore | None,
+    pocket_dm: list[np.ndarray] | None,
+) -> float:
+    """NLL of step ``i``, encoded on ``pocket``; with ``grads``, also add its
+    gradient, the pocket edges' message adjoints going into ``pocket_dm``."""
+    h, cache = model.encoder.encode_with_cache(step.graph, pocket)
+    cond = aggregate_readout(h, step.focal)
+    a_t = int(np.argmax(step.target_type))
+    cond_coord = np.concatenate([cond, model.one_hot(a_t)])
+    if grads is None:
+        value = model.type_flow.nll(step.target_type, cond) + model.coord_flow.nll(
+            step.target_offset, cond_coord
+        )
+    else:
+        nll_type, dcond_type = model.type_flow.nll_backward(step.target_type, cond, grads)
+        nll_coord, dcond_coord = model.coord_flow.nll_backward(
+            step.target_offset, cond_coord, grads
+        )
+        value = nll_type + nll_coord
+    if not np.isfinite(value):
+        raise NumericError(f"non-finite loss at step {i}")
+    if grads is not None:
+        dcond = dcond_type + dcond_coord[: 2 * model.cfg.embed_width]
+        dh = readout_backward(dcond, step.graph.n_atoms, step.focal)
+        model.encoder.backward(step.graph, cache, dh, grads, pocket_dm)
+    return value
+
+
 def _mean_nll(model: Model, steps: list[TrajectoryStep], grads: ParamStore | None = None) -> float:
     """Mean per-step NLL; with ``grads``, also add the exact gradient of the
-    summed NLL into ``grads`` (the loss and the gradient share this forward)."""
+    summed NLL into ``grads`` (the loss and the gradient share this forward).
+
+    Steps are taken one pocket at a time, so that only one pocket encoding
+    and one set of pocket-edge adjoints are alive; the mean is summed in step
+    order."""
     if not steps:
         raise ValueError("empty batch")
-    width = 2 * model.cfg.embed_width
-    total = 0.0
+    groups: dict[int, list[int]] = {}
     for i, step in enumerate(steps):
-        h, cache = model.encoder.encode_with_cache(step.graph)
-        cond = aggregate_readout(h, step.focal)
-        a_t = int(np.argmax(step.target_type))
-        cond_coord = np.concatenate([cond, model.one_hot(a_t)])
-        if grads is None:
-            value = model.type_flow.nll(step.target_type, cond) + model.coord_flow.nll(
-                step.target_offset, cond_coord
-            )
-        else:
-            nll_type, dcond_type = model.type_flow.nll_backward(step.target_type, cond, grads)
-            nll_coord, dcond_coord = model.coord_flow.nll_backward(
-                step.target_offset, cond_coord, grads
-            )
-            value = nll_type + nll_coord
-        if not np.isfinite(value):
-            raise NumericError(f"non-finite loss at step {i}")
+        groups.setdefault(id(step.pocket), []).append(i)
+    values = np.empty(len(steps))
+    for members in groups.values():
+        pocket = model.encoder.encode_pocket(steps[members[0]].pocket)
+        pocket_dm = None if grads is None else [np.zeros_like(m) for m in pocket.messages]
+        for i in members:
+            values[i] = _step_nll(model, i, steps[i], pocket, grads, pocket_dm)
         if grads is not None:
-            dcond = dcond_type + dcond_coord[:width]
-            dh = readout_backward(dcond, step.graph.n_atoms, step.focal)
-            model.encoder.backward(step.graph, cache, dh, grads)
+            model.encoder.pocket_backward(pocket, pocket_dm, grads)
+    total = 0.0
+    for value in values.tolist():
         total += value
     return total / len(steps)
 

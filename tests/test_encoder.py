@@ -13,6 +13,7 @@ from pocketflow.encoder import (
     aggregate_readout,
     build_graph,
     readout_backward,
+    scatter_add,
 )
 from pocketflow.geometry import RbfBank, RigidTransform, apply_rigid
 from pocketflow.params import ParamStore
@@ -165,6 +166,39 @@ class TestEncodeContext:
             )
         )
         assert np.max(np.abs(hp - h[perm])) < 1e-12
+
+
+class TestScatterAdd:
+    @pytest.mark.parametrize(
+        "index",
+        [
+            [4, 0, 4, 2, 2, 2, 7, 1, 0, 4],  # unsorted, repeated
+            [3, 3, 3, 3],  # one row, many times
+            [5],  # a single row
+            [],  # nothing to add
+        ],
+    )
+    @pytest.mark.parametrize("width", [1, 3, 32])
+    def test_bit_equal_to_row_wise_add_at(self, index, width):
+        rng = np.random.default_rng(len(index) * 100 + width)
+        index = np.array(index, dtype=int)
+        # mixed magnitudes make the result depend on the order of the additions
+        rows = rng.standard_normal((len(index), width)) * 10.0 ** rng.integers(-8, 9, (len(index), 1))
+        out = rng.standard_normal((8, width))
+        expected = out.copy()
+        np.add.at(expected, index, rows)
+        scatter_add(out, index, rows)
+        assert np.array_equal(out, expected)
+
+    def test_three_dimensional_output_row_index(self):
+        rng = np.random.default_rng(0)
+        table = rng.standard_normal((2, 5, 4))
+        origins, elements = np.array([1, 0, 1, 1]), np.array([3, 3, 0, 3])
+        rows = rng.standard_normal((4, 4))
+        expected = table.copy()
+        np.add.at(expected, (origins, elements), rows)
+        scatter_add(table, origins * 5 + elements, rows)
+        assert np.array_equal(table, expected)
 
 
 class TestBfactorGate:

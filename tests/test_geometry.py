@@ -11,6 +11,7 @@ from pocketflow.geometry import (
     RigidTransform,
     TransformError,
     apply_rigid,
+    distance_matrix,
     mean_atom_distance,
     pairwise_distance,
     rbf_expand,
@@ -36,6 +37,20 @@ class TestPairwiseDistance:
         assert pairwise_distance((1, 1, 1), (2, 2, 2)) == pytest.approx(
             1.7320508075688772, abs=1e-12
         )
+
+
+class TestDistanceMatrix:
+    @pytest.mark.parametrize("n, m", [(0, 0), (0, 4), (5, 0), (1, 1), (3, 3), (17, 40), (120, 90)])
+    def test_bit_equal_to_broadcast_formula(self, n, m):
+        rng = np.random.default_rng(n * 1000 + m)
+        for scale in (1e-3, 1.0, 30.0, 1e4):
+            a = rng.standard_normal((n, 3)) * scale
+            b = rng.standard_normal((m, 3)) * scale + rng.uniform(-scale, scale)
+            diff = a[:, None, :] - b[None, :, :]
+            expected = np.sqrt((diff**2).sum(axis=-1))
+            got = distance_matrix(a, b)
+            assert got.shape == (n, m)
+            assert np.array_equal(got, expected)
 
 
 class TestRbfExpand:

@@ -39,6 +39,11 @@ class TestXyz:
         with pytest.raises(ValueError):
             read_xyz("5\ncomment\nC 0 0 0\n", VOCAB)
 
+    @pytest.mark.parametrize("text", ["-1\n\n", "-2\nc\nC 0 0 0\n"])
+    def test_negative_count(self, text):
+        with pytest.raises(ValueError, match="negative XYZ atom count"):
+            read_xyz(text, VOCAB)
+
 
 class TestHetatmRecords:
     def test_records_roundtrip_through_pdb_layer(self):

@@ -81,6 +81,21 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=r"model\.ckpt: section w"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("header", ["section foo", "section foo 2xq", "section foo -2"])
+    def test_malformed_section_header_names_file_and_line(self, tmp_path, header):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, ParamStore({"w": (2,)}))
+        path.write_text(path.read_text() + header + "\n0.0 0.0\n")
+        with pytest.raises(CheckpointError, match=r"model\.ckpt:4: malformed section header"):
+            load_checkpoint(path)
+
+    def test_repeated_section_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, ParamStore({"w": (2,)}))
+        path.write_text(path.read_text() + "section w 2\n1.0 2.0\n")
+        with pytest.raises(CheckpointError, match=r"model\.ckpt:4: repeated section 'w'"):
+            load_checkpoint(path)
+
 
 class TestNumericHelpers:
     def test_max_relative_error_basic(self):

@@ -1,9 +1,12 @@
 """Trajectory building, NLL evaluation, exact gradients, SGD training."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from pocketflow.chem import Atom, ElementKind, Molecule, Pocket, Vocabulary, infer_bonds
+from pocketflow.encoder import aggregate_readout, readout_backward
 from pocketflow.flows import base_log_prob
 from pocketflow.geometry import RigidTransform, apply_rigid
 from pocketflow.model import Model, ModelConfig
@@ -196,6 +199,66 @@ class TestGrad:
         steps = sequentialize(toy_complex(VOCAB), np.random.default_rng(1), cfg)
         g = grad(model, steps)
         assert np.all(np.isfinite(g.flat))
+
+
+def other_tiny_complex(vocab):
+    """A second C/O complex whose pocket differs from ``tiny_complex``'s."""
+    c, o = vocab.index("C"), vocab.index("O")
+    pocket = Pocket(
+        [Atom(o, (0, 0, 0)), Atom(c, (2.2, 0.4, 0)), Atom(c, (0.3, 2.4, 0.2)), Atom(c, (1, 1, 2.6))],
+        np.array([5.0, 25.0, 15.0, 40.0]),
+    )
+    lig_atoms = [Atom(o, (3.0, 2.0, 1.2)), Atom(c, (4.1, 2.6, 0.9)), Atom(c, (5.0, 1.6, 1.5))]
+    return ComplexEntry(
+        pocket=pocket,
+        ligand=Molecule(lig_atoms, infer_bonds(lig_atoms, vocab)),
+        entry_id="other",
+    )
+
+
+def per_step_grad(model, steps):
+    """The gradient with no pocket sharing: every step encoded and
+    back-propagated on its own full graph."""
+    grads = model.zero_grads()
+    width = 2 * model.cfg.embed_width
+    for step in steps:
+        h, cache = model.encoder.encode_with_cache(step.graph)
+        cond = aggregate_readout(h, step.focal)
+        cond_coord = np.concatenate([cond, model.one_hot(int(np.argmax(step.target_type)))])
+        _, dcond_type = model.type_flow.nll_backward(step.target_type, cond, grads)
+        _, dcond_coord = model.coord_flow.nll_backward(step.target_offset, cond_coord, grads)
+        dh = readout_backward(dcond_type + dcond_coord[:width], step.graph.n_atoms, step.focal)
+        model.encoder.backward(step.graph, cache, dh, grads)
+    grads.flat /= len(steps)
+    return grads.flat
+
+
+class TestSharedPocketGrad:
+    def test_interleaved_pockets_match_per_step_and_central_differences(self):
+        # two encoder layers, gating on, two pockets: the per-pocket sums of
+        # pocket-edge adjoints must cross layers and survive interleaving
+        vocab = tiny_vocab()
+        cfg = replace(tiny_model_config(vocab, gating=True), encoder_layers=2)
+        model = Model(cfg)
+        a_steps, b_steps = (
+            sequentialize(entry, np.random.default_rng(0), cfg)
+            for entry in (tiny_complex(vocab), other_tiny_complex(vocab))
+        )
+        assert a_steps[0].pocket is not b_steps[0].pocket
+        batches = [
+            [a_steps[0], b_steps[0], a_steps[1], b_steps[1], b_steps[2]],
+            [b_steps[2], a_steps[1], b_steps[0], a_steps[0]],
+            [a_steps[1], b_steps[1]],
+        ]
+        rng = np.random.default_rng(7)
+        for batch in batches:
+            model.store.flat[:] = rng.uniform(-0.5, 0.5, size=model.n_params)
+            for name in ("encoder.layer0.gate", "encoder.layer1.gate"):
+                assert model.store[name] != 0.0
+            analytic = grad(model, batch).flat
+            reference = per_step_grad(model, batch)
+            assert np.max(np.abs(analytic - reference)) <= 1e-12 * np.max(np.abs(reference))
+            assert max_relative_error(analytic, fd_gradient(model, batch)) < 1e-3
 
 
 class TestRigidInvariance:
