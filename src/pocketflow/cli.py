@@ -14,6 +14,7 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -74,10 +75,12 @@ def count(text: str) -> int:
     return value
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, write: Callable[[Path], object]) -> None:
+    """Create ``path`` whole or not at all: ``write`` fills a sibling
+    ``.tmp`` file, which then replaces ``path``; missing directories are made."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    write(tmp)
     os.replace(tmp, path)
 
 
@@ -112,8 +115,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         print("error: every manifest entry failed", file=sys.stderr)
         return EXIT_DATA
     out = Path(args.out)
-    save_dataset(entries, vocab, out.with_name(out.name + ".tmp"))
-    os.replace(out.with_name(out.name + ".tmp"), out)
+    _atomic_write(out, lambda tmp: save_dataset(entries, vocab, tmp))
     print(f"wrote {len(entries)}/{len(manifest)} entries to {out}")
     return EXIT_OK
 
@@ -130,14 +132,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     try:
         result = train(dataset, cfg.model_config(vocab), cfg.train_config())
     except TrainingDiverged as exc:
-        _atomic_write(log_path, _loss_log(exc.history))
+        _atomic_write(log_path, lambda tmp: tmp.write_text(_loss_log(exc.history)))
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    result.model.save(out.with_name(out.name + ".tmp"))
-    os.replace(out.with_name(out.name + ".tmp"), out)
-    _atomic_write(log_path, _loss_log(result.history))
+    _atomic_write(Path(args.out), result.model.save)
+    _atomic_write(log_path, lambda tmp: tmp.write_text(_loss_log(result.history)))
     if result.history:
         print(f"final_nll\t{result.final_nll!r}")
     else:
@@ -157,14 +156,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
     for i in range(args.count):
         molecule = generate_ligand(model, pocket, gen_cfg, rng)
         stem = f"mol_{i:03d}"
-        _atomic_write(
-            out_dir / f"{stem}.xyz",
-            write_xyz(molecule, vocab, comment=f"{stem} seed={cfg.seed}"),
-        )
-        _atomic_write(
-            out_dir / f"{stem}.pdb",
-            serialize_pdb(molecule_to_records(molecule, vocab)),
-        )
+        xyz = write_xyz(molecule, vocab, comment=f"{stem} seed={cfg.seed}")
+        pdb_text = serialize_pdb(molecule_to_records(molecule, vocab))
+        _atomic_write(out_dir / f"{stem}.xyz", lambda tmp: tmp.write_text(xyz))
+        _atomic_write(out_dir / f"{stem}.pdb", lambda tmp: tmp.write_text(pdb_text))
         print(f"{stem}\t{len(molecule)} atoms")
     return EXIT_OK
 
@@ -190,7 +185,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         ids=[p.stem for p in paths],
     )
     text = report_json(report) if args.format == "json" else report_tsv(report)
-    _atomic_write(Path(args.out), text)
+    _atomic_write(Path(args.out), lambda tmp: tmp.write_text(text))
     mean_txt = repr(report.mean_pkd_valid) if report.mean_pkd_valid is not None else "NA"
     print(f"validity\t{report.validity_fraction!r}\tmean_pKd_valid\t{mean_txt}")
     return EXIT_OK

@@ -17,19 +17,20 @@ embeddings are invariant under rigid motions of the whole context.  The
 module also implements the exact reverse-mode derivative of the encoding,
 used by the trainer.
 
-Pocket cache: :meth:`Encoder.encode_pocket` computes what only the pocket
-determines (its edges' RBF features and edge-MLP values, and the first
-layer's pocket rows) once, and :func:`extend_graph` adds placed atoms at
-O(L*(n+L)) cost.  Encoding the extended graph with that cache equals a full
-re-encode bit for bit, provided the encoder parameters do not change in
-between.  Generation shares one cache across the steps that grow a molecule;
-training shares one across the steps of a trajectory within a gradient
-evaluation.  There, :meth:`Encoder.backward` adds the pocket edges' message
-adjoints into a per-pocket buffer and :meth:`Encoder.pocket_backward` runs
-the edge-MLP backward pass once on their sum: exact, since that half of the
-pass is linear in the adjoint, but the summed MLP gradients can move in the
-last ulp.  Every scatter goes through :func:`scatter_add`, which adds in the
-same order as a row-wise ``np.add.at``, so the forward pass and the scattered
+Pocket prefix: every context graph extends a :class:`PocketEncoding`, the
+forward-pass values that only the pocket determines (its edges' edge-MLP
+outputs and the first layer's pocket rows), or else the encoder's empty
+prefix.  :meth:`Encoder.encode_pocket` computes it once, and
+:func:`extend_graph` adds placed atoms at O(L*(n+L)) cost; encoding the
+extended graph equals a full re-encode bit for bit while the encoder
+parameters stay fixed.  Generation shares one prefix across the steps that
+grow a molecule, training across the steps of a trajectory within a gradient
+evaluation.  There, :meth:`Encoder.backward` returns the pocket edges'
+message adjoints and :meth:`Encoder.pocket_backward` runs the edge-MLP
+backward pass once on their sum: exact, since that half of the pass is
+linear in the adjoint, but the summed MLP gradients can move in the last
+ulp.  Every scatter goes through :func:`scatter_add`, which adds in the same
+order as a row-wise ``np.add.at``, so the forward pass and the scattered
 adjoints are bit-identical to it.
 """
 
@@ -142,12 +143,10 @@ def extend_graph(
 
 @dataclass(frozen=True)
 class PocketEncoding:
-    """The part of an encoding that only the pocket determines; valid only
-    while the encoder parameters stay fixed."""
+    """The part of the forward pass that only the pocket determines; valid
+    only while the encoder parameters stay fixed."""
 
     graph: ContextGraph  # the pocket alone
-    edge_feat: np.ndarray  # RBF features of its edges
-    hidden: list[np.ndarray]  # per layer, the edge-MLP hidden activations t
     messages: list[np.ndarray]  # per layer, the edge-MLP output m on its edges
     aggregate: np.ndarray  # layer 0's output on pocket rows, before ligand messages
 
@@ -190,6 +189,12 @@ class Encoder:
         self.vocab_size = vocab_size
         self.bank = bank
         self.store = store
+        none, rows = np.zeros(0, dtype=int), np.zeros((0, cfg.embed_width))
+        self.empty_pocket = PocketEncoding(
+            ContextGraph(none, none, np.zeros((0, 3)), none, none, np.zeros(0), np.zeros(0)),
+            [rows] * cfg.n_layers,
+            rows,
+        )
 
     @staticmethod
     def sections(cfg: EncoderConfig, vocab_size: int, n_rbf: int) -> dict[str, tuple[int, ...]]:
@@ -243,50 +248,47 @@ class Encoder:
         t = np.tanh(edge_feat @ self.store[f"{p}.w1"] + self.store[f"{p}.b1"])
         return t, t @ self.store[f"{p}.w2"] + self.store[f"{p}.b2"]
 
+    def _gamma(self, graph: ContextGraph, layer: int) -> np.ndarray | None:
+        """Per-edge B-factor gate factors, or None with gating off."""
+        if not self.cfg.bfactor_gating:
+            return None
+        gate = float(self.store[f"encoder.layer{layer}.gate"])
+        protein_src = graph.origins[graph.edge_src] == PROTEIN
+        return np.where(protein_src, 1.0 + gate * graph.bfactor_weights[graph.edge_src], 1.0)
+
     def message_layer(
         self,
         h: np.ndarray,
         graph: ContextGraph,
         layer: int,
-        edge_feat: np.ndarray | None = None,
-        with_cache: bool = False,
+        m: np.ndarray | None = None,
         pocket: PocketEncoding | None = None,
-    ):
-        """One residual message-passing update; returns h' (and a cache).
+    ) -> np.ndarray:
+        """One residual message-passing update of ``graph``, which extends
+        ``pocket.graph`` (by default the empty prefix).
 
-        With ``pocket``, ``graph`` extends ``pocket.graph``: the edge MLP runs
-        only on the edges after the pocket's own (all that ``edge_feat``
-        covers) and the rest is read from ``pocket``.
+        ``m`` holds the edge-MLP outputs of the edges after the pocket's own,
+        computed here when not given; the pocket edges' are read from
+        ``pocket``, and at layer 0 so is their whole sum on the pocket rows.
         """
         if h.shape != (graph.n_atoms, self.cfg.embed_width):
             raise ValueError(
                 f"embedding shape {h.shape} does not match "
                 f"({graph.n_atoms}, {self.cfg.embed_width})"
             )
-        start = 0 if pocket is None else pocket.graph.n_edges
-        if edge_feat is None:
-            edge_feat = self.edge_features(graph, start)
-        t, m = self._edge_mlp(layer, edge_feat)  # (E - start, hidden), (E - start, H)
-        gamma = None
-        if self.cfg.bfactor_gating:
-            gate = float(self.store[f"encoder.layer{layer}.gate"])
-            protein_src = graph.origins[graph.edge_src] == PROTEIN
-            gamma = np.where(
-                protein_src, 1.0 + gate * graph.bfactor_weights[graph.edge_src], 1.0
-            )
+        pocket = pocket or self.empty_pocket
+        if m is None:
+            _, m = self._edge_mlp(layer, self.edge_features(graph, pocket.graph.n_edges))
         h_next = h.copy()
-        first, pocket_m = 0, None
-        if pocket is not None and layer == 0:
+        first = 0
+        if layer == 0:
             h_next[: pocket.graph.n_atoms] = pocket.aggregate
-            first = start
-        elif pocket is not None:
-            pocket_m = pocket.messages[layer]
-        msg = _times_messages(h[graph.edge_src[first:]], pocket_m, m)
+            first = pocket.graph.n_edges
+        msg = _times_messages(h[graph.edge_src[first:]], pocket.messages[layer][first:], m)
+        gamma = self._gamma(graph, layer)
         if gamma is not None:
             msg *= gamma[first:, None]
         scatter_add(h_next, graph.edge_dst[first:], msg)
-        if with_cache:
-            return h_next, {"h_in": h, "t": t, "m": m, "gamma": gamma}
         return h_next
 
     def encode(self, graph: ContextGraph, pocket: PocketEncoding | None = None) -> np.ndarray:
@@ -296,60 +298,52 @@ class Encoder:
     def encode_with_cache(self, graph: ContextGraph, pocket: PocketEncoding | None = None):
         """Embed atoms then run all message layers, keeping what backward needs.
 
-        With ``pocket`` (see :meth:`encode_pocket`) the embeddings are the
-        same, but the cache holds the edge-MLP values of the non-pocket edges
-        only, and :meth:`backward` needs a ``pocket_dm`` buffer.
+        ``graph`` extends ``pocket.graph`` (see :meth:`encode_pocket`; by
+        default the empty prefix), and the cache holds the edge features and
+        edge-MLP values of the edges after the pocket's own.
         """
-        edge_feat = self.edge_features(graph, 0 if pocket is None else pocket.graph.n_edges)
+        pocket = pocket or self.empty_pocket
+        edge_feat = self.edge_features(graph, pocket.graph.n_edges)
+        mlp = [self._edge_mlp(layer, edge_feat) for layer in range(self.cfg.n_layers)]
         h = self.initial_embeddings(graph)
-        layers = []
-        for layer in range(self.cfg.n_layers):
-            h, cache = self.message_layer(h, graph, layer, edge_feat, True, pocket)
-            layers.append(cache)
-        return h, {"edge_feat": edge_feat, "layers": layers, "pocket": pocket}
+        h_in = []
+        for layer, (_, m) in enumerate(mlp):
+            h_in.append(h)
+            h = self.message_layer(h, graph, layer, m, pocket)
+        return h, {"edge_feat": edge_feat, "mlp": mlp, "h_in": h_in, "pocket": pocket}
 
-    def encode_pocket(self, graph: ContextGraph) -> PocketEncoding:
+    def encode_pocket(self, graph: ContextGraph) -> tuple[PocketEncoding, dict]:
         """Encode a pocket-only graph once for reuse by every context built on
-        it with :func:`extend_graph`: every layer's edge MLP, plus layer 0."""
+        it with :func:`extend_graph`: every layer's edge MLP, plus layer 0.
+        Also returns the cache that :meth:`pocket_backward` reads."""
         edge_feat = self.edge_features(graph)
-        h0 = self.initial_embeddings(graph)
-        aggregate, cache = self.message_layer(h0, graph, 0, edge_feat, True)
-        mlp = [(cache["t"], cache["m"])]
-        mlp += [self._edge_mlp(layer, edge_feat) for layer in range(1, self.cfg.n_layers)]
-        return PocketEncoding(
-            graph, edge_feat, [t for t, _ in mlp], [m for _, m in mlp], aggregate
-        )
+        mlp = [self._edge_mlp(layer, edge_feat) for layer in range(self.cfg.n_layers)]
+        aggregate = self.message_layer(self.initial_embeddings(graph), graph, 0, mlp[0][1])
+        encoding = PocketEncoding(graph, [m for _, m in mlp], aggregate)
+        return encoding, {"edge_feat": edge_feat, "mlp": mlp}
 
     # -- backward --------------------------------------------------------
 
     def backward(
-        self,
-        graph: ContextGraph,
-        cache: dict,
-        dh: np.ndarray,
-        grads: ParamStore,
-        pocket_dm: list[np.ndarray] | None = None,
-    ) -> None:
+        self, graph: ContextGraph, cache: dict, dh: np.ndarray, grads: ParamStore
+    ) -> list[np.ndarray]:
         """Accumulate d(loss)/d(params) into ``grads`` given d(loss)/d(h_out).
 
-        For a cache made with a pocket, the pocket edges' rows of each
-        layer's d(loss)/d(m) are added into ``pocket_dm[layer]`` instead of
-        being pushed through the edge MLP; :meth:`pocket_backward` finishes
-        them once for every step that shares the pocket.
+        The pocket edges' rows of each layer's d(loss)/d(m) are returned, not
+        pushed through the edge MLP; :meth:`pocket_backward` finishes their
+        sum once for every step that shares the pocket.
         """
         pocket = cache["pocket"]
-        if pocket is not None and pocket_dm is None:
-            raise ValueError("a cache made with a pocket needs pocket_dm")
-        start = 0 if pocket is None else pocket.graph.n_edges
+        start = pocket.graph.n_edges
         src, dst = graph.edge_src, graph.edge_dst
+        pocket_dm = []
         g = dh
         for layer in reversed(range(self.cfg.n_layers)):
-            lc = cache["layers"][layer]
-            h_in, m, gamma = lc["h_in"], lc["m"], lc["gamma"]
-            pocket_m = None if pocket is None else pocket.messages[layer]
-
-            h_src = h_in[src]
+            t, m = cache["mlp"][layer]
+            pocket_m = pocket.messages[layer]
+            h_src = cache["h_in"][layer][src]
             dmsg = g[dst]  # (E, H)
+            gamma = self._gamma(graph, layer)
             if gamma is not None:
                 msg_pre = _times_messages(h_src.copy(), pocket_m, m)
                 dgamma = (dmsg * msg_pre).sum(axis=1)
@@ -362,21 +356,21 @@ class Encoder:
             dprev = g.copy()  # residual path
             scatter_add(dprev, src, _times_messages(dmsg, pocket_m, m))
 
-            self._mlp_backward(layer, cache["edge_feat"], lc["t"], dm[start:], grads)
-            if pocket is not None:
-                pocket_dm[layer] += dm[:start]
+            self._mlp_backward(layer, cache["edge_feat"], t, dm[start:], grads)
+            pocket_dm.insert(0, dm[:start])
             g = dprev
         scatter_add(grads["encoder.embed"], graph.origins * self.vocab_size + graph.elements, g)
+        return pocket_dm
 
     def pocket_backward(
-        self, pocket: PocketEncoding, pocket_dm: list[np.ndarray], grads: ParamStore
+        self, pocket_cache: dict, pocket_dm: list[np.ndarray], grads: ParamStore
     ) -> None:
         """The edge-MLP backward pass for the pocket's own edges, given their
-        d(loss)/d(m) summed over the steps that share ``pocket`` (see
+        d(loss)/d(m) summed over the steps that share the pocket (see
         :meth:`backward`).  One pass serves them all: this half of the
         backward pass is linear in d(loss)/d(m)."""
-        for layer, dm in enumerate(pocket_dm):
-            self._mlp_backward(layer, pocket.edge_feat, pocket.hidden[layer], dm, grads)
+        for layer, ((t, _), dm) in enumerate(zip(pocket_cache["mlp"], pocket_dm)):
+            self._mlp_backward(layer, pocket_cache["edge_feat"], t, dm, grads)
 
     def _mlp_backward(
         self, layer: int, edge_feat: np.ndarray, t: np.ndarray, dm: np.ndarray, grads: ParamStore
@@ -390,11 +384,10 @@ class Encoder:
         grads[f"{p}.b1"][...] += da.sum(axis=0)
 
 
-def _times_messages(rows: np.ndarray, pocket_m: np.ndarray | None, m: np.ndarray) -> np.ndarray:
+def _times_messages(rows: np.ndarray, pocket_m: np.ndarray, m: np.ndarray) -> np.ndarray:
     """``rows`` (one per edge) times the edge messages, in place: ``pocket_m``
-    on the leading pocket edges when given, ``m`` on the trailing ones."""
-    if pocket_m is not None:
-        rows[: len(pocket_m)] *= pocket_m
+    on the leading pocket edges (possibly none), ``m`` on the trailing ones."""
+    rows[: len(pocket_m)] *= pocket_m
     rows[len(rows) - len(m) :] *= m
     return rows
 

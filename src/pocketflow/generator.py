@@ -8,9 +8,9 @@ times.  Generation stops when no focal atom with open valence remains, the
 atom budget is reached, or resampling is exhausted.
 
 The pocket is encoded once per molecule (:class:`GenerationState` keeps the
-:class:`~pocketflow.encoder.PocketEncoding`) and each step only adds the
-placed atoms' edges.  This equals a full re-encode of the context bit for
-bit, on the condition that the model parameters stay fixed while one
+forward-only :class:`~pocketflow.encoder.PocketEncoding`) and each step only
+adds the placed atoms' edges.  This equals a full re-encode of the context
+bit for bit, on the condition that the model parameters stay fixed while one
 molecule grows.
 """
 
@@ -76,7 +76,7 @@ class GenerationState:
         """The current context graph plus the pocket encoding it extends."""
         cutoff = model.cfg.graph_cutoff
         if self.encoding is None:
-            self.encoding = model.encoder.encode_pocket(build_graph(self.pocket, cutoff=cutoff))
+            self.encoding, _ = model.encoder.encode_pocket(build_graph(self.pocket, cutoff=cutoff))
         return extend_graph(self.encoding.graph, self.placed, cutoff), self.encoding
 
     def molecule(self) -> Molecule:

@@ -148,20 +148,22 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, dict[str, str]]:
                 raise CheckpointError(f"{path}:{lineno}: values before any section")
             payload[current].append(line)
 
-    store = ParamStore(sections)
+    values: dict[str, np.ndarray] = {}
     for name, shape in sections.items():
         try:
             with warnings.catch_warnings():  # older numpy only warns on a bad token
                 warnings.simplefilter("error", DeprecationWarning)
-                values = np.fromstring(" ".join(payload[name]), sep=" ")
+                values[name] = np.fromstring(" ".join(payload[name]), sep=" ")
         except (ValueError, DeprecationWarning) as exc:
             raise CheckpointError(f"{path}: section {name}: {exc}") from None
-        expected = int(np.prod(shape, dtype=int)) if shape else 1
-        if values.size != expected:
+        expected = math.prod(shape)  # checked before the store allocates it
+        if values[name].size != expected:
             raise CheckpointError(
-                f"{path}: section {name} has {values.size} values, expected {expected}"
+                f"{path}: section {name} has {values[name].size} values, expected {expected}"
             )
-        store.set(name, values)
+    store = ParamStore(sections)
+    for name, array in values.items():
+        store.set(name, array)
     if not np.all(np.isfinite(store.flat)):
         raise CheckpointError(f"{path}: non-finite parameter values")
     return store, meta
@@ -190,13 +192,8 @@ def softplus(x: np.ndarray | float) -> np.ndarray | float:
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function (softplus derivative)."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    ex = np.exp(-np.abs(np.asarray(x, dtype=float)))
+    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
 def softplus_inverse(y: float) -> float:

@@ -12,12 +12,12 @@ coordinate flows; gradients are exact reverse-mode derivatives assembled from
 the flow and encoder backward passes, and the optimizer is plain SGD.
 
 Every step of a trajectory extends the same pocket graph, so one loss or
-gradient evaluation encodes each pocket once (:meth:`Encoder.encode_pocket`)
-and runs the pocket-edge MLP backward pass once, on the pocket-edge adjoints
-summed over that pocket's steps.  The per-step losses, and so the loss, are
-bit-identical to encoding every step on its own; the encoder's MLP gradients,
-and the order in which steps add into the gradient, can move the gradient in
-the last ulp.
+gradient evaluation encodes each pocket once (:meth:`Encoder.encode_pocket`),
+adds up the pocket-edge adjoints that :meth:`Encoder.backward` returns for
+that pocket's steps, and runs the pocket-edge MLP backward pass once, on the
+sum.  The per-step losses, and so the loss, are bit-identical to encoding
+every step on its own; the encoder's MLP gradients, and the order in which
+steps add into the gradient, can move the gradient in the last ulp.
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ def _step_nll(
     step: TrajectoryStep,
     pocket: PocketEncoding,
     grads: ParamStore | None,
-    pocket_dm: list[np.ndarray] | None,
+    pocket_dm: list[np.ndarray],
 ) -> float:
     """NLL of step ``i``, encoded on ``pocket``; with ``grads``, also add its
     gradient, the pocket edges' message adjoints going into ``pocket_dm``."""
@@ -165,7 +165,8 @@ def _step_nll(
     if grads is not None:
         dcond = dcond_type + dcond_coord[: 2 * model.cfg.embed_width]
         dh = readout_backward(dcond, step.graph.n_atoms, step.focal)
-        model.encoder.backward(step.graph, cache, dh, grads, pocket_dm)
+        for total, dm in zip(pocket_dm, model.encoder.backward(step.graph, cache, dh, grads)):
+            total += dm
     return value
 
 
@@ -183,12 +184,12 @@ def _mean_nll(model: Model, steps: list[TrajectoryStep], grads: ParamStore | Non
         groups.setdefault(id(step.pocket), []).append(i)
     values = np.empty(len(steps))
     for members in groups.values():
-        pocket = model.encoder.encode_pocket(steps[members[0]].pocket)
-        pocket_dm = None if grads is None else [np.zeros_like(m) for m in pocket.messages]
+        pocket, pocket_cache = model.encoder.encode_pocket(steps[members[0]].pocket)
+        pocket_dm = [np.zeros_like(m) for m in pocket.messages]
         for i in members:
             values[i] = _step_nll(model, i, steps[i], pocket, grads, pocket_dm)
         if grads is not None:
-            model.encoder.pocket_backward(pocket, pocket_dm, grads)
+            model.encoder.pocket_backward(pocket_cache, pocket_dm, grads)
     total = 0.0
     for value in values.tolist():
         total += value

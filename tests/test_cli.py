@@ -71,6 +71,13 @@ class TestIngest:
         assert out.count("\tok\t") == 2
         assert archive.exists()
 
+    def test_creates_missing_output_directory(self, workspace):
+        tmp_path, manifest, cfg_path = workspace
+        archive = tmp_path / "new" / "dir" / "data.json"
+        assert main(["ingest", str(manifest), "--out", str(archive), "--config", str(cfg_path)]) == EXIT_OK
+        assert len(json.loads(archive.read_text())["entries"]) == 2
+        assert list(archive.parent.iterdir()) == [archive]  # no .tmp left behind
+
     def test_bad_path_is_warned_and_skipped(self, workspace, capsys):
         tmp_path, manifest, cfg_path = workspace
         manifest.write_text(manifest.read_text() + "broken\t/nope/missing.pdb\tLIG\n")
