@@ -76,7 +76,7 @@ def load_dataset(path: str | Path, vocab: Vocabulary) -> list[ComplexEntry]:
         ]
     except VocabularyError:  # a KeyError, but already a data error with its own message
         raise
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:  # overflow: an integer beyond float range
         raise DatasetError(f"{path}: malformed entry ({exc!r})") from None
 
 

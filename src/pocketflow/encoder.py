@@ -252,9 +252,9 @@ class Encoder:
         """Per-edge B-factor gate factors, or None with gating off."""
         if not self.cfg.bfactor_gating:
             return None
+        # ligand atoms have weight 0, so their edges keep the factor 1
         gate = float(self.store[f"encoder.layer{layer}.gate"])
-        protein_src = graph.origins[graph.edge_src] == PROTEIN
-        return np.where(protein_src, 1.0 + gate * graph.bfactor_weights[graph.edge_src], 1.0)
+        return 1.0 + gate * graph.bfactor_weights[graph.edge_src]
 
     def message_layer(
         self,
@@ -347,10 +347,7 @@ class Encoder:
             if gamma is not None:
                 msg_pre = _times_messages(h_src.copy(), pocket_m, m)
                 dgamma = (dmsg * msg_pre).sum(axis=1)
-                protein_src = graph.origins[src] == PROTEIN
-                grads[f"encoder.layer{layer}.gate"][...] += np.sum(
-                    dgamma[protein_src] * graph.bfactor_weights[src][protein_src]
-                )
+                grads[f"encoder.layer{layer}.gate"][...] += np.sum(dgamma * graph.bfactor_weights[src])
                 dmsg *= gamma[:, None]
             dm = dmsg * h_src
             dprev = g.copy()  # residual path

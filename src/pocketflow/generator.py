@@ -2,10 +2,12 @@
 
 Atoms are placed one at a time: pick a focal context atom, sample an element
 from the type flow and a focal-relative offset from the coordinate flow (both
-conditioned on the encoded context), then update bonds and open valences.
-Placements that clash with any context atom are resampled a bounded number of
-times.  Generation stops when no focal atom with open valence remains, the
-atom budget is reached, or resampling is exhausted.
+conditioned on the encoded context), then judge the candidate by its distances
+to the context alone.  A clash rejects it, the placed atoms within bond range
+become its bonds, and the bond counts give the open valences.  Rejected
+placements are resampled a bounded number of times.  Generation stops when no
+focal atom with open valence remains, the atom budget is reached, or
+resampling is exhausted.
 
 The pocket is encoded once per molecule (:class:`GenerationState` keeps the
 forward-only :class:`~pocketflow.encoder.PocketEncoding`) and each step only
@@ -20,16 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chem import (
-    DEFAULT_BOND_TOLERANCE,
-    DEFAULT_CLASH_FACTOR,
-    Atom,
-    Bond,
-    Molecule,
-    Pocket,
-    infer_bonds,
-    open_valence,
-)
+from .chem import DEFAULT_BOND_TOLERANCE, DEFAULT_CLASH_FACTOR, Atom, Bond, Molecule, Pocket
 from .encoder import ContextGraph, PocketEncoding, aggregate_readout, build_graph, extend_graph
 from .geometry import distance_matrix
 from .model import Model
@@ -140,8 +133,7 @@ def generate_type(
     """Sample an element index through the type flow, argmax-decoded."""
     if cond is None:
         _, cond = _context_condition(model, state, focal)
-    z = rng.standard_normal(model.type_flow.event_dim)
-    x, _ = model.type_flow.forward(z, cond)
+    x, _ = model.type_flow.sample(cond, rng)
     if valence_constrained:
         mask = _valence_mask(state, model)
         if mask is not None:
@@ -160,21 +152,8 @@ def generate_coord(
     """Sample the new atom position as a flow offset from the focal atom."""
     if cond is None:
         _, cond = _context_condition(model, state, focal)
-    z = rng.standard_normal(3)
-    offset, _ = model.coord_flow.forward(z, np.concatenate([cond, model.one_hot(element)]))
+    offset, _ = model.coord_flow.sample(np.concatenate([cond, model.one_hot(element)]), rng)
     return _focal_position(state, focal) + offset
-
-
-def _clashes(
-    graph: ContextGraph,
-    element: int,
-    position: np.ndarray,
-    model: Model,
-    clash_factor: float,
-) -> bool:
-    radii = model.cfg.vocab.radii
-    d = distance_matrix(graph.positions, position[None])[:, 0]
-    return bool(np.any(d < clash_factor * (radii[graph.elements] + radii[element])))
 
 
 def step(
@@ -185,9 +164,18 @@ def step(
 ) -> bool:
     """Attempt to place one atom; returns True when generation is finished.
 
-    A candidate is rejected and resampled when it clashes with any context
-    atom or, under valence-constrained sampling, when the bonds it would
-    form drive the placed set's total open valence negative.
+    ``state.bonds`` must list the bonds among the placed atoms, as
+    :func:`~pocketflow.chem.infer_bonds` would infer them; every state that
+    :func:`generate_ligand` passes in does.  Only the candidate's own bonds
+    can then be new, so one row of distances, from every context atom to the
+    candidate, decides each attempt:
+
+    - it is rejected when it sits closer than ``clash_factor`` times the
+      covalent-radius sum to any context atom;
+    - it bonds (singly) to each placed atom within the radius sum plus
+      ``bond_tolerance``, the window of ``infer_bonds``;
+    - under valence-constrained sampling it is rejected when the bonds it
+      would form drive the placed set's total open valence negative.
     """
     if state.t >= cfg.max_atoms:
         return True
@@ -196,21 +184,24 @@ def step(
         return True
     vocab = model.cfg.vocab
     graph, cond = _context_condition(model, state, focal)
+    n, t = len(state.pocket), state.t
     for _ in range(1 + cfg.clash_retries):
         element = generate_type(model, state, focal, rng, cfg.valence_constrained, cond)
         position = generate_coord(model, state, focal, element, rng, cond)
-        if _clashes(graph, element, position, model, cfg.clash_factor):
+        d = distance_matrix(graph.positions, position[None])[:, 0]
+        rsum = vocab.radii[graph.elements] + vocab.radii[element]
+        if np.any(d < cfg.clash_factor * rsum):
             continue
-        candidate = state.placed + [Atom(element, position)]
-        bonds = infer_bonds(candidate, vocab, cfg.bond_tolerance, cfg.clash_factor)
-        if cfg.valence_constrained:
-            capacity = int(sum(vocab.max_valences[a.element] for a in candidate))
-            if capacity - 2 * len(bonds) < 0:
-                continue
-        state.placed = candidate
+        partners = np.flatnonzero(d[n:] <= rsum[n:] + cfg.bond_tolerance)
+        bonds = sorted(state.bonds + [(int(i), t, 1) for i in partners])
+        ends = np.array([b[:2] for b in bonds], dtype=int).ravel()
+        elements = np.append(graph.elements[n:], element)
+        open_valences = vocab.max_valences[elements] - np.bincount(ends, minlength=t + 1)
+        if cfg.valence_constrained and open_valences.sum() < 0:
+            continue
+        state.placed = state.placed + [Atom(element, position)]
         state.bonds = bonds
-        mol = state.molecule()
-        state.open_valences = [open_valence(mol, i, vocab) for i in range(state.t)]
+        state.open_valences = open_valences.tolist()
         return state.t >= cfg.max_atoms
     return True  # resampling exhausted
 

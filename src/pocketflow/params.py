@@ -30,18 +30,15 @@ class ParamStore:
 
     def __init__(self, sections: dict[str, tuple[int, ...]]):
         self._shapes = dict(sections)
-        total = 0
-        offsets: dict[str, int] = {}
-        for name, shape in self._shapes.items():
-            offsets[name] = total
-            total += int(np.prod(shape, dtype=int)) if shape else 1
-        self._flat = np.zeros(total)
+        sizes = {name: math.prod(shape) for name, shape in self._shapes.items()}
+        self._flat = np.zeros(sum(sizes.values()))
         # reshaped views share memory with _flat, so flat-index perturbations
         # (finite differences) and section writes see each other
-        self._views = {
-            name: self._flat[offsets[name] : offsets[name] + max(1, int(np.prod(shape, dtype=int)))].reshape(shape)
-            for name, shape in self._shapes.items()
-        }
+        self._views = {}
+        start = 0
+        for name, shape in self._shapes.items():
+            self._views[name] = self._flat[start : start + sizes[name]].reshape(shape)
+            start += sizes[name]
 
     @property
     def flat(self) -> np.ndarray:

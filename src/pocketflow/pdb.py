@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .chem import Atom, Molecule, Pocket, Vocabulary, infer_bonds
+from .geometry import distance_matrix
 
 
 class PdbParseError(ValueError):
@@ -217,19 +218,17 @@ def split_pocket_ligand(
     prot_records = [r for r in records if r.record_kind == "ATOM"]
 
     lig_atoms = [Atom(vocab.index(r.element), r.position) for r in lig_records]
-    lig_pos = np.stack([a.position for a in lig_atoms])
-
-    pocket_atoms: list[Atom] = []
-    bfactors: list[float] = []
-    for r in prot_records:
-        if np.min(np.linalg.norm(lig_pos - r.position, axis=1)) <= cutoff:
-            pocket_atoms.append(Atom(vocab.index(r.element), r.position))
-            bfactors.append(r.bfactor)
-    if not pocket_atoms:
+    prot_pos = np.array([r.position for r in prot_records]).reshape(-1, 3)
+    near = distance_matrix(prot_pos, np.stack([a.position for a in lig_atoms])).min(axis=1) <= cutoff
+    pocket_records = [r for r, keep in zip(prot_records, near) if keep]
+    if not pocket_records:
         raise SplitError(f"no protein atoms within {cutoff} A of the ligand")
 
     ligand = Molecule(lig_atoms, infer_bonds(lig_atoms, vocab))
-    pocket = Pocket(pocket_atoms, np.array(bfactors))
+    pocket = Pocket(
+        [Atom(vocab.index(r.element), r.position) for r in pocket_records],
+        np.array([r.bfactor for r in pocket_records]),
+    )
     return ComplexEntry(pocket=pocket, ligand=ligand, entry_id=entry_id)
 
 

@@ -1,6 +1,8 @@
 """Exit-code contract of the input readers: whatever lines they are fed, only
 the errors that the CLI maps to exit code 2 (``cli._DATA_ERRORS``) escape."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -8,9 +10,12 @@ from hypothesis import strategies as st
 
 from pocketflow.chem import Vocabulary
 from pocketflow.cli import _DATA_ERRORS
+from pocketflow.config import RunConfig, dumps_config, parse_config
+from pocketflow.dataset import load_dataset, save_dataset
 from pocketflow.molio import read_xyz
 from pocketflow.params import CheckpointError, ParamStore, load_checkpoint, save_checkpoint
 from pocketflow.pdb import parse_pdb, pocket_from_records
+from pocketflow.synthetic import toy_complex
 
 VOCAB = Vocabulary.default()
 BUDGET = settings(
@@ -114,3 +119,77 @@ def test_huge_declared_section_is_rejected_before_allocation(tmp_path, checkpoin
     path.write_text("\n".join(lines))
     with pytest.raises(CheckpointError, match="huge has 10 values, expected 1000000000000000"):
         load_checkpoint(path)
+
+
+CONFIG_TOKENS = TOKENS + ["true", "false", "[chem]", "[nope]", "max_atoms", "seed", "="]
+
+
+@BUDGET
+@given(data=st.data())
+def test_parse_config_then_derived_configs_raise_only_declared_errors(data):
+    lines = dumps_config(RunConfig()).splitlines()
+    token = st.one_of(st.sampled_from(CONFIG_TOKENS), st.text(max_size=10))
+    for _ in range(data.draw(st.integers(0, 4))):
+        i = data.draw(st.integers(0, len(lines)))
+        edit = data.draw(st.sampled_from(["value", "drop", "insert"]))
+        if edit == "value" and i < len(lines) and "=" in lines[i]:
+            lines[i] = lines[i].partition("=")[0] + "= " + data.draw(token)
+        elif edit == "drop" and i < len(lines):
+            del lines[i]
+        else:
+            lines.insert(i, " ".join(data.draw(st.lists(token, max_size=4))))
+
+    def read(text):
+        cfg = parse_config(text)
+        cfg.model_config(cfg.vocabulary())
+        cfg.train_config()
+        cfg.gen_config()
+        cfg.affinity_model()
+
+    accepts_only_declared_errors(read, "\n".join(lines))
+
+
+@pytest.fixture()
+def dataset_payload(tmp_path):
+    path = tmp_path / "seed.json"
+    save_dataset([toy_complex(VOCAB)], VOCAB, path)
+    return json.loads(path.read_text())
+
+
+def json_nodes(node, path=()):
+    """The path (keys and indices from the root) of every node."""
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from json_nodes(child, (*path, key))
+
+
+JSON_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["", "C", "Xx", "pocketflow-dataset", 10**400, -(10**400)]),
+    st.text(max_size=6),
+    st.lists(st.one_of(st.integers(-2, 5), st.floats(), st.text(max_size=2)), max_size=4),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+@BUDGET
+@given(data=st.data())
+def test_load_dataset_raises_only_declared_errors(tmp_path, dataset_payload, data):
+    payload = json.loads(json.dumps(dataset_payload))
+    for _ in range(data.draw(st.integers(1, 4))):
+        path = data.draw(st.sampled_from(list(json_nodes(payload))))
+        junk = data.draw(JSON_JUNK)
+        if not path:
+            payload = junk
+            continue
+        parent = payload
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = junk
+    archive = tmp_path / "fuzzed.json"
+    archive.write_text(json.dumps(payload))
+    accepts_only_declared_errors(lambda p: load_dataset(p, VOCAB), archive)

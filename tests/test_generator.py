@@ -1,11 +1,21 @@
 """Focal selection, rigged-flow sampling, stepping, and full generation."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from pocketflow.chem import Atom, Molecule, Pocket, Vocabulary, check_validity
+from pocketflow import generator
+from pocketflow.chem import (
+    Atom,
+    Molecule,
+    Pocket,
+    Vocabulary,
+    check_validity,
+    infer_bonds,
+    open_valence,
+)
 from pocketflow.encoder import build_graph
 from pocketflow.generator import (
     GenConfig,
@@ -318,3 +328,88 @@ class TestPocketCache:
                 break
             finished = step(model, state, rng, gen_cfg)
         assert state.t >= 4, f"only {state.t} atoms placed"
+
+
+def rejection_reason(pocket, placed, atom, cfg):
+    """Why ``step`` must reject ``atom``, from whole-molecule rules: a clash
+    with any context atom, or bonds (as :func:`infer_bonds` infers them over
+    the whole candidate) beyond the placed set's total capacity."""
+    context = [*pocket.atoms, *placed]
+    d = np.array([np.linalg.norm(a.position - atom.position) for a in context])
+    rsum = VOCAB.radii[[a.element for a in context]] + VOCAB.radii[atom.element]
+    if np.any(d < cfg.clash_factor * rsum):
+        return "clash"
+    candidate = [*placed, atom]
+    capacity = sum(int(VOCAB.max_valences[a.element]) for a in candidate)
+    bonds = infer_bonds(candidate, VOCAB, cfg.bond_tolerance, cfg.clash_factor)
+    if cfg.valence_constrained and capacity < 2 * len(bonds):
+        return "valence"
+    return None
+
+
+class TestStepBookkeeping:
+    """``step`` decides each attempt from the candidate's distances alone;
+    these tests hold it to the whole-molecule rules of :mod:`pocketflow.chem`."""
+
+    @pytest.mark.parametrize("valence_constrained", [True, False])
+    @pytest.mark.parametrize("pocket_name", ["toy", "random400"])
+    def test_bonds_and_open_valences_match_chem_after_every_step(
+        self, monkeypatch, valence_constrained, pocket_name
+    ):
+        model = small_model()
+        pocket = toy_complex(VOCAB).pocket if pocket_name == "toy" else random_pocket()
+        cfg = GenConfig(valence_constrained=valence_constrained)
+        tried = []
+        rejects = Counter()
+        real_step, real_coord = generator.step, generator.generate_coord
+
+        def recording_coord(model, state, focal, element, rng, cond=None):
+            position = real_coord(model, state, focal, element, rng, cond)
+            tried.append(Atom(element, position))
+            return position
+
+        def checked_step(model, state, rng, cfg):
+            tried.clear()
+            before = list(state.placed)
+            finished = real_step(model, state, rng, cfg)
+            accepted = state.placed[len(before) :]
+            assert state.placed[: len(before)] == before and len(accepted) <= 1
+            rejected = tried[:-1] if accepted else tried
+            for atom in rejected:
+                reason = rejection_reason(pocket, before, atom, cfg)
+                assert reason is not None
+                rejects[reason] += 1
+            if accepted:
+                assert accepted[0].element == tried[-1].element
+                assert np.array_equal(accepted[0].position, tried[-1].position)
+                assert rejection_reason(pocket, before, accepted[0], cfg) is None
+            assert state.bonds == infer_bonds(state.placed, VOCAB, cfg.bond_tolerance, cfg.clash_factor)
+            mol = state.molecule()
+            assert state.open_valences == [open_valence(mol, i, VOCAB) for i in range(state.t)]
+            return finished
+
+        monkeypatch.setattr(generator, "generate_coord", recording_coord)
+        monkeypatch.setattr(generator, "step", checked_step)
+        for seed in range(10):
+            generate_ligand(model, pocket, cfg, np.random.default_rng(seed))
+        assert rejects["clash"] > 0
+        assert (rejects["valence"] > 0) == valence_constrained
+
+    @pytest.mark.parametrize("gap, bonded", [(0.0, True), (1e-9, False)])
+    def test_bond_window_is_closed(self, monkeypatch, gap, bonded):
+        # a candidate exactly at the radius sum plus the tolerance bonds, as
+        # in infer_bonds; one just beyond it does not
+        tolerance = 2.0 - 2 * VOCAB.radii[C]
+        assert 2 * VOCAB.radii[C] + tolerance == 2.0
+        state = GenerationState(
+            pocket=pocket_with_centroid_at_origin(),
+            placed=[Atom(C, (5.0, 0, 0))],
+            bonds=[],
+            open_valences=[4],
+        )
+        monkeypatch.setattr(generator, "generate_type", lambda *args: C)
+        monkeypatch.setattr(generator, "generate_coord", lambda *args: np.array([7.0 + gap, 0, 0]))
+        step(small_model(), state, np.random.default_rng(0), GenConfig(bond_tolerance=tolerance))
+        assert state.bonds == ([(0, 1, 1)] if bonded else [])
+        assert state.bonds == infer_bonds(state.placed, VOCAB, tolerance)
+        assert state.open_valences == ([3, 3] if bonded else [4, 4])

@@ -96,6 +96,19 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=r"model\.ckpt:4: repeated section 'w'"):
             load_checkpoint(path)
 
+    def test_zero_size_section_before_another(self, tmp_path):
+        store = ParamStore({"a": (0, 5), "b": (2,)})
+        assert store.size == 2 and store["a"].shape == (0, 5)
+        store["b"][...] = [1.5, -2.0]
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, store)
+        loaded, _ = load_checkpoint(path)
+        assert loaded.shapes == store.shapes
+        assert np.array_equal(loaded["b"], [1.5, -2.0])
+        again = tmp_path / "again.ckpt"
+        save_checkpoint(again, loaded)
+        assert again.read_bytes() == path.read_bytes()
+
 
 class TestNumericHelpers:
     def test_max_relative_error_basic(self):
