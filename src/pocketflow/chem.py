@@ -152,18 +152,26 @@ class Atom:
         object.__setattr__(self, "position", pos)
 
 
-def _positions(atoms: Sequence[Atom]) -> np.ndarray:
-    if len(atoms) == 0:
-        return np.zeros((0, 3))
-    return np.stack([a.position for a in atoms])
+def _atom_arrays(atoms: Sequence[Atom]) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(positions, elements)`` stacked from ``atoms``."""
+    positions = np.array([a.position for a in atoms], dtype=float).reshape(-1, 3)
+    elements = np.array([a.element for a in atoms], dtype=int)
+    positions.flags.writeable = elements.flags.writeable = False
+    return positions, elements
 
 
 @dataclass
 class Molecule:
-    """Ordered atoms plus single-order bonds ``(i, j, order)`` with ``i < j``."""
+    """Ordered atoms plus bonds ``(i, j, order)`` with ``i < j``.
+
+    ``positions`` and ``elements`` are read-only arrays stacked once from the
+    atoms; a molecule is not meant to change after construction.
+    """
 
     atoms: list[Atom] = field(default_factory=list)
     bonds: list[Bond] = field(default_factory=list)
+    positions: np.ndarray = field(init=False, repr=False, compare=False)
+    elements: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.atoms)
@@ -180,17 +188,10 @@ class Molecule:
             if order < 1:
                 raise ValueError(f"bond ({i},{j}) order must be >= 1")
             seen.add((i, j))
+        self.positions, self.elements = _atom_arrays(self.atoms)
 
     def __len__(self) -> int:
         return len(self.atoms)
-
-    @property
-    def positions(self) -> np.ndarray:
-        return _positions(self.atoms)
-
-    @property
-    def elements(self) -> np.ndarray:
-        return np.array([a.element for a in self.atoms], dtype=int)
 
 
 @dataclass
@@ -210,9 +211,7 @@ class Pocket:
         self.bfactors = np.asarray(self.bfactors, dtype=float)
         if self.bfactors.shape != (len(self.atoms),):
             raise ValueError("bfactors length must equal atom count")
-        self.positions = _positions(self.atoms)
-        self.elements = np.array([a.element for a in self.atoms], dtype=int)
-        self.positions.flags.writeable = self.elements.flags.writeable = False
+        self.positions, self.elements = _atom_arrays(self.atoms)
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -252,8 +251,8 @@ def infer_bonds(
     """
     if len(atoms) == 0:
         raise ValueError("need at least one atom")
-    pos = _positions(atoms)
-    radii = vocab.radii[[a.element for a in atoms]]
+    pos, elements = _atom_arrays(atoms)
+    radii = vocab.radii[elements]
     dist = distance_matrix(pos, pos)
     rsum = radii[:, None] + radii[None, :]
     iu, ju = np.triu_indices(len(atoms), k=1)

@@ -2,7 +2,9 @@
 
 Elements are stored by symbol so an archive remains readable under any
 vocabulary that covers them; coordinates round-trip exactly through JSON's
-decimal repr.
+decimal repr.  Each entry has a string ``entry_id``, and each ligand bond is
+``[i, j, order]``: three integers, with an order from 1 to 3 (bonds inferred
+from distances are all single).
 """
 
 from __future__ import annotations
@@ -64,20 +66,29 @@ def load_dataset(path: str | Path, vocab: Vocabulary) -> list[ComplexEntry]:
     if not isinstance(entries, list):
         raise DatasetError(f"{path}: 'entries' must be a list, got {type(entries).__name__}")
     try:
-        return [
-            ComplexEntry(
-                pocket=Pocket(_atoms(item["pocket"], vocab), np.array(item["pocket"]["bfactors"])),
-                ligand=Molecule(
-                    _atoms(item["ligand"], vocab), [tuple(b) for b in item["ligand"]["bonds"]]
-                ),
-                entry_id=item["entry_id"],
-            )
-            for item in entries
-        ]
+        return [_entry(item, vocab, path) for item in entries]
     except VocabularyError:  # a KeyError, but already a data error with its own message
         raise
     except (KeyError, TypeError, OverflowError) as exc:  # overflow: an integer beyond float range
         raise DatasetError(f"{path}: malformed entry ({exc!r})") from None
+
+
+def _entry(item: dict, vocab: Vocabulary, path: Path) -> ComplexEntry:
+    entry_id = item["entry_id"]
+    if not isinstance(entry_id, str):
+        raise DatasetError(f"{path}: entry_id {entry_id!r} is not a string")
+    bonds = [tuple(b) for b in item["ligand"]["bonds"]]
+    for bond in bonds:  # a JSON boolean is not an integer here
+        if len(bond) != 3 or any(type(x) is not int for x in bond) or not 1 <= bond[2] <= 3:
+            raise DatasetError(
+                f"{path}: entry {entry_id!r}: bond {list(bond)!r} is not three integers "
+                "[i, j, order] with an order from 1 to 3"
+            )
+    return ComplexEntry(
+        pocket=Pocket(_atoms(item["pocket"], vocab), np.array(item["pocket"]["bfactors"])),
+        ligand=Molecule(_atoms(item["ligand"], vocab), bonds),
+        entry_id=entry_id,
+    )
 
 
 def _atoms(block: dict, vocab: Vocabulary) -> list[Atom]:

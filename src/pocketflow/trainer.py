@@ -10,14 +10,16 @@ coordinate as a focal-relative offset.
 The loss is the mean per-step negative log-likelihood under the type and
 coordinate flows; gradients are exact reverse-mode derivatives assembled from
 the flow and encoder backward passes, and the optimizer is plain SGD.
+:func:`nll_loss`, :func:`grad` and :func:`train` share one pass that returns
+each step's loss together with the gradient of their mean.
 
-Every step of a trajectory extends the same pocket graph, so one loss or
-gradient evaluation encodes each pocket once (:meth:`Encoder.encode_pocket`),
-adds up the pocket-edge adjoints that :meth:`Encoder.backward` returns for
-that pocket's steps, and runs the pocket-edge MLP backward pass once, on the
-sum.  The per-step losses, and so the loss, are bit-identical to encoding
-every step on its own; the encoder's MLP gradients, and the order in which
-steps add into the gradient, can move the gradient in the last ulp.
+Every step of a trajectory extends the same pocket graph, so one pass encodes
+each pocket once (:meth:`Encoder.encode_pocket`), adds up the pocket-edge
+adjoints that :meth:`Encoder.backward` returns for that pocket's steps, and
+runs the pocket-edge MLP backward pass once, on the sum.  The per-step losses,
+and so the loss, are bit-identical to encoding every step on its own; the
+encoder's MLP gradients, and the order in which steps add into the gradient,
+can move the gradient in the last ulp.
 """
 
 from __future__ import annotations
@@ -34,11 +36,13 @@ from .encoder import (
     extend_graph,
     readout_backward,
 )
+from .geometry import distance_matrix
 from .model import Model, ModelConfig
 from .params import ParamStore
 from .pdb import ComplexEntry
 
 DEFAULT_DEQUANT_ALPHA = 0.25
+DIVERGENCE_BOUND = 1e6  # an epoch loss above this aborts training
 
 
 class NumericError(ArithmeticError):
@@ -75,7 +79,6 @@ class TrainConfig:
     batch_size: int = 0  # 0 = full batch
     seed: int = 0
     dequant_alpha: float = DEFAULT_DEQUANT_ALPHA
-    divergence_bound: float = 1e6
 
     def __post_init__(self) -> None:
         if self.epochs < 0:
@@ -100,17 +103,13 @@ def sequentialize(
     if n == 0:
         raise ValueError("empty ligand")
     lig_pos = entry.ligand.positions
-    centroid = entry.pocket.centroid()
-
-    order = [int(np.argmin(np.linalg.norm(lig_pos - centroid, axis=1)))]
-    remaining = [i for i in range(n) if i != order[0]]
-    while remaining:
-        placed_pos = lig_pos[order]
-        dmin = [
-            float(np.min(np.linalg.norm(placed_pos - lig_pos[j], axis=1)))
-            for j in remaining
-        ]
-        order.append(remaining.pop(int(np.argmin(dmin))))
+    dist = distance_matrix(lig_pos, lig_pos)
+    order = [int(np.argmin(distance_matrix(lig_pos, entry.pocket.centroid()[None])[:, 0]))]
+    dmin = dist[order[0]].copy()  # each atom's distance to its nearest placed atom
+    for _ in range(n - 1):
+        dmin[order] = np.inf
+        order.append(int(np.argmin(dmin)))
+        np.minimum(dmin, dist[order[-1]], out=dmin)
 
     v = len(cfg.vocab)
     steps: list[TrajectoryStep] = []
@@ -119,7 +118,7 @@ def sequentialize(
     for idx in order:
         graph = extend_graph(pocket_graph, placed, cfg.graph_cutoff)
         target_pos = lig_pos[idx]
-        focal = int(np.argmin(np.linalg.norm(graph.positions - target_pos, axis=1)))
+        focal = int(np.argmin(distance_matrix(target_pos[None], graph.positions)[0]))
         target_type = np.zeros(v)
         target_type[entry.ligand.atoms[idx].element] = 1.0
         target_type += rng.uniform(0.0, alpha, size=v)
@@ -138,82 +137,72 @@ def sequentialize(
 
 def _step_nll(
     model: Model,
-    i: int,
     step: TrajectoryStep,
     pocket: PocketEncoding,
-    grads: ParamStore | None,
+    grads: ParamStore,
     pocket_dm: list[np.ndarray],
 ) -> float:
-    """NLL of step ``i``, encoded on ``pocket``; with ``grads``, also add its
-    gradient, the pocket edges' message adjoints going into ``pocket_dm``."""
+    """NLL of one step, encoded on ``pocket``; adds its gradient into ``grads``
+    and the pocket edges' message adjoints into ``pocket_dm``.  A function of
+    its own, so that the step's encoder cache is freed before the next step."""
     h, cache = model.encoder.encode_with_cache(step.graph, pocket)
     cond = aggregate_readout(h, step.focal)
-    a_t = int(np.argmax(step.target_type))
-    cond_coord = np.concatenate([cond, model.one_hot(a_t)])
-    if grads is None:
-        value = model.type_flow.nll(step.target_type, cond) + model.coord_flow.nll(
-            step.target_offset, cond_coord
-        )
-    else:
-        nll_type, dcond_type = model.type_flow.nll_backward(step.target_type, cond, grads)
-        nll_coord, dcond_coord = model.coord_flow.nll_backward(
-            step.target_offset, cond_coord, grads
-        )
-        value = nll_type + nll_coord
+    cond_coord = np.concatenate([cond, model.one_hot(int(np.argmax(step.target_type)))])
+    nll_type, dcond_type = model.type_flow.nll_backward(step.target_type, cond, grads)
+    nll_coord, dcond_coord = model.coord_flow.nll_backward(step.target_offset, cond_coord, grads)
+    value = nll_type + nll_coord
     if not np.isfinite(value):
-        raise NumericError(f"non-finite loss at step {i}")
-    if grads is not None:
-        dcond = dcond_type + dcond_coord[: 2 * model.cfg.embed_width]
-        dh = readout_backward(dcond, step.graph.n_atoms, step.focal)
-        for total, dm in zip(pocket_dm, model.encoder.backward(step.graph, cache, dh, grads)):
-            total += dm
+        raise NumericError(f"non-finite loss {value!r}")
+    dcond = dcond_type + dcond_coord[: 2 * model.cfg.embed_width]
+    dh = readout_backward(dcond, step.graph.n_atoms, step.focal)
+    for total, dm in zip(pocket_dm, model.encoder.backward(step.graph, cache, dh, grads)):
+        total += dm
     return value
 
 
-def _mean_nll(model: Model, steps: list[TrajectoryStep], grads: ParamStore | None = None) -> float:
-    """Mean per-step NLL; with ``grads``, also add the exact gradient of the
-    summed NLL into ``grads`` (the loss and the gradient share this forward).
+def _loss_and_grad(model: Model, steps: list[TrajectoryStep]) -> tuple[np.ndarray, ParamStore]:
+    """Each step's NLL, in step order, and the exact gradient of their mean.
 
     Steps are taken one pocket at a time, so that only one pocket encoding
-    and one set of pocket-edge adjoints are alive; the mean is summed in step
-    order."""
+    and one set of pocket-edge adjoints are alive."""
     if not steps:
         raise ValueError("empty batch")
     groups: dict[int, list[int]] = {}
     for i, step in enumerate(steps):
         groups.setdefault(id(step.pocket), []).append(i)
+    grads = model.zero_grads()
     values = np.empty(len(steps))
     for members in groups.values():
         pocket, pocket_cache = model.encoder.encode_pocket(steps[members[0]].pocket)
         pocket_dm = [np.zeros_like(m) for m in pocket.messages]
         for i in members:
-            values[i] = _step_nll(model, i, steps[i], pocket, grads, pocket_dm)
-        if grads is not None:
-            model.encoder.pocket_backward(pocket_cache, pocket_dm, grads)
-    total = 0.0
-    for value in values.tolist():
-        total += value
-    return total / len(steps)
-
-
-def nll_loss(model: Model, steps: list[TrajectoryStep]) -> float:
-    """Mean per-step negative log-likelihood."""
-    return _mean_nll(model, steps)
-
-
-def _loss_and_grad(model: Model, steps: list[TrajectoryStep]) -> tuple[float, ParamStore]:
-    grads = model.zero_grads()
-    loss = _mean_nll(model, steps, grads)
+            values[i] = _step_nll(model, steps[i], pocket, grads, pocket_dm)
+        model.encoder.pocket_backward(pocket_cache, pocket_dm, grads)
     grads.flat /= len(steps)
     if not np.all(np.isfinite(grads.flat)):
         raise NumericError("non-finite gradient")
-    return loss, grads
+    return values, grads
+
+
+def _ordered_mean(values: np.ndarray) -> float:
+    """Mean summed in index order (``sum`` compensates from Python 3.12 on)."""
+    total = 0.0
+    for value in values.tolist():
+        total += value
+    return total / len(values)
+
+
+def nll_loss(model: Model, steps: list[TrajectoryStep]) -> float:
+    """Mean per-step negative log-likelihood.
+
+    Runs the same pass as :func:`grad`, so it raises :class:`NumericError`
+    when a step's loss or the gradient is not finite."""
+    return _ordered_mean(_loss_and_grad(model, steps)[0])
 
 
 def grad(model: Model, steps: list[TrajectoryStep]) -> ParamStore:
     """Exact gradient of :func:`nll_loss` with respect to every parameter."""
-    _, grads = _loss_and_grad(model, steps)
-    return grads
+    return _loss_and_grad(model, steps)[1]
 
 
 def build_steps(
@@ -245,8 +234,10 @@ def train(
 ) -> TrainResult:
     """Fit encoder and flows by full-batch (or mini-batch) SGD.
 
-    The recorded per-epoch loss is evaluated before that epoch's update, so
-    ``history[0]`` is the loss of the freshly initialized model.  Entirely
+    ``history[epoch]`` is the mean of the epoch's per-step losses, summed in
+    step order, each taken just before the update of its batch; with the full
+    batch, ``history[0]`` is the loss of the freshly initialized model.
+    Mini-batches follow a fresh permutation each epoch.  Entirely
     deterministic for a fixed seed.
     """
     if not dataset:
@@ -257,20 +248,16 @@ def train(
 
     history: list[float] = []
     n = len(steps)
+    size = cfg.batch_size if 0 < cfg.batch_size < n else n
+    values = np.empty(n)  # this epoch's per-step losses, indexed by step
     for epoch in range(cfg.epochs):
-        if cfg.batch_size <= 0 or cfg.batch_size >= n:
-            loss, grads = _loss_and_grad(model, steps)
+        order = rng.permutation(n) if size < n else np.arange(n)
+        for start in range(0, n, size):
+            batch = order[start : start + size]
+            values[batch], grads = _loss_and_grad(model, [steps[i] for i in batch])
             model.store.flat -= cfg.learning_rate * grads.flat
-        else:
-            perm = rng.permutation(n)
-            weighted = 0.0
-            for start in range(0, n, cfg.batch_size):
-                batch = [steps[i] for i in perm[start : start + cfg.batch_size]]
-                batch_loss, grads = _loss_and_grad(model, batch)
-                weighted += batch_loss * len(batch)
-                model.store.flat -= cfg.learning_rate * grads.flat
-            loss = weighted / n
+        loss = _ordered_mean(values)
         history.append(loss)
-        if loss > cfg.divergence_bound:
+        if loss > DIVERGENCE_BOUND:
             raise TrainingDiverged(epoch, loss, history)
     return TrainResult(model=model, history=history)

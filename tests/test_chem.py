@@ -9,6 +9,7 @@ from pocketflow.chem import (
     Atom,
     ClashError,
     Molecule,
+    Pocket,
     ValidityReport,
     Vocabulary,
     VocabularyError,
@@ -133,6 +134,18 @@ class TestOpenValence:
 
 
 class TestMoleculeInvariants:
+    def test_arrays_are_stacked_once_and_read_only(self):
+        atoms = [Atom(C, (0, 0, 0)), Atom(O, (1.2, 0, 0))]
+        for holder in (Molecule(atoms, []), Pocket(atoms, np.ones(2))):
+            assert np.array_equal(holder.positions, [[0, 0, 0], [1.2, 0, 0]])
+            assert holder.elements.tolist() == [C, O]
+            assert holder.positions is holder.positions
+            with pytest.raises(ValueError):
+                holder.positions[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                holder.elements[0] = O
+        assert Molecule().positions.shape == (0, 3)
+
     def test_rejects_self_bond(self):
         with pytest.raises(ValueError):
             Molecule([Atom(C, (0, 0, 0))], [(0, 0, 1)])

@@ -1,5 +1,7 @@
 """Dataset archive round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -59,4 +61,31 @@ def test_malformed_archive_is_dataset_error(tmp_path, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
     with pytest.raises(DatasetError):
+        load_dataset(path, VOCAB)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("order", 10**400),
+        ("order", True),
+        ("order", 1.5),
+        ("order", 4),
+        ("index", 0.0),
+        ("entry_id", 7),
+    ],
+    ids=["order-1e400", "order-true", "order-1.5", "order-4", "index-0.0", "entry_id-int"],
+)
+def test_out_of_range_value_is_dataset_error(tmp_path, key, value):
+    entries = toy_dataset(VOCAB, n_copies=1, seed=1)
+    path = tmp_path / "data.json"
+    save_dataset(entries, VOCAB, path)
+    payload = json.loads(path.read_text())
+    entry = payload["entries"][0]
+    if key == "entry_id":
+        entry["entry_id"] = value
+    else:
+        entry["ligand"]["bonds"][0][2 if key == "order" else 0] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DatasetError, match="entry"):
         load_dataset(path, VOCAB)

@@ -345,6 +345,30 @@ class TestTrain:
         b = train(dataset, cfg, tc)
         assert a.history == b.history
 
+    def test_history_is_the_epoch_loss_at_rate_zero(self):
+        # the epoch loss is the mean of every step's loss, whatever the batching
+        dataset = toy_dataset(VOCAB, n_copies=4, seed=2)
+        cfg = tiny_model_config(VOCAB)
+        rng = np.random.default_rng(3)
+        model = Model.initialized(cfg, rng)
+        steps = build_steps(dataset, rng, cfg)
+        n = len(steps)
+        expected = nll_loss(model, steps)
+        for batch_size in (0, 5, 8, n, n + 4):
+            tc = TrainConfig(epochs=4, learning_rate=0.0, batch_size=batch_size, seed=3)
+            assert train(dataset, cfg, tc).history == [expected] * 4
+
+    def test_batch_of_at_least_n_is_the_full_batch(self):
+        dataset = toy_dataset(VOCAB, n_copies=3, seed=1)
+        cfg = tiny_model_config(VOCAB)
+        n = len(build_steps(dataset, np.random.default_rng(0), cfg))
+        full = train(dataset, cfg, TrainConfig(epochs=4, learning_rate=1e-3, seed=5))
+        for batch_size in (n, n + 1):
+            tc = TrainConfig(epochs=4, learning_rate=1e-3, batch_size=batch_size, seed=5)
+            result = train(dataset, cfg, tc)
+            assert result.history == full.history
+            assert np.array_equal(result.model.store.flat, full.model.store.flat)
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             train([], tiny_model_config(VOCAB), TrainConfig(epochs=1))
