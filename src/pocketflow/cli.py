@@ -19,23 +19,13 @@ from typing import Callable
 import numpy as np
 
 from .chem import VocabularyError
-from .config import ConfigError, RunConfig, read_config
-from .dataset import DatasetError, load_dataset, save_dataset
+from .config import RunConfig, read_config
+from .dataset import load_dataset, save_dataset
 from .evaluator import AffinityRangeError, evaluate_set, report_json, report_tsv
 from .generator import generate_ligand
 from .model import Model
 from .molio import molecule_to_records, read_xyz, write_xyz
-from .params import CheckpointError
-from .pdb import (
-    PdbParseError,
-    PdbRangeError,
-    SplitError,
-    load_complex,
-    parse_pdb,
-    pocket_from_records,
-    read_manifest,
-    serialize_pdb,
-)
+from .pdb import load_complex, parse_pdb, pocket_from_records, read_manifest, serialize_pdb
 from .trainer import NumericError, TrainingDiverged, train
 
 EXIT_OK = 0
@@ -45,17 +35,9 @@ EXIT_NUMERIC = 3
 
 CONFIG_ENV_VAR = "POCKETFLOW_CONFIG"
 
-_DATA_ERRORS = (
-    ConfigError,
-    DatasetError,
-    PdbParseError,
-    PdbRangeError,
-    SplitError,
-    CheckpointError,
-    VocabularyError,
-    OSError,
-    ValueError,
-)
+# ConfigError, DatasetError, PdbParseError, PdbRangeError, SplitError and
+# CheckpointError all subclass ValueError; VocabularyError is a KeyError.
+_DATA_ERRORS = (ValueError, VocabularyError, OSError)
 
 
 class UsageError(Exception):
@@ -102,7 +84,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     entries = []
     for item in manifest:
         try:
-            entry = load_complex(item, vocab, cutoff=cfg.pocket_cutoff)
+            entry = load_complex(item, vocab, cfg.pocket_cutoff, cfg.clash_factor, cfg.bond_tolerance)
         except _DATA_ERRORS as exc:
             print(f"{item.entry_id}\tfailed: {exc}")
             continue
@@ -183,6 +165,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         reference=reference,
         contact_cutoff=cfg.contact_cutoff,
         ids=[p.stem for p in paths],
+        clash_factor=cfg.clash_factor,
+        bond_tolerance=cfg.bond_tolerance,
     )
     text = report_json(report) if args.format == "json" else report_tsv(report)
     _atomic_write(Path(args.out), lambda tmp: tmp.write_text(text))

@@ -2,14 +2,16 @@
 
 Elements are stored by symbol so an archive remains readable under any
 vocabulary that covers them; coordinates round-trip exactly through JSON's
-decimal repr.  Each entry has a string ``entry_id``, and each ligand bond is
-``[i, j, order]``: three integers, with an order from 1 to 3 (bonds inferred
-from distances are all single).
+decimal repr.  Each entry has a string ``entry_id``, each pocket B-factor is
+finite and non-negative, and each ligand bond is ``[i, j, order]``: three
+integers, with an order from 1 to 3 (bonds inferred from distances are all
+single).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -84,11 +86,13 @@ def _entry(item: dict, vocab: Vocabulary, path: Path) -> ComplexEntry:
                 f"{path}: entry {entry_id!r}: bond {list(bond)!r} is not three integers "
                 "[i, j, order] with an order from 1 to 3"
             )
-    return ComplexEntry(
-        pocket=Pocket(_atoms(item["pocket"], vocab), np.array(item["pocket"]["bfactors"])),
-        ligand=Molecule(_atoms(item["ligand"], vocab), bonds),
-        entry_id=entry_id,
-    )
+    pocket = Pocket(_atoms(item["pocket"], vocab), item["pocket"]["bfactors"])
+    for b in pocket.bfactors.tolist():  # NaN fails both tests
+        if not 0.0 <= b < math.inf:
+            raise DatasetError(
+                f"{path}: entry {entry_id!r}: B-factor {b!r} is not finite and non-negative"
+            )
+    return ComplexEntry(pocket, Molecule(_atoms(item["ligand"], vocab), bonds), entry_id)
 
 
 def _atoms(block: dict, vocab: Vocabulary) -> list[Atom]:

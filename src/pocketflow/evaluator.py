@@ -20,7 +20,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .chem import ClashError, Molecule, Pocket, Vocabulary, check_validity, infer_bonds
+from .chem import (
+    DEFAULT_BOND_TOLERANCE,
+    DEFAULT_CLASH_FACTOR,
+    ClashError,
+    Molecule,
+    Pocket,
+    Vocabulary,
+    check_validity,
+    infer_bonds,
+)
 from .geometry import distance_matrix, rmsd
 
 POLAR_SYMBOLS = frozenset({"N", "O", "S", "P"})
@@ -125,14 +134,13 @@ class EvalReport:
             raise ValueError("validity fraction must lie in [0, 1]")
 
 
-def _validity(molecule: Molecule, vocab: Vocabulary) -> bool:
-    mol = molecule
-    if not molecule.bonds and len(molecule) > 1:
+def _validity(mol: Molecule, vocab: Vocabulary, clash_factor: float, tolerance: float) -> bool:
+    if not mol.bonds and len(mol) > 1:
         try:
-            mol = Molecule(molecule.atoms, infer_bonds(molecule.atoms, vocab))
+            mol = Molecule(mol.atoms, infer_bonds(mol.atoms, vocab, tolerance, clash_factor))
         except ClashError:
             pass  # clash violations surface via check_validity below
-    return check_validity(mol, vocab).valid
+    return check_validity(mol, vocab, clash_factor).valid
 
 
 def evaluate_set(
@@ -143,11 +151,14 @@ def evaluate_set(
     reference: Molecule | None = None,
     contact_cutoff: float = DEFAULT_CONTACT_CUTOFF,
     ids: Sequence[str] | None = None,
+    clash_factor: float = DEFAULT_CLASH_FACTOR,
+    bond_tolerance: float = DEFAULT_BOND_TOLERANCE,
 ) -> EvalReport:
     """Score each molecule and aggregate validity and mean pKd over valid ones.
 
-    Molecules without bonds get them inferred before the validity check; RMSD
-    is reported only against a reference with the same atom count.
+    Molecules without bonds get them inferred (under ``clash_factor`` and
+    ``bond_tolerance``, see :func:`infer_bonds`) before the validity check;
+    RMSD is reported only against a reference with the same atom count.
     """
     if not molecules:
         raise ValueError("no molecules to evaluate")
@@ -155,7 +166,7 @@ def evaluate_set(
         ids = [f"mol_{i:03d}" for i in range(len(molecules))]
     scores = []
     for mol_id, mol in zip(ids, molecules):
-        valid = _validity(mol, vocab) if len(mol) else False
+        valid = _validity(mol, vocab, clash_factor, bond_tolerance) if len(mol) else False
         value = None
         if reference is not None and len(mol) == len(reference) and len(mol) > 0:
             value = rmsd(mol, reference)

@@ -7,17 +7,21 @@ first MODEL of multi-model files is read).  Column layout, 1-based inclusive:
     x 31-38, y 39-46, z 47-54, occupancy 55-60, bfactor 61-66, element 77-78
 
 Serialization reproduces this layout exactly, so parse and serialize are
-mutual inverses on well-formed records.
+mutual inverses on well-formed records.  A :class:`StructureRecord` is a
+value: immutable, with its position a tuple of three finite floats, so two
+records from the same line compare and hash equal.  A float column that
+reads as non-finite (``nan``, ``inf``) is a parse error naming its line.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .chem import Atom, Molecule, Pocket, Vocabulary, infer_bonds
+from .chem import DEFAULT_BOND_TOLERANCE, DEFAULT_CLASH_FACTOR, Atom, Molecule, Pocket, Vocabulary, infer_bonds
 from .geometry import distance_matrix
 
 
@@ -33,7 +37,7 @@ class SplitError(ValueError):
     """Pocket/ligand split failed (missing residue or empty pocket)."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class StructureRecord:
     record_kind: str  # "ATOM" or "HETATM"
     serial: int
@@ -41,32 +45,16 @@ class StructureRecord:
     residue_name: str
     chain: str
     residue_seq: int
-    position: np.ndarray
+    position: tuple[float, float, float]
     occupancy: float
     bfactor: float
     element: str
 
     def __post_init__(self) -> None:
-        pos = np.asarray(self.position, dtype=float)
-        if pos.shape != (3,) or not np.all(np.isfinite(pos)):
+        pos = tuple(map(float, self.position))
+        if len(pos) != 3 or not all(map(math.isfinite, pos)):
             raise ValueError("record position must be a finite 3-vector")
         object.__setattr__(self, "position", pos)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StructureRecord):
-            return NotImplemented
-        return (
-            self.record_kind == other.record_kind
-            and self.serial == other.serial
-            and self.atom_name == other.atom_name
-            and self.residue_name == other.residue_name
-            and self.chain == other.chain
-            and self.residue_seq == other.residue_seq
-            and np.array_equal(self.position, other.position)
-            and self.occupancy == other.occupancy
-            and self.bfactor == other.bfactor
-            and self.element == other.element
-        )
 
 
 @dataclass
@@ -83,12 +71,14 @@ class ComplexEntry:
 
 
 def _parse(kind: type, text: str, lineno: int, what: str):
+    """``kind(text)``; a :class:`PdbParseError` naming the line unless it is finite."""
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
-        raise PdbParseError(
-            f"line {lineno}: cannot parse {what} from {text.strip()!r}"
-        ) from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise PdbParseError(f"line {lineno}: cannot parse {what} from {text.strip()!r}")
+    return value
 
 
 def _element_from_name(name: str, vocab: Vocabulary | None) -> str:
@@ -137,7 +127,7 @@ def parse_pdb(
                 residue_name=line[17:20].strip(),
                 chain=line[21:22],
                 residue_seq=_parse(int, line[22:26], lineno, "residue number"),
-                position=np.array([x, y, z]),
+                position=(x, y, z),
                 occupancy=_parse(float, line[54:60], lineno, "occupancy"),
                 bfactor=_parse(float, line[60:66], lineno, "B-factor"),
                 element=element,
@@ -157,7 +147,7 @@ def serialize_pdb(records: list[StructureRecord]) -> str:
     """Emit records in the fixed-column layout; inverse of :func:`parse_pdb`."""
     lines = []
     for r in records:
-        x, y, z = (float(v) for v in r.position)
+        x, y, z = r.position
         for label, v in (("x", x), ("y", y), ("z", z)):
             if not -999.999 <= v <= 9999.999:
                 raise PdbRangeError(f"{label}={v} does not fit in %8.3f")
@@ -196,12 +186,15 @@ def split_pocket_ligand(
     vocab: Vocabulary,
     cutoff: float = DEFAULT_POCKET_CUTOFF,
     entry_id: str = "",
+    clash_factor: float = DEFAULT_CLASH_FACTOR,
+    bond_tolerance: float = DEFAULT_BOND_TOLERANCE,
 ) -> ComplexEntry:
     """Split records into a ligand and the pocket atoms within ``cutoff`` of it.
 
     The ligand is every HETATM with the given residue name (waters excluded);
     the pocket is every ATOM record within ``cutoff`` Angstrom of any ligand
-    atom, carrying its B-factor.  Ligand bonds are inferred from distances.
+    atom, carrying its B-factor.  Ligand bonds are inferred from distances
+    under ``clash_factor`` and ``bond_tolerance`` (see :func:`infer_bonds`).
     """
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
@@ -224,12 +217,8 @@ def split_pocket_ligand(
     if not pocket_records:
         raise SplitError(f"no protein atoms within {cutoff} A of the ligand")
 
-    ligand = Molecule(lig_atoms, infer_bonds(lig_atoms, vocab))
-    pocket = Pocket(
-        [Atom(vocab.index(r.element), r.position) for r in pocket_records],
-        np.array([r.bfactor for r in pocket_records]),
-    )
-    return ComplexEntry(pocket=pocket, ligand=ligand, entry_id=entry_id)
+    ligand = Molecule(lig_atoms, infer_bonds(lig_atoms, vocab, bond_tolerance, clash_factor))
+    return ComplexEntry(pocket_from_records(pocket_records, vocab), ligand, entry_id)
 
 
 def normalize_bfactors(pocket: Pocket) -> np.ndarray:
@@ -272,10 +261,16 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
     return entries
 
 
-def load_complex(entry: ManifestEntry, vocab: Vocabulary, cutoff: float = DEFAULT_POCKET_CUTOFF) -> ComplexEntry:
+def load_complex(
+    entry: ManifestEntry,
+    vocab: Vocabulary,
+    cutoff: float = DEFAULT_POCKET_CUTOFF,
+    clash_factor: float = DEFAULT_CLASH_FACTOR,
+    bond_tolerance: float = DEFAULT_BOND_TOLERANCE,
+) -> ComplexEntry:
     records = parse_pdb(entry.path.read_text(), vocab)
     return split_pocket_ligand(
-        records, entry.ligand_residue, vocab, cutoff=cutoff, entry_id=entry.entry_id
+        records, entry.ligand_residue, vocab, cutoff, entry.entry_id, clash_factor, bond_tolerance
     )
 
 

@@ -7,9 +7,12 @@ while the geometry stays chemically sensible.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .chem import Atom, Molecule, Pocket, Vocabulary, infer_bonds
+from .molio import molecule_to_records
 from .pdb import ComplexEntry, StructureRecord, serialize_pdb
 
 TOY_POCKET = (
@@ -66,8 +69,8 @@ def toy_dataset(
 def toy_complex_pdb(entry: ComplexEntry, vocab: Vocabulary, ligand_residue: str = "LIG") -> str:
     """Render a complex as PDB text (protein as ATOM/ALA, ligand as HETATM)."""
     records = []
-    serial = 1
-    for atom, bfactor in zip(entry.pocket.atoms, entry.pocket.bfactors):
+    pocket = zip(entry.pocket.atoms, entry.pocket.bfactors)
+    for serial, (atom, bfactor) in enumerate(pocket, start=1):
         sym = vocab[atom.element].symbol
         records.append(
             StructureRecord(
@@ -83,22 +86,6 @@ def toy_complex_pdb(entry: ComplexEntry, vocab: Vocabulary, ligand_residue: str 
                 element=sym,
             )
         )
-        serial += 1
-    for i, atom in enumerate(entry.ligand.atoms, start=1):
-        sym = vocab[atom.element].symbol
-        records.append(
-            StructureRecord(
-                record_kind="HETATM",
-                serial=serial,
-                atom_name=f"{sym}{i}"[:4],
-                residue_name=ligand_residue,
-                chain="A",
-                residue_seq=2,
-                position=atom.position,
-                occupancy=1.0,
-                bfactor=0.0,
-                element=sym,
-            )
-        )
-        serial += 1
+    ligand = molecule_to_records(entry.ligand, vocab, ligand_residue, residue_seq=2)
+    records += [replace(r, serial=r.serial + len(entry.pocket)) for r in ligand]
     return serialize_pdb(records)

@@ -255,6 +255,45 @@ def test_criterion_7_generation_sanity(toy_run):
           f"{report.mean_pkd_valid:.2f}")
 
 
+def has_toy_ligand_topology(mol: Molecule) -> bool:
+    """True when ``mol`` has the training ligand's bond graph: three atoms,
+    one C-C and one C-O bond, and no third bond."""
+    if len(mol) != 3 or len(mol.bonds) != 2:
+        return False
+    symbols = [VOCAB[e].symbol for e in mol.elements]
+    return sorted("".join(sorted(symbols[i] + symbols[j])) for i, j, _ in mol.bonds) == ["CC", "CO"]
+
+
+def test_toy_ligand_topology_helper():
+    def mol(symbols, bonds):
+        atoms = [Atom(VOCAB.index(s), (1.5 * k, 0.0, 0.0)) for k, s in enumerate(symbols)]
+        return Molecule(atoms, [(i, j, 1) for i, j in bonds])
+
+    assert has_toy_ligand_topology(mol("CCO", [(0, 1), (1, 2)]))
+    assert has_toy_ligand_topology(mol("OCC", [(0, 1), (1, 2)]))
+    assert has_toy_ligand_topology(mol("CCO", [(0, 1), (0, 2)]))
+    assert not has_toy_ligand_topology(mol("COC", [(0, 1), (1, 2)]))
+    assert not has_toy_ligand_topology(mol("CCO", [(0, 1), (0, 2), (1, 2)]))
+    assert not has_toy_ligand_topology(mol("CCOC", [(0, 1), (1, 2)]))
+    assert not has_toy_ligand_topology(mol("CCOC", [(0, 1), (1, 2), (2, 3)]))
+    assert not has_toy_ligand_topology(mol("CCN", [(0, 1), (1, 2)]))
+
+
+def test_report_toy_ligand_topology(toy_run):
+    """How many of criterion 7's molecules have the training ligand's bond
+    graph; reported, not gated."""
+    result, _ = toy_run
+    entry = toy_complex(VOCAB)
+    gen_cfg = GenConfig(max_atoms=6, valence_constrained=True)
+    molecules = [
+        generate_ligand(result.model, entry.pocket, gen_cfg, np.random.default_rng(seed))
+        for seed in range(100)
+    ]
+    chains = sum(has_toy_ligand_topology(m) for m in molecules)
+    triangles = sum(len(m) == 3 and len(m.bonds) == 3 for m in molecules)
+    print(f"    C-C-O topology {chains}/100 (3-atom triangles {triangles}/100)")
+
+
 @criterion(8, "validity matches the brute-force oracle on 1000 geometries")
 def test_criterion_8_validity_oracle():
     def oracle(mol: Molecule) -> bool:

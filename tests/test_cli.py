@@ -88,6 +88,16 @@ class TestIngest:
         payload = json.loads(archive.read_text())
         assert len(payload["entries"]) == 2
 
+    def test_chem_thresholds_apply(self, workspace):
+        tmp_path, manifest, cfg_path = workspace
+        loose = tmp_path / "loose.cfg"
+        loose.write_text(cfg_path.read_text().replace("bond_tolerance = 0.45", "bond_tolerance = 1.5"))
+        for cfg, n_bonds in ((cfg_path, 2), (loose, 3)):  # 1.5 A also bonds the C-C-O ends
+            archive = tmp_path / f"{cfg.stem}.json"
+            assert main(["ingest", str(manifest), "--out", str(archive), "--config", str(cfg)]) == EXIT_OK
+            entries = json.loads(archive.read_text())["entries"]
+            assert [len(e["ligand"]["bonds"]) for e in entries] == [n_bonds, n_bonds]
+
     def test_empty_manifest_fails(self, workspace):
         tmp_path, manifest, cfg_path = workspace
         manifest.write_text("")
@@ -261,6 +271,34 @@ class TestEvaluate:
         assert code == EXIT_OK
         payload = json.loads(report_path.read_text())
         assert payload["aggregate"]["validity_fraction"] == 0.75
+
+    def test_chem_thresholds_apply(self, workspace, capsys):
+        tmp_path, manifest, cfg_path = workspace
+        mol_dir = tmp_path / "mols"
+        mol_dir.mkdir()
+        (mol_dir / "a.xyz").write_text("2\nC-C at 0.7 A\nC 0 0 0\nC 0.7 0 0\n")
+        pocket_pdb = next((tmp_path / "pdb").glob("*.pdb"))
+        strict = tmp_path / "strict.cfg"
+        strict.write_text("[chem]\nclash_factor = 0.6\n")  # 0.7 < 0.6 * 1.54 A
+        for cfg, validity in ((cfg_path, "1.0"), (strict, "0.0")):
+            argv = ["evaluate", str(mol_dir), str(pocket_pdb), "--out", str(tmp_path / "r.tsv")]
+            assert main(argv + ["--config", str(cfg)]) == EXIT_OK
+            assert f"validity\t{validity}\t" in capsys.readouterr().out
+
+    def test_affinity_overflow_exits_numeric(self, workspace, capsys):
+        tmp_path, manifest, cfg_path = workspace
+        mol_dir = tmp_path / "mols"
+        mol_dir.mkdir()
+        (mol_dir / "a.xyz").write_text(write_xyz(toy_complex(VOCAB).ligand, VOCAB))
+        pocket_pdb = next((tmp_path / "pdb").glob("*.pdb"))
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("[evaluator]\naffinity_intercept = 1e9\n")
+        code = main(["evaluate", str(mol_dir), str(pocket_pdb), "--out", str(tmp_path / "r.tsv"),
+                     "--config", str(cfg)])
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric failure: ")
+        assert not (tmp_path / "r.tsv").exists()
 
     def test_empty_dir_fails(self, workspace):
         tmp_path, manifest, cfg_path = workspace

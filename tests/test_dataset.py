@@ -1,6 +1,7 @@
 """Dataset archive round trips."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -88,4 +89,16 @@ def test_out_of_range_value_is_dataset_error(tmp_path, key, value):
         entry["ligand"]["bonds"][0][2 if key == "order" else 0] = value
     path.write_text(json.dumps(payload))
     with pytest.raises(DatasetError, match="entry"):
+        load_dataset(path, VOCAB)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -5.0], ids=str)
+def test_bad_bfactor_is_dataset_error(tmp_path, value):
+    entries = toy_dataset(VOCAB, n_copies=1, seed=1)
+    path = tmp_path / "data.json"
+    save_dataset(entries, VOCAB, path)
+    payload = json.loads(path.read_text())
+    payload["entries"][0]["pocket"]["bfactors"][2] = value
+    path.write_text(json.dumps(payload))  # written as the literals NaN, Infinity, -Infinity
+    with pytest.raises(DatasetError, match="entry 'toy_000'.*B-factor"):
         load_dataset(path, VOCAB)

@@ -57,6 +57,21 @@ class TestParse:
         with pytest.raises(PdbParseError, match="line 3"):
             parse_pdb("REMARK\nREMARK\n" + bad)
 
+    @pytest.mark.parametrize(
+        "start, text", [(60, "   nan"), (30, "     inf")], ids=["bfactor-nan", "x-inf"]
+    )
+    def test_non_finite_column_names_line(self, start, text):
+        bad = EXAMPLE_LINE[:start] + text + EXAMPLE_LINE[start + len(text):]
+        with pytest.raises(PdbParseError, match="line 2"):
+            parse_pdb("REMARK\n" + bad)
+
+    def test_records_are_values(self):
+        (a,) = parse_pdb(EXAMPLE_LINE)
+        (b,) = parse_pdb(EXAMPLE_LINE)
+        assert a == b and hash(a) == hash(b)
+        assert a.position == (11.104, 13.207, 2.1)
+        assert len({a, b, record()}) == 2
+
     def test_truncated_coordinates(self):
         with pytest.raises(PdbParseError, match="truncated"):
             parse_pdb(EXAMPLE_LINE[:50])
