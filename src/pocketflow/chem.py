@@ -126,10 +126,13 @@ class Vocabulary:
             parts = line.split()
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 'symbol radius max_valence'")
-            sym, radius, valence = parts[0], float(parts[1]), int(parts[2])
+            sym, radius, valence = parts
             if sym not in _ATOMIC_NUMBERS:
                 raise VocabularyError(f"{path}:{lineno}: unknown element symbol {sym!r}")
-            entries.append(ElementKind(sym, _ATOMIC_NUMBERS[sym], radius, valence))
+            try:
+                entries.append(ElementKind(sym, _ATOMIC_NUMBERS[sym], float(radius), int(valence)))
+            except ValueError as exc:  # a non-numeric or non-positive radius or valence
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
         return cls(entries)
 
 

@@ -86,13 +86,17 @@ def _entry(item: dict, vocab: Vocabulary, path: Path) -> ComplexEntry:
                 f"{path}: entry {entry_id!r}: bond {list(bond)!r} is not three integers "
                 "[i, j, order] with an order from 1 to 3"
             )
-    pocket = Pocket(_atoms(item["pocket"], vocab), item["pocket"]["bfactors"])
+    try:
+        pocket = Pocket(_atoms(item["pocket"], vocab), item["pocket"]["bfactors"])
+        entry = ComplexEntry(pocket, Molecule(_atoms(item["ligand"], vocab), bonds), entry_id)
+    except ValueError as exc:  # the checks of Atom, Pocket, Molecule and ComplexEntry
+        raise DatasetError(f"{path}: entry {entry_id!r}: {exc}") from None
     for b in pocket.bfactors.tolist():  # NaN fails both tests
         if not 0.0 <= b < math.inf:
             raise DatasetError(
                 f"{path}: entry {entry_id!r}: B-factor {b!r} is not finite and non-negative"
             )
-    return ComplexEntry(pocket, Molecule(_atoms(item["ligand"], vocab), bonds), entry_id)
+    return entry
 
 
 def _atoms(block: dict, vocab: Vocabulary) -> list[Atom]:

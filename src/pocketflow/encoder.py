@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chem import Atom, Pocket, VocabularyError
+from .chem import Atom, Pocket, VocabularyError, _atom_arrays
 from .geometry import RbfBank, distance_matrix, rbf_expand
 from .params import ParamStore
 from .pdb import normalize_bfactors
@@ -121,7 +121,7 @@ def extend_graph(
     the scattered adjoints) match such a list bit for bit.
     """
     n, n_new = graph.n_atoms, len(placed)
-    new_pos = np.array([a.position for a in placed], dtype=float).reshape(n_new, 3)
+    new_pos, new_elements = _atom_arrays(placed)
     positions = np.vstack([graph.positions, new_pos])
     dist = distance_matrix(new_pos, positions)  # (L, n + L)
     near = dist <= cutoff
@@ -129,7 +129,7 @@ def extend_graph(
     old_src, new_dst = np.nonzero(near[:, :n].T)
     new_src, any_dst = np.nonzero(near)
     return ContextGraph(
-        elements=np.concatenate([graph.elements, [a.element for a in placed]]).astype(int),
+        elements=np.concatenate([graph.elements, new_elements]),
         origins=np.concatenate([graph.origins, np.full(n_new, LIGAND)]),
         positions=positions,
         edge_src=np.concatenate([graph.edge_src, old_src, n + new_src]),

@@ -102,26 +102,6 @@ def _context_condition(
     return graph, aggregate_readout(model.encoder.encode(graph, pocket), focal)
 
 
-def _focal_position(state: GenerationState, focal: int) -> np.ndarray:
-    m = len(state.pocket)
-    return (
-        state.pocket.atoms[focal].position
-        if focal < m
-        else state.placed[focal - m].position
-    )
-
-
-def _valence_mask(state: GenerationState, model: Model) -> np.ndarray | None:
-    """Mask single-valence elements when only one open slot remains."""
-    if state.t == 0:
-        return None
-    total_open = sum(max(v, 0) for v in state.open_valences)
-    if total_open != 1:
-        return None
-    mask = model.cfg.vocab.max_valences == 1
-    return mask if not mask.all() else None
-
-
 def generate_type(
     model: Model,
     state: GenerationState,
@@ -130,14 +110,18 @@ def generate_type(
     valence_constrained: bool = True,
     cond: np.ndarray | None = None,
 ) -> int:
-    """Sample an element index through the type flow, argmax-decoded."""
+    """Sample an element index through the type flow, argmax-decoded.
+
+    Under ``valence_constrained``, single-valence elements are masked while
+    exactly one open valence slot remains among the placed atoms.
+    """
     if cond is None:
         _, cond = _context_condition(model, state, focal)
     x, _ = model.type_flow.sample(cond, rng)
-    if valence_constrained:
-        mask = _valence_mask(state, model)
-        if mask is not None:
-            x = np.where(mask, -np.inf, x)
+    single = model.cfg.vocab.max_valences == 1
+    open_slots = sum(max(v, 0) for v in state.open_valences)
+    if valence_constrained and open_slots == 1 and not single.all():
+        x = np.where(single, -np.inf, x)  # a single-valence atom would fill the last slot
     return int(np.argmax(x))
 
 
@@ -153,7 +137,7 @@ def generate_coord(
     if cond is None:
         _, cond = _context_condition(model, state, focal)
     offset, _ = model.coord_flow.sample(np.concatenate([cond, model.one_hot(element)]), rng)
-    return _focal_position(state, focal) + offset
+    return [*state.pocket.atoms, *state.placed][focal].position + offset
 
 
 def step(

@@ -1,10 +1,10 @@
-"""Molecule file output/input: XYZ text and PDB HETATM records."""
+"""Molecule file output/input: XYZ text, and PDB records for any atom set."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .chem import Atom, Molecule, Vocabulary
+from .chem import Atom, Molecule, Pocket, Vocabulary
 from .pdb import StructureRecord
 
 
@@ -41,27 +41,33 @@ def read_xyz(text: str, vocab: Vocabulary) -> Molecule:
 
 
 def molecule_to_records(
-    molecule: Molecule,
+    molecule: Molecule | Pocket,
     vocab: Vocabulary,
     residue_name: str = "LIG",
     chain: str = "A",
     residue_seq: int = 1,
 ) -> list[StructureRecord]:
-    """HETATM records for a generated molecule; atom names are symbol+ordinal."""
+    """PDB records for any atom set; atom names are symbol+ordinal.
+
+    A :class:`Pocket` gives ATOM records carrying its B-factors; a
+    :class:`Molecule` gives HETATM records with B-factor 0.
+    """
+    pocket = isinstance(molecule, Pocket)
+    bfactors = molecule.bfactors.tolist() if pocket else [0.0] * len(molecule)
     records = []
-    for i, atom in enumerate(molecule.atoms):
+    for i, (atom, bfactor) in enumerate(zip(molecule.atoms, bfactors), start=1):
         sym = vocab[atom.element].symbol
         records.append(
             StructureRecord(
-                record_kind="HETATM",
-                serial=i + 1,
-                atom_name=f"{sym}{i + 1}"[:4],
+                record_kind="ATOM" if pocket else "HETATM",
+                serial=i,
+                atom_name=f"{sym}{i}"[:4],
                 residue_name=residue_name,
                 chain=chain,
                 residue_seq=residue_seq,
                 position=atom.position,
                 occupancy=1.0,
-                bfactor=0.0,
+                bfactor=bfactor,
                 element=sym,
             )
         )

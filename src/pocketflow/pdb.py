@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .chem import DEFAULT_BOND_TOLERANCE, DEFAULT_CLASH_FACTOR, Atom, Molecule, Pocket, Vocabulary, infer_bonds
+from .chem import DEFAULT_BOND_TOLERANCE, DEFAULT_CLASH_FACTOR, Atom, Molecule, Pocket, Vocabulary
+from .chem import _atom_arrays, infer_bonds
 from .geometry import distance_matrix
 
 
@@ -212,7 +213,7 @@ def split_pocket_ligand(
 
     lig_atoms = [Atom(vocab.index(r.element), r.position) for r in lig_records]
     prot_pos = np.array([r.position for r in prot_records]).reshape(-1, 3)
-    near = distance_matrix(prot_pos, np.stack([a.position for a in lig_atoms])).min(axis=1) <= cutoff
+    near = distance_matrix(prot_pos, _atom_arrays(lig_atoms)[0]).min(axis=1) <= cutoff
     pocket_records = [r for r, keep in zip(prot_records, near) if keep]
     if not pocket_records:
         raise SplitError(f"no protein atoms within {cutoff} A of the ligand")

@@ -13,7 +13,7 @@ import numpy as np
 
 from .chem import Atom, Molecule, Pocket, Vocabulary, infer_bonds
 from .molio import molecule_to_records
-from .pdb import ComplexEntry, StructureRecord, serialize_pdb
+from .pdb import ComplexEntry, serialize_pdb
 
 TOY_POCKET = (
     # (symbol, position, bfactor)
@@ -68,24 +68,7 @@ def toy_dataset(
 
 def toy_complex_pdb(entry: ComplexEntry, vocab: Vocabulary, ligand_residue: str = "LIG") -> str:
     """Render a complex as PDB text (protein as ATOM/ALA, ligand as HETATM)."""
-    records = []
-    pocket = zip(entry.pocket.atoms, entry.pocket.bfactors)
-    for serial, (atom, bfactor) in enumerate(pocket, start=1):
-        sym = vocab[atom.element].symbol
-        records.append(
-            StructureRecord(
-                record_kind="ATOM",
-                serial=serial,
-                atom_name=f"{sym}{serial}"[:4],
-                residue_name="ALA",
-                chain="A",
-                residue_seq=1,
-                position=atom.position,
-                occupancy=1.0,
-                bfactor=float(bfactor),
-                element=sym,
-            )
-        )
+    records = molecule_to_records(entry.pocket, vocab, "ALA")
     ligand = molecule_to_records(entry.ligand, vocab, ligand_residue, residue_seq=2)
     records += [replace(r, serial=r.serial + len(entry.pocket)) for r in ligand]
     return serialize_pdb(records)

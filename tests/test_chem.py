@@ -69,6 +69,22 @@ class TestVocabulary:
         with pytest.raises(VocabularyError):
             Vocabulary.from_file(table)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("O abc 2", "could not convert"),
+            ("O 0.66 two", "invalid literal"),
+            ("O -0.66 2", "covalent radius must be positive"),
+            ("O 0.66 0", "max valence must be >= 1"),
+        ],
+        ids=["radius-text", "valence-text", "radius-negative", "valence-zero"],
+    )
+    def test_from_file_bad_number_names_file_and_line(self, tmp_path, line, message):
+        table = tmp_path / "elements.txt"
+        table.write_text(f"# custom table\nC 0.77 4\n{line}\n")
+        with pytest.raises(ValueError, match=rf"elements\.txt:3: .*{message}"):
+            Vocabulary.from_file(table)
+
 
 class TestInferBonds:
     def test_cc_single_bond(self):

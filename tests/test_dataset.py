@@ -102,3 +102,31 @@ def test_bad_bfactor_is_dataset_error(tmp_path, value):
     path.write_text(json.dumps(payload))  # written as the literals NaN, Infinity, -Infinity
     with pytest.raises(DatasetError, match="entry 'toy_000'.*B-factor"):
         load_dataset(path, VOCAB)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda entry: entry["pocket"]["positions"][1].__setitem__(0, math.nan),
+        lambda entry: entry["ligand"]["positions"][0].pop(),
+        lambda entry: entry["pocket"]["bfactors"].pop(),
+    ],
+    ids=["nan-position", "two-component-position", "short-bfactors"],
+)
+def test_bad_atom_is_dataset_error_naming_archive_and_entry(tmp_path, edit):
+    entries = toy_dataset(VOCAB, n_copies=2, seed=1)
+    path = tmp_path / "data.json"
+    save_dataset(entries, VOCAB, path)
+    payload = json.loads(path.read_text())
+    edit(payload["entries"][1])
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DatasetError, match=rf"data\.json: entry 'toy_001': "):
+        load_dataset(path, VOCAB)
+
+
+def test_unsupported_version(tmp_path):
+    path = tmp_path / "data.json"
+    save_dataset(toy_dataset(VOCAB, n_copies=1, seed=1), VOCAB, path)
+    path.write_text(path.read_text().replace('"version": 1', '"version": 2'))
+    with pytest.raises(DatasetError, match="unsupported version 2"):
+        load_dataset(path, VOCAB)

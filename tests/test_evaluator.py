@@ -190,6 +190,14 @@ class TestEvaluateSet:
         with pytest.raises(ValueError):
             evaluate_set([], pocket, MODEL, VOCAB)
 
+    def test_empty_molecule_scores_the_intercept(self):
+        pocket, reference = reference_complex()
+        report = evaluate_set([Molecule([], [])], pocket, MODEL, VOCAB, reference=reference)
+        (score,) = report.scores
+        assert (score.n_atoms, score.valid, score.rmsd) == (0, False, None)
+        assert score.dg == MODEL.intercept
+        assert report.validity_fraction == 0.0 and report.mean_pkd_valid is None
+
     def test_bonds_inferred_when_absent(self):
         pocket, reference = reference_complex()
         bare = ligand_of(Atom(C, (4.0, 0, 0)), Atom(O, (5.2, 0.8, 0)))

@@ -192,6 +192,19 @@ class TestStep:
         finished = step(model, state, np.random.default_rng(0), GenConfig(max_atoms=9))
         assert finished and state.t == 1
 
+    def test_state_at_budget_finishes_without_drawing(self):
+        model = small_model()
+        state = GenerationState(
+            pocket=pocket_with_centroid_at_origin(),
+            placed=[Atom(O, (3.0, 0, 0))],
+            bonds=[],
+            open_valences=[2],
+        )
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        assert step(model, state, rng, GenConfig(max_atoms=1))
+        assert state.t == 1 and rng.bit_generator.state == before
+
     def test_clash_exhaustion_emits_stop(self):
         model = small_model()
         # scales pinned at the softplus floor collapse every offset onto the

@@ -1,9 +1,9 @@
-"""XYZ round trips and HETATM record emission for generated molecules."""
+"""XYZ round trips and PDB record emission for molecules and pockets."""
 
 import numpy as np
 import pytest
 
-from pocketflow.chem import Atom, Molecule, Vocabulary
+from pocketflow.chem import Atom, Molecule, Pocket, Vocabulary
 from pocketflow.molio import molecule_to_records, read_xyz, write_xyz
 from pocketflow.pdb import parse_pdb, serialize_pdb
 
@@ -58,3 +58,22 @@ class TestHetatmRecords:
         records = molecule_to_records(sample_molecule(), VOCAB, residue_name="XYZ", chain="B")
         assert {r.residue_name for r in records} == {"XYZ"}
         assert {r.chain for r in records} == {"B"}
+
+
+class TestPocketRecords:
+    def test_pocket_gives_atom_records_with_its_bfactors(self):
+        mol = sample_molecule()
+        pocket = Pocket(mol.atoms, np.array([12.0, 18.5, 30.0]))
+        records = molecule_to_records(pocket, VOCAB, residue_name="ALA")
+        assert [r.record_kind for r in records] == ["ATOM"] * 3
+        assert [r.bfactor for r in records] == [12.0, 18.5, 30.0]
+        assert [r.atom_name for r in records] == ["C1", "C2", "O3"]
+        assert parse_pdb(serialize_pdb(records)) == records
+
+    def test_same_atoms_differ_only_in_kind_and_bfactor(self):
+        mol = sample_molecule()
+        as_pocket = molecule_to_records(Pocket(mol.atoms, np.full(3, 7.0)), VOCAB)
+        as_ligand = molecule_to_records(mol, VOCAB)
+        for p, m in zip(as_pocket, as_ligand):
+            assert (p.record_kind, p.bfactor, m.bfactor) == ("ATOM", 7.0, 0.0)
+            assert p.position == m.position and p.atom_name == m.atom_name

@@ -32,6 +32,11 @@ class TestParamStore:
         store.flat -= 1.0  # in-place ops are fine
         assert np.array_equal(store.flat, [-1.0, -1.0])
 
+    def test_contains_names_sections(self):
+        store = ParamStore({"w": (2,), "b": ()})
+        assert "w" in store and "b" in store
+        assert "x" not in store and "w.0" not in store
+
     def test_zeros_like_and_copy(self):
         store = ParamStore({"w": (3,)})
         store["w"][...] = [1.0, 2.0, 3.0]
@@ -63,6 +68,30 @@ class TestCheckpoint:
         path.write_text("something else\n")
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    def test_unsupported_version(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, ParamStore({"w": (2,)}))
+        path.write_text(path.read_text().replace("checkpoint v1", "checkpoint v2"))
+        with pytest.raises(CheckpointError, match="unsupported version 'v2'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_values_rejected(self, tmp_path, token):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, ParamStore({"w": (2,)}))
+        path.write_text(path.read_text().replace("0.0 0.0", f"0.0 {token}"))
+        with pytest.raises(CheckpointError, match="non-finite parameter values"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "meta", [{"two words": "x"}, {"a=b": "x"}, {"line\nbreak": "x"}, {"key": "multi\nline"}]
+    )
+    def test_invalid_metadata_entry_rejected(self, tmp_path, meta):
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(CheckpointError, match="invalid metadata entry"):
+            save_checkpoint(path, ParamStore({"w": (2,)}), meta)
+        assert not path.exists()
 
     def test_truncated_section(self, tmp_path):
         store = ParamStore({"w": (4,)})

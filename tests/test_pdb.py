@@ -88,6 +88,13 @@ class TestParse:
         (rec,) = parse_pdb(line, VOCAB)
         assert rec.element == "N"
 
+    def test_two_letter_element_inferred_from_name(self):
+        line = "HETATM    1 CL1  LIG A   1       1.000   2.000   3.000  1.00  0.00"
+        (rec,) = parse_pdb(line, VOCAB)
+        assert rec.element == "Cl"
+        (rec,) = parse_pdb(line)  # without a vocabulary only the first letter counts
+        assert rec.element == "C"
+
     def test_bytes_input(self):
         (rec,) = parse_pdb(EXAMPLE_LINE.encode("ascii"))
         assert rec.serial == 1
@@ -104,6 +111,24 @@ class TestSerialize:
     def test_coordinate_out_of_range(self):
         with pytest.raises(PdbRangeError):
             serialize_pdb([record(pos=(123456.789, 0, 0))])
+
+    def test_four_character_name_fills_columns_13_to_16(self):
+        line = serialize_pdb([record(name="CA12")])
+        assert line[12:16] == "CA12"
+        assert parse_pdb(line)[0].atom_name == "CA12"
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"occupancy": 1000.0}, "occupancy/B-factor"),
+            ({"bfactor": -100.0}, "occupancy/B-factor"),
+            ({"serial": 100000}, "serial 100000"),
+        ],
+        ids=["occupancy", "bfactor", "serial"],
+    )
+    def test_column_out_of_range(self, fields, message):
+        with pytest.raises(PdbRangeError, match=message):
+            serialize_pdb([record(**fields)])
 
     def test_parse_serialize_identity_on_records(self):
         rng = np.random.default_rng(101)
@@ -249,6 +274,11 @@ class TestManifest:
         assert [e.entry_id for e in entries] == ["entry1", "entry2"]
         assert entries[0].path == tmp_path / "c1.pdb"
         assert entries[1].path == pdb
+
+    def test_blank_and_comment_lines_skipped(self, tmp_path):
+        manifest = tmp_path / "index.tsv"
+        manifest.write_text("# id\tpath\tresidue\n\n   \nentry1\tc1.pdb\tLIG\n#entry2\tc2.pdb\tLIG\n")
+        assert [e.entry_id for e in read_manifest(manifest)] == ["entry1"]
 
     def test_bad_field_count(self, tmp_path):
         manifest = tmp_path / "index.tsv"
