@@ -119,6 +119,7 @@ class Vocabulary:
     def from_file(cls, path: str | Path) -> "Vocabulary":
         """Load ``symbol radius_A max_valence`` lines; blank/comment lines skipped."""
         entries = []
+        first_line: dict[str, int] = {}
         for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -129,10 +130,18 @@ class Vocabulary:
             sym, radius, valence = parts
             if sym not in _ATOMIC_NUMBERS:
                 raise VocabularyError(f"{path}:{lineno}: unknown element symbol {sym!r}")
+            if sym in first_line:
+                raise ValueError(
+                    f"{path}:{lineno}: duplicate element symbol {sym!r}"
+                    f" (first on line {first_line[sym]})"
+                )
+            first_line[sym] = lineno
             try:
                 entries.append(ElementKind(sym, _ATOMIC_NUMBERS[sym], float(radius), int(valence)))
             except ValueError as exc:  # a non-numeric or non-positive radius or valence
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if not entries:
+            raise ValueError(f"{path}: no element entries")
         return cls(entries)
 
 

@@ -19,24 +19,35 @@ used by the trainer.
 
 Pocket prefix: every context graph extends a :class:`PocketEncoding`, the
 forward-pass values that only the pocket determines (its edges' edge-MLP
-outputs and the first layer's pocket rows), or else the encoder's empty
-prefix.  :meth:`Encoder.encode_pocket` computes it once, and
-:func:`extend_graph` adds placed atoms at O(L*(n+L)) cost; encoding the
-extended graph equals a full re-encode bit for bit while the encoder
-parameters stay fixed.  Generation shares one prefix across the steps that
-grow a molecule, training across the steps of a trajectory within a gradient
-evaluation.  There, :meth:`Encoder.backward` returns the pocket edges'
-message adjoints and :meth:`Encoder.pocket_backward` runs the edge-MLP
-backward pass once on their sum: exact, since that half of the pass is
-linear in the adjoint, but the summed MLP gradients can move in the last
-ulp.  Every scatter goes through :func:`scatter_add`, which adds in the same
-order as a row-wise ``np.add.at``, so the forward pass and the scattered
-adjoints are bit-identical to it.
+outputs, the first layer's pocket rows and the last layer's outgoing message
+sums), or else the encoder's empty prefix.  :meth:`Encoder.encode_pocket`
+computes it once, and :func:`extend_graph` adds placed atoms at O(L*(n+L))
+cost; encoding the extended graph equals a full re-encode bit for bit while
+the encoder parameters stay fixed.  Generation shares one prefix across the
+steps that grow a molecule, training across the steps of a trajectory within
+a gradient evaluation.
+
+Factored readout: generation and training need only the conditioner
+:func:`aggregate_readout`, the focal row and the mean of the last layer's
+output, and :meth:`Encoder.encode_with_cache`, given a focal, forms just
+those for both, without the last layer's output.  Every message adds into
+the mean alike, so the mean needs only each atom's summed outgoing messages
+(on the pocket edges, a per-pocket sum), and the focal row only the edges
+into the focal.  Backward, the readout's adjoint is the same on every row
+but the focal's, and layer 0's pocket rows start from the same embeddings at
+every step; so :meth:`Encoder.backward` adds each step's share of the pocket
+edges' adjoint into per-pocket sums of (n, H) rows, and
+:meth:`Encoder.pocket_backward` pushes them through the pocket edges once for
+all the steps.  With the default two layers no per-step array or loop then
+has the pocket's edge count as a size; layers in between stay per edge.  The
+sums are reassociated, so the readout and gradients can move in the last
+ulp against a full encoding.  Every scatter goes through :func:`scatter_add`,
+which adds in the same order as a row-wise ``np.add.at``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -66,14 +77,13 @@ class ContextGraph:
     edge_dst: np.ndarray  # (E,)
     edge_dist: np.ndarray  # (E,)
     bfactor_weights: np.ndarray  # (n,) normalized; 0 for ligand atoms
+    # plain attributes rather than properties: the encoder reads them several
+    # times per layer, and at toy scale each Python call counts
+    n_atoms: int = field(init=False, repr=False, compare=False)
+    n_edges: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def n_atoms(self) -> int:
-        return len(self.elements)
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.edge_src)
+    def __post_init__(self) -> None:
+        self.n_atoms, self.n_edges = len(self.elements), len(self.edge_src)
 
 
 def build_graph(
@@ -149,18 +159,33 @@ class PocketEncoding:
     graph: ContextGraph  # the pocket alone
     messages: list[np.ndarray]  # per layer, the edge-MLP output m on its edges
     aggregate: np.ndarray  # layer 0's output on pocket rows, before ligand messages
+    out_messages: np.ndarray  # (n, H) the last layer's m summed per source atom
+    by_dst: np.ndarray  # edge indices ordered by destination, then source
+    dst_start: np.ndarray  # (n + 1,) where each atom's run in ``by_dst`` starts
+
+    def incoming(self, node: int) -> np.ndarray:
+        """Indices of the pocket edges into ``node``; none for a placed atom."""
+        if node >= self.graph.n_atoms:
+            return self.by_dst[:0]
+        return self.by_dst[self.dst_start[node] : self.dst_start[node + 1]]
 
 
-def scatter_add(out: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
+def scatter_add(
+    out: np.ndarray, index: np.ndarray, rows: np.ndarray, flat: np.ndarray | None = None
+) -> np.ndarray:
     """Add each row of ``rows`` (n, w) into row ``index[i]`` of ``out`` viewed
     as (-1, w): ``np.add.at(out, index, rows)`` for a C-contiguous ``out``, as one
     1-D ``np.add.at`` over flat element indices.  Every element receives its
-    terms in the same order, so the result is the same bit for bit."""
+    terms in the same order, so the result is the same bit for bit.
+
+    Returns the flat indices, which a later scatter by the same ``index``
+    and width can pass back as ``flat`` rather than build them again."""
     if not out.flags.c_contiguous:
         raise ValueError("scatter_add needs a C-contiguous output")
-    width = rows.shape[1]
-    flat = (index[:, None] * width + np.arange(width)).ravel()
+    if flat is None:
+        flat = np.add.outer(index * rows.shape[1], np.arange(rows.shape[1])).ravel()
     np.add.at(out.reshape(-1), flat, rows.reshape(-1))
+    return flat
 
 
 @dataclass(frozen=True)
@@ -194,6 +219,9 @@ class Encoder:
             ContextGraph(none, none, np.zeros((0, 3)), none, none, np.zeros(0), np.zeros(0)),
             [rows] * cfg.n_layers,
             rows,
+            rows,
+            none,
+            np.zeros(1, dtype=int),
         )
 
     @staticmethod
@@ -249,12 +277,13 @@ class Encoder:
         return t, t @ self.store[f"{p}.w2"] + self.store[f"{p}.b2"]
 
     def _gamma(self, graph: ContextGraph, layer: int) -> np.ndarray | None:
-        """Per-edge B-factor gate factors, or None with gating off."""
+        """Per-atom B-factor gate factors, applied to the messages each atom
+        sends, or None with gating off."""
         if not self.cfg.bfactor_gating:
             return None
-        # ligand atoms have weight 0, so their edges keep the factor 1
+        # ligand atoms have weight 0, so their messages keep the factor 1
         gate = float(self.store[f"encoder.layer{layer}.gate"])
-        return 1.0 + gate * graph.bfactor_weights[graph.edge_src]
+        return 1.0 + gate * graph.bfactor_weights
 
     def message_layer(
         self,
@@ -284,10 +313,11 @@ class Encoder:
         if layer == 0:
             h_next[: pocket.graph.n_atoms] = pocket.aggregate
             first = pocket.graph.n_edges
-        msg = _times_messages(h[graph.edge_src[first:]], pocket.messages[layer][first:], m)
+        src = graph.edge_src[first:]
+        msg = _times_messages(h[src], pocket.messages[layer][first:], m)
         gamma = self._gamma(graph, layer)
         if gamma is not None:
-            msg *= gamma[first:, None]
+            msg *= gamma[src, None]
         scatter_add(h_next, graph.edge_dst[first:], msg)
         return h_next
 
@@ -295,79 +325,250 @@ class Encoder:
         h, _ = self.encode_with_cache(graph, pocket)
         return h
 
-    def encode_with_cache(self, graph: ContextGraph, pocket: PocketEncoding | None = None):
+    def encode_with_cache(
+        self, graph: ContextGraph, pocket: PocketEncoding | None = None, focal: int | None = None
+    ):
         """Embed atoms then run all message layers, keeping what backward needs.
 
         ``graph`` extends ``pocket.graph`` (see :meth:`encode_pocket`; by
         default the empty prefix), and the cache holds the edge features and
-        edge-MLP values of the edges after the pocket's own.
+        edge-MLP values of the edges after the pocket's own.  Returns the
+        embeddings or, given a ``focal`` atom, their :func:`aggregate_readout`.
+        From two layers on, the readout never forms the last layer over the
+        pocket edges (see :meth:`_last_layer_readout`).
         """
         pocket = pocket or self.empty_pocket
         edge_feat = self.edge_features(graph, pocket.graph.n_edges)
         mlp = [self._edge_mlp(layer, edge_feat) for layer in range(self.cfg.n_layers)]
+        factored = focal is not None and self.cfg.n_layers > 1
         h = self.initial_embeddings(graph)
         h_in = []
-        for layer, (_, m) in enumerate(mlp):
+        for layer, (_, m) in enumerate(mlp[: len(mlp) - factored]):
             h_in.append(h)
             h = self.message_layer(h, graph, layer, m, pocket)
-        return h, {"edge_feat": edge_feat, "mlp": mlp, "h_in": h_in, "pocket": pocket}
+        cache = {"edge_feat": edge_feat, "mlp": mlp, "h_in": h_in, "pocket": pocket, "focal": focal}
+        if not factored:
+            return (h if focal is None else aggregate_readout(h, focal)), cache
+        h_in.append(h)
+        cond, cache["readout"] = self._last_layer_readout(h, graph, focal, mlp[-1][1], pocket)
+        return cond, cache
+
+    def _last_layer_readout(
+        self, x: np.ndarray, graph: ContextGraph, focal: int, m: np.ndarray, pocket: PocketEncoding
+    ) -> tuple[np.ndarray, tuple]:
+        """:func:`aggregate_readout` of the last layer's output, from its input
+        ``x`` and the edge-MLP outputs ``m`` of the edges after the pocket's.
+
+        Every message ``gamma[src] * x[src] * m_e`` adds into the mean alike,
+        so the mean needs only each atom's outgoing messages summed, which on
+        the pocket edges is ``pocket.out_messages``; the focal row needs only
+        the edges into the focal.  Also returns what
+        :meth:`_readout_backward` reads.
+        """
+        _check_focal(focal, len(x))
+        layer, start = self.cfg.n_layers - 1, pocket.graph.n_edges
+        src = graph.edge_src[start:]
+        gamma = self._gamma(graph, layer)
+        gx = x if gamma is None else x * gamma[:, None]
+        out_m = np.zeros(x.shape)
+        out_m[: len(pocket.out_messages)] = pocket.out_messages
+        scatter_add(out_m, src, m)
+        (into,) = (graph.edge_dst[start:] == focal).nonzero()
+        pocket_in = pocket.incoming(focal)
+        in_src = np.concatenate([pocket.graph.edge_src[pocket_in], src[into]])
+        in_m = np.concatenate([pocket.messages[layer][pocket_in], m[into]])
+        row = x[focal] + (gx[in_src] * in_m).sum(axis=0)
+        mean = (x + gx * out_m).mean(axis=0)
+        return np.concatenate([row, mean]), (gx, out_m, into, pocket_in, in_src, in_m)
 
     def encode_pocket(self, graph: ContextGraph) -> tuple[PocketEncoding, dict]:
         """Encode a pocket-only graph once for reuse by every context built on
-        it with :func:`extend_graph`: every layer's edge MLP, plus layer 0.
-        Also returns the cache that :meth:`pocket_backward` reads."""
+        it with :func:`extend_graph`: every layer's edge MLP, layer 0, and the
+        last layer's outgoing message sums.  Also returns the cache into which
+        :meth:`backward` adds the pocket's share of each step's adjoint, and
+        which :meth:`pocket_backward` then reads."""
         edge_feat = self.edge_features(graph)
         mlp = [self._edge_mlp(layer, edge_feat) for layer in range(self.cfg.n_layers)]
-        aggregate = self.message_layer(self.initial_embeddings(graph), graph, 0, mlp[0][1])
-        encoding = PocketEncoding(graph, [m for _, m in mlp], aggregate)
-        return encoding, {"edge_feat": edge_feat, "mlp": mlp}
+        h0 = self.initial_embeddings(graph)
+        aggregate = self.message_layer(h0, graph, 0, mlp[0][1])
+        out_messages = np.zeros(h0.shape)
+        src_flat = scatter_add(out_messages, graph.edge_src, mlp[-1][1])
+        by_dst = np.argsort(graph.edge_dst, kind="stable")
+        encoding = PocketEncoding(
+            graph,
+            [m for _, m in mlp],
+            aggregate,
+            out_messages,
+            by_dst,
+            np.searchsorted(graph.edge_dst[by_dst], np.arange(graph.n_atoms + 1)),
+        )
+        cache = {
+            "graph": graph,
+            "edge_feat": edge_feat,
+            "mlp": mlp,
+            "h_in": [h0],
+            "pocket": self.empty_pocket,  # the pocket graph extends nothing
+            "src_flat": src_flat,
+            # sums over the steps on this pocket, added by ``backward``
+            "g0": np.zeros(h0.shape),  # d(loss)/d(layer 0's output), pocket rows
+            "dh0": np.zeros(h0.shape),  # d(loss)/d(embeddings) less the pocket edges' share
+            "last": np.zeros(h0.shape),  # gamma * x * the readout's mean adjoint
+            "focal": [],  # per step, the pocket edges into the focal and their focal-row dm
+            "edge_dm": {},  # layer -> d(loss)/d(m) on the edges, other layers
+        }
+        return encoding, cache
 
     # -- backward --------------------------------------------------------
 
     def backward(
-        self, graph: ContextGraph, cache: dict, dh: np.ndarray, grads: ParamStore
-    ) -> list[np.ndarray]:
-        """Accumulate d(loss)/d(params) into ``grads`` given d(loss)/d(h_out).
+        self,
+        graph: ContextGraph,
+        cache: dict,
+        dh: np.ndarray,
+        grads: ParamStore,
+        pocket_cache: dict | None = None,
+    ) -> None:
+        """Accumulate d(loss)/d(params) into ``grads`` given ``dh``, the
+        adjoint of what :meth:`encode_with_cache` returned: the embeddings, or
+        the readout when it was given a focal.
 
-        The pocket edges' rows of each layer's d(loss)/d(m) are returned, not
-        pushed through the edge MLP; :meth:`pocket_backward` finishes their
-        sum once for every step that shares the pocket.
+        The pocket edges' share is left out: it is added into the sums of
+        ``pocket_cache``, the cache of :meth:`encode_pocket` (needed unless
+        the pocket prefix is empty), and :meth:`pocket_backward` finishes it
+        once for every step that shares the pocket.
         """
         pocket = cache["pocket"]
-        start = pocket.graph.n_edges
-        src, dst = graph.edge_src, graph.edge_dst
-        pocket_dm = []
-        g = dh
-        for layer in reversed(range(self.cfg.n_layers)):
-            t, m = cache["mlp"][layer]
-            pocket_m = pocket.messages[layer]
-            h_src = cache["h_in"][layer][src]
-            dmsg = g[dst]  # (E, H)
-            gamma = self._gamma(graph, layer)
-            if gamma is not None:
-                msg_pre = _times_messages(h_src.copy(), pocket_m, m)
-                dgamma = (dmsg * msg_pre).sum(axis=1)
-                grads[f"encoder.layer{layer}.gate"][...] += np.sum(dgamma * graph.bfactor_weights[src])
-                dmsg *= gamma[:, None]
-            dm = dmsg * h_src
-            dprev = g.copy()  # residual path
-            scatter_add(dprev, src, _times_messages(dmsg, pocket_m, m))
+        n, start = pocket.graph.n_atoms, pocket.graph.n_edges
+        if n and pocket_cache is None:
+            raise ValueError("a context on a pocket prefix needs the pocket's cache")
+        top = self.cfg.n_layers
+        if "readout" in cache:
+            top -= 1
+            g = self._readout_backward(graph, cache, dh, grads, pocket_cache)
+        elif cache["focal"] is not None:
+            g = readout_backward(dh, graph.n_atoms, cache["focal"])
+        else:
+            g = dh
+        for layer in reversed(range(1, top)):
+            g, dm = self._edges_backward(graph, cache, layer, g, grads)
+            if n:
+                edge_dm = pocket_cache["edge_dm"]
+                if layer in edge_dm:
+                    edge_dm[layer] += dm
+                else:
+                    edge_dm[layer] = dm.copy()
+        dh0, _ = self._edges_backward(graph, cache, 0, g, grads, start)
+        if n:
+            pocket_cache["g0"] += g[:n]
+            pocket_cache["dh0"] += dh0[:n]
+        table = graph.origins[n:] * self.vocab_size + graph.elements[n:]
+        scatter_add(grads["encoder.embed"], table, dh0[n:])
 
-            self._mlp_backward(layer, cache["edge_feat"], t, dm[start:], grads)
-            pocket_dm.insert(0, dm[:start])
-            g = dprev
-        scatter_add(grads["encoder.embed"], graph.origins * self.vocab_size + graph.elements, g)
-        return pocket_dm
+    def _readout_backward(
+        self,
+        graph: ContextGraph,
+        cache: dict,
+        dcond: np.ndarray,
+        grads: ParamStore,
+        pocket_cache: dict | None,
+    ) -> np.ndarray:
+        """Back through :meth:`_last_layer_readout` given d(loss)/d(readout):
+        the adjoint of the last layer's output is the mean's share ``c`` on
+        every row plus ``df`` on the focal's.  Adds the last layer's
+        gradients but for the pocket edges' MLP, whose d(loss)/d(m) goes into
+        ``pocket_cache`` per source atom, and returns d(loss)/d(x)."""
+        layer = self.cfg.n_layers - 1
+        pocket = cache["pocket"]
+        n, start = pocket.graph.n_atoms, pocket.graph.n_edges
+        gx, out_m, into, pocket_in, in_src, in_m = cache["readout"]
+        width = self.cfg.embed_width
+        df, c = dcond[:width], dcond[width:] / graph.n_atoms
+        df_rows = gx[in_src] * df  # d(loss)/d(m) on the edges into the focal, less c
+        dm = gx[graph.edge_src[start:]] * c
+        dm[into] += df_rows[len(pocket_in) :]
+        self._mlp_backward(layer, cache["edge_feat"], cache["mlp"][layer][0], dm, grads)
+        if n:
+            pocket_cache["last"] += gx[:n] * c
+            pocket_cache["focal"].append((pocket_in, df_rows[: len(pocket_in)]))
+        dx = out_m * c
+        df_m = in_m * df
+        gamma = self._gamma(graph, layer)
+        if gamma is not None:
+            x = cache["h_in"][layer]
+            w = graph.bfactor_weights
+            grads[f"encoder.layer{layer}.gate"][...] += (
+                w @ (x * dx).sum(axis=1) + w[in_src] @ (x[in_src] * df_m).sum(axis=1)
+            )
+            dx *= gamma[:, None]
+            df_m *= gamma[in_src, None]
+        dx += c
+        dx[cache["focal"]] += df
+        dx[in_src] += df_m  # one edge per source into the focal: no repeated rows
+        return dx
 
-    def pocket_backward(
-        self, pocket_cache: dict, pocket_dm: list[np.ndarray], grads: ParamStore
-    ) -> None:
-        """The edge-MLP backward pass for the pocket's own edges, given their
-        d(loss)/d(m) summed over the steps that share the pocket (see
-        :meth:`backward`).  One pass serves them all: this half of the
-        backward pass is linear in d(loss)/d(m)."""
-        for layer, ((t, _), dm) in enumerate(zip(pocket_cache["mlp"], pocket_dm)):
-            self._mlp_backward(layer, pocket_cache["edge_feat"], t, dm, grads)
+    def _edges_backward(
+        self,
+        graph: ContextGraph,
+        cache: dict,
+        layer: int,
+        g: np.ndarray,
+        grads: ParamStore,
+        first: int = 0,
+        dprev: np.ndarray | None = None,
+        flat: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Back through one message layer's edges from index ``first`` on,
+        given d(loss)/d(output) ``g``.  Adds the gate's gradient and the MLP
+        gradients of the edges after the pocket's own; returns d(loss)/d(input)
+        (the messages' share added into ``dprev``, by default a copy of ``g``
+        for the residual path) and the pocket edges' d(loss)/d(m).  ``flat``
+        may carry the flat scatter index of the edges' sources."""
+        t, m = cache["mlp"][layer]
+        pocket_m = cache["pocket"].messages[layer][first:]
+        src, dst = graph.edge_src[first:], graph.edge_dst[first:]
+        h_src = cache["h_in"][layer][src]
+        dmsg = g[dst]  # (E, H)
+        gamma = self._gamma(graph, layer)
+        if gamma is not None:
+            msg_pre = _times_messages(h_src.copy(), pocket_m, m)
+            dgamma = (dmsg * msg_pre).sum(axis=1)
+            grads[f"encoder.layer{layer}.gate"][...] += np.sum(dgamma * graph.bfactor_weights[src])
+            dmsg *= gamma[src, None]
+        dm = h_src  # in place, to keep one (E, H) array fewer alive
+        dm *= dmsg
+        dprev = g.copy() if dprev is None else dprev  # residual path
+        scatter_add(dprev, src, _times_messages(dmsg, pocket_m, m), flat)
+        self._mlp_backward(layer, cache["edge_feat"], t, dm[len(pocket_m) :], grads)
+        return dprev, dm[: len(pocket_m)]
+
+    def pocket_backward(self, pocket_cache: dict, grads: ParamStore) -> None:
+        """Finish the pocket edges' share of the gradient, once for every step
+        that :meth:`backward` added into ``pocket_cache``.  Each share is
+        linear in the sums kept there:
+
+        - layer 0: the pocket rows' input embeddings are the same at every
+          step, so the pocket edges' d(loss)/d(m), their messages' share of
+          d(loss)/d(embeddings) and the gate gradient all follow from the
+          summed output adjoint;
+        - the last layer (from two layers on): d(loss)/d(m) is each source
+          atom's summed term plus the few rows of the edges into each focal;
+        - any other layer: its summed d(loss)/d(m).
+        """
+        c = pocket_cache
+        graph = c["graph"]
+        dh0, _ = self._edges_backward(
+            graph, c, 0, c["g0"], grads, dprev=c["dh0"], flat=c["src_flat"]
+        )
+        scatter_add(grads["encoder.embed"], graph.origins * self.vocab_size + graph.elements, dh0)
+        edge_dm = c["edge_dm"]
+        if c["focal"]:
+            last = self.cfg.n_layers - 1
+            dm = c["last"][graph.edge_src]
+            edges, rows = zip(*c["focal"])
+            scatter_add(dm, np.concatenate(edges), np.concatenate(rows))
+            edge_dm[last] = edge_dm[last] + dm if last in edge_dm else dm
+        for layer, dm in edge_dm.items():
+            self._mlp_backward(layer, c["edge_feat"], c["mlp"][layer][0], dm, grads)
 
     def _mlp_backward(
         self, layer: int, edge_feat: np.ndarray, t: np.ndarray, dm: np.ndarray, grads: ParamStore
@@ -389,17 +590,21 @@ def _times_messages(rows: np.ndarray, pocket_m: np.ndarray, m: np.ndarray) -> np
     return rows
 
 
+def _check_focal(focal: int, n_atoms: int) -> None:
+    if not 0 <= focal < n_atoms:
+        raise IndexError(f"focal index {focal} out of range for {n_atoms} atoms")
+
+
 def aggregate_readout(embeddings: np.ndarray, focal: int) -> np.ndarray:
     """Fixed-width conditioner: focal embedding concatenated with the mean."""
-    n = len(embeddings)
-    if not 0 <= focal < n:
-        raise IndexError(f"focal index {focal} out of range for {n} atoms")
+    _check_focal(focal, len(embeddings))
     return np.concatenate([embeddings[focal], embeddings.mean(axis=0)])
 
 
 def readout_backward(dcond: np.ndarray, n_atoms: int, focal: int) -> np.ndarray:
     """d(loss)/d(embeddings) given d(loss)/d(readout)."""
     width = dcond.size // 2
-    dh = np.tile(dcond[width:] / n_atoms, (n_atoms, 1))
+    dh = np.empty((n_atoms, width))
+    dh[...] = dcond[width:] / n_atoms
     dh[focal] += dcond[:width]
     return dh

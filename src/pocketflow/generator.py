@@ -11,9 +11,11 @@ resampling is exhausted.
 
 The pocket is encoded once per molecule (:class:`GenerationState` keeps the
 forward-only :class:`~pocketflow.encoder.PocketEncoding`) and each step only
-adds the placed atoms' edges.  This equals a full re-encode of the context
-bit for bit, on the condition that the model parameters stay fixed while one
-molecule grows.
+adds the placed atoms' edges.  The conditioner comes from
+:meth:`~pocketflow.encoder.Encoder.encode_with_cache` given the focal, as in
+training, which forms the last layer only at the focal row and the mean.  It
+equals the readout of a full re-encode of the context up to the last ulp, on
+the condition that the model parameters stay fixed while one molecule grows.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chem import DEFAULT_BOND_TOLERANCE, DEFAULT_CLASH_FACTOR, Atom, Bond, Molecule, Pocket
-from .encoder import ContextGraph, PocketEncoding, aggregate_readout, build_graph, extend_graph
+from .encoder import ContextGraph, PocketEncoding, build_graph, extend_graph
 from .geometry import distance_matrix
 from .model import Model
 
@@ -99,7 +101,8 @@ def _context_condition(
     model: Model, state: GenerationState, focal: int
 ) -> tuple[ContextGraph, np.ndarray]:
     graph, pocket = state.context(model)
-    return graph, aggregate_readout(model.encoder.encode(graph, pocket), focal)
+    cond, _ = model.encoder.encode_with_cache(graph, pocket, focal)
+    return graph, cond
 
 
 def generate_type(

@@ -14,12 +14,14 @@ the flow and encoder backward passes, and the optimizer is plain SGD.
 each step's loss together with the gradient of their mean.
 
 Every step of a trajectory extends the same pocket graph, so one pass encodes
-each pocket once (:meth:`Encoder.encode_pocket`), adds up the pocket-edge
-adjoints that :meth:`Encoder.backward` returns for that pocket's steps, and
-runs the pocket-edge MLP backward pass once, on the sum.  The per-step losses,
-and so the loss, are bit-identical to encoding every step on its own; the
-encoder's MLP gradients, and the order in which steps add into the gradient,
-can move the gradient in the last ulp.
+each pocket once (:meth:`Encoder.encode_pocket`), then runs each step through
+the encoder's factored readout: with the default two layers a step's forward
+and backward work covers its ligand edges and (n, H) rows of the pocket, not
+the pocket's own edges.  :meth:`Encoder.backward` adds each step's share of
+the pocket edges' adjoint into per-pocket sums, and
+:meth:`Encoder.pocket_backward` pushes them through the pocket edges once.
+Sums are reassociated against encoding every step on its own full graph, so
+the per-step losses and the gradient can move in the last ulp.
 """
 
 from __future__ import annotations
@@ -28,14 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import (
-    ContextGraph,
-    PocketEncoding,
-    aggregate_readout,
-    build_graph,
-    extend_graph,
-    readout_backward,
-)
+from .encoder import ContextGraph, PocketEncoding, build_graph, extend_graph
 from .geometry import distance_matrix
 from .model import Model, ModelConfig
 from .params import ParamStore
@@ -140,13 +135,12 @@ def _step_nll(
     step: TrajectoryStep,
     pocket: PocketEncoding,
     grads: ParamStore,
-    pocket_dm: list[np.ndarray],
+    pocket_cache: dict,
 ) -> float:
     """NLL of one step, encoded on ``pocket``; adds its gradient into ``grads``
-    and the pocket edges' message adjoints into ``pocket_dm``.  A function of
-    its own, so that the step's encoder cache is freed before the next step."""
-    h, cache = model.encoder.encode_with_cache(step.graph, pocket)
-    cond = aggregate_readout(h, step.focal)
+    and the pocket edges' share into ``pocket_cache``.  A function of its own,
+    so that the step's encoder cache is freed before the next step."""
+    cond, cache = model.encoder.encode_with_cache(step.graph, pocket, step.focal)
     cond_coord = np.concatenate([cond, model.one_hot(int(np.argmax(step.target_type)))])
     nll_type, dcond_type = model.type_flow.nll_backward(step.target_type, cond, grads)
     nll_coord, dcond_coord = model.coord_flow.nll_backward(step.target_offset, cond_coord, grads)
@@ -154,17 +148,25 @@ def _step_nll(
     if not np.isfinite(value):
         raise NumericError(f"non-finite loss {value!r}")
     dcond = dcond_type + dcond_coord[: 2 * model.cfg.embed_width]
-    dh = readout_backward(dcond, step.graph.n_atoms, step.focal)
-    for total, dm in zip(pocket_dm, model.encoder.backward(step.graph, cache, dh, grads)):
-        total += dm
+    model.encoder.backward(step.graph, cache, dcond, grads, pocket_cache)
     return value
+
+
+def _pocket_nll(model: Model, steps: list[TrajectoryStep], grads: ParamStore) -> list[float]:
+    """NLL of each of ``steps``, which share one pocket; adds their gradient
+    into ``grads``.  A function of its own, so that the pocket's encoding and
+    adjoint sums are freed before the next pocket is encoded."""
+    pocket, pocket_cache = model.encoder.encode_pocket(steps[0].pocket)
+    values = [_step_nll(model, step, pocket, grads, pocket_cache) for step in steps]
+    model.encoder.pocket_backward(pocket_cache, grads)
+    return values
 
 
 def _loss_and_grad(model: Model, steps: list[TrajectoryStep]) -> tuple[np.ndarray, ParamStore]:
     """Each step's NLL, in step order, and the exact gradient of their mean.
 
     Steps are taken one pocket at a time, so that only one pocket encoding
-    and one set of pocket-edge adjoints are alive."""
+    and one set of per-pocket adjoint sums are alive."""
     if not steps:
         raise ValueError("empty batch")
     groups: dict[int, list[int]] = {}
@@ -173,11 +175,7 @@ def _loss_and_grad(model: Model, steps: list[TrajectoryStep]) -> tuple[np.ndarra
     grads = model.zero_grads()
     values = np.empty(len(steps))
     for members in groups.values():
-        pocket, pocket_cache = model.encoder.encode_pocket(steps[members[0]].pocket)
-        pocket_dm = [np.zeros_like(m) for m in pocket.messages]
-        for i in members:
-            values[i] = _step_nll(model, steps[i], pocket, grads, pocket_dm)
-        model.encoder.pocket_backward(pocket_cache, pocket_dm, grads)
+        values[members] = _pocket_nll(model, [steps[i] for i in members], grads)
     grads.flat /= len(steps)
     if not np.all(np.isfinite(grads.flat)):
         raise NumericError("non-finite gradient")

@@ -85,6 +85,21 @@ class TestVocabulary:
         with pytest.raises(ValueError, match=rf"elements\.txt:3: .*{message}"):
             Vocabulary.from_file(table)
 
+    def test_from_file_duplicate_symbol_names_file_and_both_lines(self, tmp_path):
+        table = tmp_path / "elements.txt"
+        table.write_text("C 0.77 4\n# again\nO 0.66 2\nC 0.76 4\n")
+        with pytest.raises(
+            ValueError, match=r"elements\.txt:4: duplicate element symbol 'C' \(first on line 1\)"
+        ):
+            Vocabulary.from_file(table)
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n"], ids=["empty", "comments-only"])
+    def test_from_file_without_entries_names_file(self, tmp_path, text):
+        table = tmp_path / "elements.txt"
+        table.write_text(text)
+        with pytest.raises(ValueError, match=r"elements\.txt: no element entries"):
+            Vocabulary.from_file(table)
+
 
 class TestInferBonds:
     def test_cc_single_bond(self):

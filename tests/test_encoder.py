@@ -12,11 +12,13 @@ from pocketflow.encoder import (
     EncoderConfig,
     aggregate_readout,
     build_graph,
+    extend_graph,
     readout_backward,
     scatter_add,
 )
 from pocketflow.geometry import RbfBank, RigidTransform, apply_rigid
 from pocketflow.params import ParamStore
+from pocketflow.synthetic import toy_complex
 
 VOCAB = Vocabulary.default()
 C, N, O = VOCAB.index("C"), VOCAB.index("N"), VOCAB.index("O")
@@ -74,6 +76,11 @@ class TestBuildGraph:
     def test_empty_context_rejected(self):
         with pytest.raises(ValueError):
             build_graph(Pocket([], np.array([])), [], cutoff=6.0)
+
+    @pytest.mark.parametrize("cutoff", [0.0, -1.0])
+    def test_non_positive_cutoff_rejected(self, cutoff):
+        with pytest.raises(ValueError, match="cutoff must be positive"):
+            build_graph(pocket_of((0, 0, 0), (1, 0, 0)), cutoff=cutoff)
 
 
 class TestMessageLayer:
@@ -200,6 +207,23 @@ class TestScatterAdd:
         scatter_add(table, origins * 5 + elements, rows)
         assert np.array_equal(table, expected)
 
+    def test_returned_flat_index_serves_a_second_scatter(self):
+        rng = np.random.default_rng(1)
+        index = np.array([4, 0, 4, 2, 2, 7])
+        first, second = rng.standard_normal((2, 6, 3)) * 10.0 ** rng.integers(-8, 9, (2, 6, 1))
+        out = rng.standard_normal((8, 3))
+        expected = out.copy()
+        np.add.at(expected, index, first)
+        np.add.at(expected, index, second)
+        flat = scatter_add(out, index, first)
+        scatter_add(out, np.array([], dtype=int), second, flat)
+        assert np.array_equal(out, expected)
+
+    def test_non_contiguous_output_rejected(self):
+        out = np.zeros((3, 8))[:, ::2]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            scatter_add(out, np.array([0, 2]), np.ones((2, 4)))
+
 
 class TestBfactorGate:
     def graphs(self):
@@ -279,3 +303,57 @@ class TestReadout:
                     - np.dot(dcond, aggregate_readout(hm, 2))
                 ) / (2 * eps)
                 assert dh[i, j] == pytest.approx(fd, abs=1e-6)
+
+
+def shell_pocket(n_atoms, seed):
+    """Seeded protein-sized pocket: atoms in a 4-14 A shell around a cavity
+    at the origin, with varied B-factors."""
+    rng = np.random.default_rng(seed)
+    direction = rng.standard_normal((n_atoms, 3))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    positions = direction * rng.uniform(4.0, 14.0, size=(n_atoms, 1))
+    elements = rng.choice([C, N, O], size=n_atoms).tolist()
+    return pocket_of(*positions, elements=elements, bfactors=rng.uniform(5.0, 60.0, n_atoms))
+
+
+CAVITY_LIGAND = [
+    Atom(C, (0.0, 0.0, 0.0)),
+    Atom(C, (1.5, 0.0, 0.0)),
+    Atom(O, (2.2, 1.2, 0.0)),
+    Atom(N, (-0.8, 1.2, 0.4)),
+]
+
+
+class TestFactoredReadout:
+    """Given a focal, ``encode_with_cache`` never forms the last layer over
+    the pocket's own edges; its readout must still equal that of a full
+    encoding."""
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    @pytest.mark.parametrize("gating", [False, True])
+    @pytest.mark.parametrize("pocket_name", ["toy", "shell400"])
+    def test_equals_readout_of_full_encoding(self, n_layers, gating, pocket_name):
+        cfg = EncoderConfig(embed_width=6, hidden_width=5, n_layers=n_layers, bfactor_gating=gating)
+        enc = make_encoder(cfg, randomize=True)
+        if pocket_name == "toy":
+            complex_ = toy_complex(VOCAB)
+            pocket, ligand = complex_.pocket, complex_.ligand.atoms
+        else:
+            pocket, ligand = shell_pocket(400, seed=0), CAVITY_LIGAND
+        n = len(pocket)
+        encoding, _ = enc.encode_pocket(build_graph(pocket, cutoff=6.0))
+        pocket_focal_met_both = False
+        for t in range(len(ligand) + 1):
+            placed = ligand[:t]
+            graph = extend_graph(encoding.graph, placed, 6.0)
+            h = enc.encode(build_graph(pocket, placed, cutoff=6.0))
+            anchor = placed[0].position if placed else pocket.centroid()
+            near = int(np.argmin(np.linalg.norm(pocket.positions - anchor, axis=1)))
+            for focal in (near, graph.n_atoms - 1):
+                want = aggregate_readout(h, focal)
+                got, _ = enc.encode_with_cache(graph, encoding, focal)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            # a pocket focal that receives both pocket and ligand messages
+            senders = graph.edge_src[graph.edge_dst == near]
+            pocket_focal_met_both |= bool(np.any(senders < n) and np.any(senders >= n))
+        assert pocket_focal_met_both

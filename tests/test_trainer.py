@@ -14,6 +14,7 @@ from pocketflow.params import max_relative_error
 from pocketflow.pdb import ComplexEntry
 from pocketflow.synthetic import toy_complex, toy_dataset
 from pocketflow.trainer import (
+    NumericError,
     TrainConfig,
     TrainingDiverged,
     build_steps,
@@ -259,6 +260,59 @@ class TestSharedPocketGrad:
             reference = per_step_grad(model, batch)
             assert np.max(np.abs(analytic - reference)) <= 1e-12 * np.max(np.abs(reference))
             assert max_relative_error(analytic, fd_gradient(model, batch)) < 1e-3
+
+
+class TestFactoredGrad:
+    """The factored last layer and the deferred layer-0 pocket sums at the
+    depths ``TestSharedPocketGrad`` leaves out, with a step whose focal is a
+    pocket atom once ligand atoms are placed."""
+
+    @pytest.mark.parametrize("n_layers", [1, 3])
+    def test_matches_per_step_and_central_differences(self, n_layers):
+        vocab = tiny_vocab()
+        cfg = replace(tiny_model_config(vocab, gating=True), encoder_layers=n_layers)
+        model = Model(cfg)
+        a_steps, b_steps = (
+            sequentialize(entry, np.random.default_rng(0), cfg)
+            for entry in (tiny_complex(vocab), other_tiny_complex(vocab))
+        )
+        pocket_focal = replace(a_steps[1], focal=0)
+        n = pocket_focal.pocket.n_atoms
+        senders = pocket_focal.graph.edge_src[pocket_focal.graph.edge_dst == 0]
+        assert np.any(senders < n) and np.any(senders >= n)
+        batch = [a_steps[0], b_steps[1], pocket_focal, a_steps[1], b_steps[2]]
+        rng = np.random.default_rng(11)
+        for _ in range(2):
+            model.store.flat[:] = rng.uniform(-0.5, 0.5, size=model.n_params)
+            analytic = grad(model, batch).flat
+            reference = per_step_grad(model, batch)
+            assert np.max(np.abs(analytic - reference)) <= 1e-12 * np.max(np.abs(reference))
+            assert max_relative_error(analytic, fd_gradient(model, batch)) < 1e-3
+
+
+class TestNumericGuards:
+    def setup_model(self):
+        cfg = tiny_model_config(VOCAB)
+        model = Model.initialized(cfg, np.random.default_rng(0))
+        return model, sequentialize(toy_complex(VOCAB), np.random.default_rng(1), cfg)
+
+    def test_non_finite_step_loss_raises(self):
+        model, steps = self.setup_model()
+        model.store.flat[:] = np.nan
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match="non-finite loss"):
+            nll_loss(model, steps)
+
+    def test_non_finite_gradient_raises(self, monkeypatch):
+        model, steps = self.setup_model()
+        finish = model.encoder.pocket_backward
+
+        def poisoned(pocket_cache, grads):
+            finish(pocket_cache, grads)
+            grads.flat[0] = np.inf
+
+        monkeypatch.setattr(model.encoder, "pocket_backward", poisoned)
+        with pytest.raises(NumericError, match="non-finite gradient"):
+            grad(model, steps)
 
 
 class TestRigidInvariance:
