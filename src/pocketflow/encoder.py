@@ -27,6 +27,18 @@ the encoder parameters stay fixed.  Generation shares one prefix across the
 steps that grow a molecule, training across the steps of a trajectory within
 a gradient evaluation.
 
+Pocket pairs: a message weight depends on its edge's distance alone, and
+the two directed copies of a pocket pair have the same distance bit for bit,
+so the prefix runs the RBF expansion, the edge MLP and, in
+:meth:`Encoder.pocket_backward`, the MLP's backward pass once per undirected
+pair (P = E/2 rows), with each layer's d(loss)/d(m) folded onto the pairs
+first.  The pocket's edge list is symmetric and source-major, so its
+destination order ``by_dst`` is also the reverse-edge index
+(:func:`pair_edges`).  The per-atom sums over the pocket edges stay directed,
+in source-major order, so that the prefix still equals a full encoding bit
+for bit.  Every context graph, the ligand edges of each step and the
+prefix-free full encoding stay per directed edge.
+
 Factored readout: generation and training need only the conditioner
 :func:`aggregate_readout`, the focal row and the mean of the last layer's
 output, and :meth:`Encoder.encode_with_cache`, given a focal, forms just
@@ -154,20 +166,64 @@ def extend_graph(
 @dataclass(frozen=True)
 class PocketEncoding:
     """The part of the forward pass that only the pocket determines; valid
-    only while the encoder parameters stay fixed."""
+    only while the encoder parameters stay fixed.
+
+    ``messages`` has one row per undirected pocket pair and ``pair_of`` maps
+    each directed pocket edge to its pair; ``by_dst`` is also the
+    reverse-edge index (see :func:`pair_edges`).  ``aggregate`` and
+    ``out_messages`` stay sums over the directed edges, each atom's terms in
+    the source-major order of a full encoding, so that a context encoded on
+    this prefix equals its full encoding bit for bit.
+    """
 
     graph: ContextGraph  # the pocket alone
-    messages: list[np.ndarray]  # per layer, the edge-MLP output m on its edges
+    pair_of: np.ndarray  # (E,) the undirected pair of each directed pocket edge
+    messages: list[np.ndarray]  # per layer, the edge-MLP output m per pair (P, H)
     aggregate: np.ndarray  # layer 0's output on pocket rows, before ligand messages
     out_messages: np.ndarray  # (n, H) the last layer's m summed per source atom
     by_dst: np.ndarray  # edge indices ordered by destination, then source
     dst_start: np.ndarray  # (n + 1,) where each atom's run in ``by_dst`` starts
+
+    def edge_messages(self, layer: int, edges: np.ndarray | slice = slice(None)) -> np.ndarray:
+        """The edge-MLP output m of layer ``layer`` on the directed pocket
+        edges ``edges`` (all of them by default), one row per edge."""
+        return self.messages[layer][self.pair_of[edges]]
 
     def incoming(self, node: int) -> np.ndarray:
         """Indices of the pocket edges into ``node``; none for a placed atom."""
         if node >= self.graph.n_atoms:
             return self.by_dst[:0]
         return self.by_dst[self.dst_start[node] : self.dst_start[node + 1]]
+
+
+def pair_edges(graph: ContextGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The undirected pairs of a symmetric, source-major edge list.
+
+    Returns ``by_dst`` (the edges ordered by destination, then source, which
+    for such a list is the reverse-edge index), ``pairs`` (the edges with
+    source < destination, in list order: one per pair, ordered by their
+    lower then higher atom) and ``pair_of`` (the pair of each edge).  Raises
+    ``ValueError`` unless every edge has a reverse of the same distance and
+    no edge is a self-loop, so that no edge is ever paired wrongly.  With
+    ``by_dst`` a stable sort, these checks also hold the list to source-major
+    order, which :meth:`Encoder.encode_pocket` relies on.
+    """
+    src, dst = graph.edge_src, graph.edge_dst
+    by_dst = np.argsort(dst, kind="stable")
+    pairs = np.flatnonzero(src < dst)
+    if not (
+        2 * len(pairs) == graph.n_edges
+        and (src[by_dst] == dst).all()
+        and (dst[by_dst] == src).all()
+        and (graph.edge_dist[by_dst] == graph.edge_dist).all()
+    ):
+        raise ValueError(
+            "pocket edges must be source-major and closed under reversal, "
+            "with equal distances both ways and no self-loops"
+        )
+    pair_of = np.empty(graph.n_edges, dtype=int)
+    pair_of[pairs] = pair_of[by_dst[pairs]] = np.arange(len(pairs))
+    return by_dst, pairs, pair_of
 
 
 def scatter_add(
@@ -217,6 +273,7 @@ class Encoder:
         none, rows = np.zeros(0, dtype=int), np.zeros((0, cfg.embed_width))
         self.empty_pocket = PocketEncoding(
             ContextGraph(none, none, np.zeros((0, 3)), none, none, np.zeros(0), np.zeros(0)),
+            none,
             [rows] * cfg.n_layers,
             rows,
             rows,
@@ -266,9 +323,11 @@ class Encoder:
         self._check_elements(graph)
         return self.store["encoder.embed"][graph.origins, graph.elements].copy()
 
-    def edge_features(self, graph: ContextGraph, start: int = 0) -> np.ndarray:
-        """RBF features of the edges from index ``start`` on."""
-        return rbf_expand(graph.edge_dist[start:], self.bank)
+    def edge_features(
+        self, graph: ContextGraph, edges: np.ndarray | slice = slice(None)
+    ) -> np.ndarray:
+        """RBF features of the edges ``edges`` (an index array or a slice)."""
+        return rbf_expand(graph.edge_dist[edges], self.bank)
 
     def _edge_mlp(self, layer: int, edge_feat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The edge MLP's hidden activations t and its output m per edge."""
@@ -307,14 +366,15 @@ class Encoder:
             )
         pocket = pocket or self.empty_pocket
         if m is None:
-            _, m = self._edge_mlp(layer, self.edge_features(graph, pocket.graph.n_edges))
+            edge_feat = self.edge_features(graph, slice(pocket.graph.n_edges, None))
+            _, m = self._edge_mlp(layer, edge_feat)
         h_next = h.copy()
         first = 0
         if layer == 0:
             h_next[: pocket.graph.n_atoms] = pocket.aggregate
             first = pocket.graph.n_edges
         src = graph.edge_src[first:]
-        msg = _times_messages(h[src], pocket.messages[layer][first:], m)
+        msg = _times_messages(h[src], pocket.edge_messages(layer, slice(first, None)), m)
         gamma = self._gamma(graph, layer)
         if gamma is not None:
             msg *= gamma[src, None]
@@ -338,7 +398,7 @@ class Encoder:
         pocket edges (see :meth:`_last_layer_readout`).
         """
         pocket = pocket or self.empty_pocket
-        edge_feat = self.edge_features(graph, pocket.graph.n_edges)
+        edge_feat = self.edge_features(graph, slice(pocket.graph.n_edges, None))
         mlp = [self._edge_mlp(layer, edge_feat) for layer in range(self.cfg.n_layers)]
         factored = focal is not None and self.cfg.n_layers > 1
         h = self.initial_embeddings(graph)
@@ -376,7 +436,7 @@ class Encoder:
         (into,) = (graph.edge_dst[start:] == focal).nonzero()
         pocket_in = pocket.incoming(focal)
         in_src = np.concatenate([pocket.graph.edge_src[pocket_in], src[into]])
-        in_m = np.concatenate([pocket.messages[layer][pocket_in], m[into]])
+        in_m = np.concatenate([pocket.edge_messages(layer, pocket_in), m[into]])
         row = x[focal] + (gx[in_src] * in_m).sum(axis=0)
         mean = (x + gx * out_m).mean(axis=0)
         return np.concatenate([row, mean]), (gx, out_m, into, pocket_in, in_src, in_m)
@@ -386,35 +446,57 @@ class Encoder:
         it with :func:`extend_graph`: every layer's edge MLP, layer 0, and the
         last layer's outgoing message sums.  Also returns the cache into which
         :meth:`backward` adds the pocket's share of each step's adjoint, and
-        which :meth:`pocket_backward` then reads."""
-        edge_feat = self.edge_features(graph)
+        which :meth:`pocket_backward` then reads.
+
+        The RBF features and the edge MLP run once per undirected pair (see
+        :func:`pair_edges`).  Each pair's term is scattered once to each end,
+        the pairs that end at an atom first, so every atom adds its terms in
+        the source-major order of a full encoding, into its incoming (layer
+        0) and its outgoing (``out_messages``) sums alike.
+        """
+        by_dst, pairs, pair_of = pair_edges(graph)
+        i, j = graph.edge_src[pairs], graph.edge_dst[pairs]
+        # the directed edges pair by pair: first every i -> j (i < j), then every j -> i
+        frm, to = np.concatenate([i, j]), np.concatenate([j, i])
+        edge_feat = self.edge_features(graph, pairs)
         mlp = [self._edge_mlp(layer, edge_feat) for layer in range(self.cfg.n_layers)]
         h0 = self.initial_embeddings(graph)
-        aggregate = self.message_layer(h0, graph, 0, mlp[0][1])
+        msg = _times_messages(h0[frm], mlp[0][1], mlp[0][1])  # each pair's m, both ways
+        gamma = self._gamma(graph, 0)
+        if gamma is not None:
+            msg *= gamma[frm, None]
+        aggregate = h0.copy()
+        flat = scatter_add(aggregate, to, msg)
+        # the edges out of an atom are those into it reversed, so the same
+        # index sums each pair's m into both ends in source-major order
         out_messages = np.zeros(h0.shape)
-        src_flat = scatter_add(out_messages, graph.edge_src, mlp[-1][1])
-        by_dst = np.argsort(graph.edge_dst, kind="stable")
+        half = len(flat) // 2
+        for end, part in ((j, flat[:half]), (i, flat[half:])):
+            scatter_add(out_messages, end, mlp[-1][1], part)
         encoding = PocketEncoding(
             graph,
+            pair_of,
             [m for _, m in mlp],
             aggregate,
             out_messages,
             by_dst,
-            np.searchsorted(graph.edge_dst[by_dst], np.arange(graph.n_atoms + 1)),
+            # the edges into an atom are, reversed, the source-major run out of it
+            np.searchsorted(graph.edge_src, np.arange(graph.n_atoms + 1)),
         )
         cache = {
-            "graph": graph,
-            "edge_feat": edge_feat,
-            "mlp": mlp,
-            "h_in": [h0],
-            "pocket": self.empty_pocket,  # the pocket graph extends nothing
-            "src_flat": src_flat,
+            "encoding": encoding,
+            "pairs": pairs,
+            "ends": (frm, to),  # the directed edges pair by pair
+            "flat": flat,  # the flat scatter index of ``to``
+            "edge_feat": edge_feat,  # (P, n_rbf)
+            "mlp": mlp,  # per layer, the hidden activations t and m per pair
+            "h0": h0,
             # sums over the steps on this pocket, added by ``backward``
             "g0": np.zeros(h0.shape),  # d(loss)/d(layer 0's output), pocket rows
             "dh0": np.zeros(h0.shape),  # d(loss)/d(embeddings) less the pocket edges' share
             "last": np.zeros(h0.shape),  # gamma * x * the readout's mean adjoint
             "focal": [],  # per step, the pocket edges into the focal and their focal-row dm
-            "edge_dm": {},  # layer -> d(loss)/d(m) on the edges, other layers
+            "edge_dm": {},  # layer -> d(loss)/d(m) on the directed edges, other layers
         }
         return encoding, cache
 
@@ -514,17 +596,13 @@ class Encoder:
         g: np.ndarray,
         grads: ParamStore,
         first: int = 0,
-        dprev: np.ndarray | None = None,
-        flat: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Back through one message layer's edges from index ``first`` on,
         given d(loss)/d(output) ``g``.  Adds the gate's gradient and the MLP
         gradients of the edges after the pocket's own; returns d(loss)/d(input)
-        (the messages' share added into ``dprev``, by default a copy of ``g``
-        for the residual path) and the pocket edges' d(loss)/d(m).  ``flat``
-        may carry the flat scatter index of the edges' sources."""
+        and the directed pocket edges' d(loss)/d(m)."""
         t, m = cache["mlp"][layer]
-        pocket_m = cache["pocket"].messages[layer][first:]
+        pocket_m = cache["pocket"].edge_messages(layer, slice(first, None))
         src, dst = graph.edge_src[first:], graph.edge_dst[first:]
         h_src = cache["h_in"][layer][src]
         dmsg = g[dst]  # (E, H)
@@ -536,39 +614,57 @@ class Encoder:
             dmsg *= gamma[src, None]
         dm = h_src  # in place, to keep one (E, H) array fewer alive
         dm *= dmsg
-        dprev = g.copy() if dprev is None else dprev  # residual path
-        scatter_add(dprev, src, _times_messages(dmsg, pocket_m, m), flat)
+        dprev = g.copy()  # residual path
+        scatter_add(dprev, src, _times_messages(dmsg, pocket_m, m))
         self._mlp_backward(layer, cache["edge_feat"], t, dm[len(pocket_m) :], grads)
         return dprev, dm[: len(pocket_m)]
 
     def pocket_backward(self, pocket_cache: dict, grads: ParamStore) -> None:
         """Finish the pocket edges' share of the gradient, once for every step
         that :meth:`backward` added into ``pocket_cache``.  Each share is
-        linear in the sums kept there:
+        linear in the sums kept there, and each layer's d(loss)/d(m) is folded
+        onto the pairs (an edge's plus its reverse's) before the edge MLP's
+        backward pass, which thus runs on P = E/2 rows:
 
-        - layer 0: the pocket rows' input embeddings are the same at every
-          step, so the pocket edges' d(loss)/d(m), their messages' share of
-          d(loss)/d(embeddings) and the gate gradient all follow from the
-          summed output adjoint;
-        - the last layer (from two layers on): d(loss)/d(m) is each source
-          atom's summed term plus the few rows of the edges into each focal;
-        - any other layer: its summed d(loss)/d(m).
+        - layer 0: the pocket rows' input embeddings ``h0`` are the same at
+          every step, so the pocket edges' d(loss)/d(m), their messages' share
+          of d(loss)/d(embeddings) and the gate gradient all follow from the
+          summed output adjoint ``g0``; pair (i, j) gets
+          ``gamma_i h0[i] g0[j] + gamma_j h0[j] g0[i]``;
+        - the last layer (from two layers on): d(loss)/d(m) of edge i->j is
+          source i's summed term, so pair (i, j) gets ``last[i] + last[j]``
+          plus the folded rows of the edges into each focal;
+        - any other layer: its summed d(loss)/d(m) on the directed edges.
         """
         c = pocket_cache
-        graph = c["graph"]
-        dh0, _ = self._edges_backward(
-            graph, c, 0, c["g0"], grads, dprev=c["dh0"], flat=c["src_flat"]
-        )
-        scatter_add(grads["encoder.embed"], graph.origins * self.vocab_size + graph.elements, dh0)
-        edge_dm = c["edge_dm"]
+        encoding, pairs, (frm, to) = c["encoding"], c["pairs"], c["ends"]
+        graph, h0, g0, m0 = encoding.graph, c["h0"], c["g0"], c["mlp"][0][1]
+        dm = {layer: d[pairs] + d[encoding.by_dst[pairs]] for layer, d in c["edge_dm"].items()}
+        gamma = self._gamma(graph, 0)
+        g_frm = g0[frm]
+        # edge u -> v has dm = gamma_u h0[u] g0[v]; rows here are each edge's
+        # reverse, and the two halves hold the two directions of every pair
+        both = h0[to] if gamma is None else h0[to] * gamma[to, None]
+        both *= g_frm
+        dm[0] = both[: len(pairs)] + both[len(pairs) :]
+        # per atom, g0[dst] * m summed over its outgoing edges: over its
+        # incoming ones, g0[src] * m, as each pair's m is the same both ways
+        sent = np.zeros(h0.shape)
+        scatter_add(sent, to, _times_messages(g_frm, m0, m0), c["flat"])
+        if gamma is not None:
+            grads["encoder.layer0.gate"][...] += graph.bfactor_weights @ (h0 * sent).sum(axis=1)
+            sent *= gamma[:, None]
+        sent += c["dh0"]
+        scatter_add(grads["encoder.embed"], graph.origins * self.vocab_size + graph.elements, sent)
         if c["focal"]:
             last = self.cfg.n_layers - 1
-            dm = c["last"][graph.edge_src]
+            i, j = frm[: len(pairs)], to[: len(pairs)]
+            d = c["last"][i] + c["last"][j]
             edges, rows = zip(*c["focal"])
-            scatter_add(dm, np.concatenate(edges), np.concatenate(rows))
-            edge_dm[last] = edge_dm[last] + dm if last in edge_dm else dm
-        for layer, dm in edge_dm.items():
-            self._mlp_backward(layer, c["edge_feat"], c["mlp"][layer][0], dm, grads)
+            scatter_add(d, encoding.pair_of[np.concatenate(edges)], np.concatenate(rows))
+            dm[last] = dm[last] + d if last in dm else d
+        for layer, d in dm.items():
+            self._mlp_backward(layer, c["edge_feat"], c["mlp"][layer][0], d, grads)
 
     def _mlp_backward(
         self, layer: int, edge_feat: np.ndarray, t: np.ndarray, dm: np.ndarray, grads: ParamStore

@@ -13,6 +13,7 @@ from pocketflow.encoder import (
     aggregate_readout,
     build_graph,
     extend_graph,
+    pair_edges,
     readout_backward,
     scatter_add,
 )
@@ -357,3 +358,174 @@ class TestFactoredReadout:
             senders = graph.edge_src[graph.edge_dst == near]
             pocket_focal_met_both |= bool(np.any(senders < n) and np.any(senders >= n))
         assert pocket_focal_met_both
+
+
+def pocket_graph(pocket_name):
+    pocket = toy_complex(VOCAB).pocket if pocket_name == "toy" else shell_pocket(400, seed=0)
+    return build_graph(pocket, cutoff=6.0)
+
+
+def full_path_grads(enc, pocket, placed, focal, dcond):
+    """Parameter gradient of ``dcond . readout`` through a full encoding."""
+    graph = build_graph(pocket, placed, cutoff=6.0)
+    grads = ParamStore(enc.store.shapes)
+    h, cache = enc.encode_with_cache(graph)
+    enc.backward(graph, cache, readout_backward(dcond, graph.n_atoms, focal), grads)
+    return grads.flat
+
+
+def prefix_grads(enc, pocket, placed, focal, dcond):
+    """The same gradient through the pocket prefix and ``pocket_backward``."""
+    encoding, pocket_cache = enc.encode_pocket(build_graph(pocket, cutoff=6.0))
+    graph = extend_graph(encoding.graph, placed, 6.0)
+    grads = ParamStore(enc.store.shapes)
+    _, cache = enc.encode_with_cache(graph, encoding, focal)
+    enc.backward(graph, cache, dcond, grads, pocket_cache)
+    enc.pocket_backward(pocket_cache, grads)
+    return grads.flat
+
+
+class TestPocketPairs:
+    """The pocket prefix runs its edge MLP once per undirected pair; these
+    tests hold the pairing to the directed edge list it stands for."""
+
+    @pytest.mark.parametrize("pocket_name", ["toy", "shell400"])
+    def test_both_copies_of_every_edge_have_bit_equal_distances(self, pocket_name):
+        graph = pocket_graph(pocket_name)
+        dist = {(s, d): x for s, d, x in zip(graph.edge_src, graph.edge_dst, graph.edge_dist)}
+        assert len(dist) == graph.n_edges > 0
+        for (s, d), x in dist.items():
+            assert dist[d, s].tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("pocket_name", ["toy", "shell400"])
+    def test_every_pair_has_exactly_two_edges_one_each_way(self, pocket_name):
+        graph = pocket_graph(pocket_name)
+        by_dst, pairs, pair_of = pair_edges(graph)
+        assert 2 * len(pairs) == graph.n_edges
+        assert np.all(np.bincount(pair_of, minlength=len(pairs)) == 2)
+        src, dst = graph.edge_src, graph.edge_dst
+        assert np.all(src[pairs] < dst[pairs])
+        # each pair's two edges run opposite ways, and by_dst reverses every edge
+        one, other = np.argsort(pair_of, kind="stable").reshape(-1, 2).T
+        assert np.array_equal(src[one], dst[other]) and np.array_equal(dst[one], src[other])
+        assert np.array_equal(src[by_dst], dst) and np.array_equal(dst[by_dst], src)
+
+    def test_cache_rows_are_pairs(self):
+        enc = make_encoder(EncoderConfig(embed_width=6, hidden_width=5, n_layers=3))
+        graph = pocket_graph("shell400")
+        encoding, cache = enc.encode_pocket(graph)
+        n_pairs = graph.n_edges // 2
+        assert cache["edge_feat"].shape == (n_pairs, len(BANK))
+        for t, m in cache["mlp"]:
+            assert t.shape == (n_pairs, 5) and m.shape == (n_pairs, 6)
+        assert [m.shape for m in encoding.messages] == [(n_pairs, 6)] * 3
+
+    @pytest.mark.parametrize("pocket_name", ["toy", "shell400"])
+    def test_directed_sums_are_bit_equal_to_a_directed_pass(self, pocket_name):
+        cfg = EncoderConfig(embed_width=6, hidden_width=5, n_layers=2, bfactor_gating=True)
+        enc = make_encoder(cfg, randomize=True)
+        graph = pocket_graph(pocket_name)
+        encoding, _ = enc.encode_pocket(graph)
+        h0 = enc.initial_embeddings(graph)
+        want = enc.message_layer(h0, graph, 0, encoding.edge_messages(0))
+        assert np.array_equal(encoding.aggregate, want)
+        want = np.zeros(h0.shape)
+        np.add.at(want, graph.edge_src, encoding.edge_messages(1))
+        assert np.array_equal(encoding.out_messages, want)
+
+    @pytest.mark.parametrize("gating", [False, True])
+    @pytest.mark.parametrize(
+        "positions",
+        [[(0.0, 0.0, 9.0)], [(0.0, 0.0, 9.0), (0.0, 9.0, 0.0), (9.0, 0.0, 0.0)]],
+        ids=["one_atom", "beyond_cutoff"],
+    )
+    def test_pockets_without_edges(self, positions, gating):
+        cfg = EncoderConfig(embed_width=6, hidden_width=5, n_layers=2, bfactor_gating=gating)
+        enc = make_encoder(cfg, randomize=True)
+        pocket = pocket_of(*positions, bfactors=[10.0, 30.0, 50.0][: len(positions)])
+        encoding, cache = enc.encode_pocket(build_graph(pocket, cutoff=6.0))
+        assert encoding.graph.n_edges == 0 and cache["edge_feat"].shape == (0, len(BANK))
+        placed = CAVITY_LIGAND[:2]
+        graph = extend_graph(encoding.graph, placed, 6.0)
+        assert np.array_equal(
+            enc.encode(graph, encoding), enc.encode(build_graph(pocket, placed, cutoff=6.0))
+        )
+        dcond = np.random.default_rng(2).standard_normal(12)
+        for focal in (0, graph.n_atoms - 1):
+            want = full_path_grads(enc, pocket, placed, focal, dcond)
+            got = prefix_grads(enc, pocket, placed, focal, dcond)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_empty_prefix(self):
+        enc = make_encoder(randomize=True)
+        assert enc.empty_pocket.graph.n_edges == 0
+        assert enc.empty_pocket.edge_messages(1).shape == (0, 6)
+        graph = build_graph(shell_pocket(30, seed=1), CAVITY_LIGAND, cutoff=6.0)
+        assert np.array_equal(enc.encode(graph, enc.empty_pocket), enc.encode(graph))
+        assert np.array_equal(
+            enc.encode_with_cache(graph, enc.empty_pocket, 3)[0],
+            enc.encode_with_cache(graph, None, 3)[0],
+        )
+
+    @pytest.mark.parametrize("pocket_name", ["toy", "shell400"])
+    def test_gradient_through_pairs_equals_full_path(self, pocket_name):
+        cfg = EncoderConfig(embed_width=6, hidden_width=5, n_layers=3, bfactor_gating=True)
+        enc = make_encoder(cfg, randomize=True)
+        if pocket_name == "toy":
+            complex_ = toy_complex(VOCAB)
+            pocket, placed = complex_.pocket, complex_.ligand.atoms[:2]
+        else:
+            pocket, placed = shell_pocket(400, seed=0), CAVITY_LIGAND[:2]
+        near = int(np.argmin(np.linalg.norm(pocket.positions - placed[0].position, axis=1)))
+        dcond = np.random.default_rng(5).standard_normal(12)
+        for focal in (near, len(pocket) + 1):
+            want = full_path_grads(enc, pocket, placed, focal, dcond)
+            got = prefix_grads(enc, pocket, placed, focal, dcond)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def hand_graph(edges, dist=None):
+    """A two- or three-atom carbon graph with the given directed edges."""
+    src, dst = (np.array(side, dtype=int) for side in zip(*edges))
+    return ContextGraph(
+        elements=np.full(3, C),
+        origins=np.full(3, PROTEIN),
+        positions=np.zeros((3, 3)),
+        edge_src=src,
+        edge_dst=dst,
+        edge_dist=np.array(dist if dist is not None else [1.5] * len(edges)),
+        bfactor_weights=np.zeros(3),
+    )
+
+
+class TestPairGuard:
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            hand_graph([(0, 1)]),  # one-directional
+            hand_graph([(0, 1), (1, 2), (2, 1)]),  # one pair has no reverse
+            hand_graph([(0, 1), (1, 0)], dist=[1.5, 1.6]),  # the copies' distances differ
+            hand_graph([(0, 0), (0, 1), (1, 0)]),  # a self-loop
+            hand_graph([(1, 0), (0, 1)]),  # symmetric, but not source-major
+            hand_graph([(0, 2), (0, 1), (2, 0), (1, 0)]),  # a source's destinations unsorted
+        ],
+        ids=[
+            "one_directional",
+            "missing_reverse",
+            "unequal_distances",
+            "self_loop",
+            "dst_major",
+            "unsorted_destinations",
+        ],
+    )
+    def test_unpairable_graph_raises(self, graph):
+        with pytest.raises(ValueError, match="closed under reversal"):
+            pair_edges(graph)
+        with pytest.raises(ValueError, match="closed under reversal"):
+            make_encoder().encode_pocket(graph)
+
+    def test_symmetric_source_major_graph_pairs(self):
+        by_dst, pairs, pair_of = pair_edges(hand_graph([(0, 1), (0, 2), (1, 0), (2, 0)]))
+        assert by_dst.tolist() == [2, 3, 0, 1]
+        assert pairs.tolist() == [0, 1]
+        assert pair_of.tolist() == [0, 1, 0, 1]

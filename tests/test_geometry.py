@@ -111,6 +111,16 @@ class TestRmsd:
         with pytest.raises(ValueError):
             rmsd(mol((0, 0, 0)), mol((0, 0, 0), (1, 0, 0)))
 
+    @pytest.mark.parametrize("align", [False, True])
+    def test_count_mismatch_named(self, align):
+        with pytest.raises(ValueError, match="atom counts differ: 2 vs 1"):
+            rmsd(mol((0, 0, 0), (1, 0, 0)), mol((0, 0, 0)), align=align)
+
+    @pytest.mark.parametrize("align", [False, True])
+    def test_empty_molecules_rejected(self, align):
+        with pytest.raises(ValueError, match="empty molecules"):
+            rmsd(mol(), mol(), align=align)
+
     def test_mean_atom_distance_variant(self):
         a = mol((0, 0, 0), (2, 0, 0))
         b = mol((1, 0, 0), (2, 0, 0))

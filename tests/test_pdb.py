@@ -208,6 +208,12 @@ class TestSplit:
         with pytest.raises(SplitError):
             split_pocket_ligand(records, "XYZ", VOCAB)
 
+    @pytest.mark.parametrize("cutoff", [0.0, -1.0])
+    def test_non_positive_cutoff_rejected(self, cutoff):
+        records = parse_pdb(synthetic_complex_text())
+        with pytest.raises(ValueError, match="cutoff must be positive"):
+            split_pocket_ligand(records, "LIG", VOCAB, cutoff=cutoff)
+
     def test_empty_pocket_at_tiny_cutoff(self):
         records = parse_pdb(synthetic_complex_text())
         with pytest.raises(SplitError):

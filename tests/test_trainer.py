@@ -290,6 +290,48 @@ class TestFactoredGrad:
             assert max_relative_error(analytic, fd_gradient(model, batch)) < 1e-3
 
 
+def shell_complex(vocab, seed):
+    """A 400-atom C/O pocket in a 4-14 A shell around a three-carbon ligand
+    at the origin: a realistic pocket edge count with tiny widths."""
+    rng = np.random.default_rng(seed)
+    direction = rng.standard_normal((400, 3))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    positions = direction * rng.uniform(4.0, 14.0, size=(400, 1))
+    elements = rng.choice([vocab.index("C"), vocab.index("O")], size=400)
+    pocket = Pocket([Atom(int(e), p) for e, p in zip(elements, positions)], rng.uniform(5, 60, 400))
+    c = vocab.index("C")
+    lig_atoms = [Atom(c, (0.0, 0.0, 0.0)), Atom(c, (1.5, 0.0, 0.0)), Atom(c, (2.2, 1.3, 0.0))]
+    return ComplexEntry(
+        pocket=pocket,
+        ligand=Molecule(lig_atoms, infer_bonds(lig_atoms, vocab)),
+        entry_id=f"shell{seed}",
+    )
+
+
+class TestPocketScaleGrad:
+    """The pair-folded pocket backward pass on a 400-atom pocket, where
+    ``TestSharedPocketGrad`` and ``TestFactoredGrad`` use pockets of four."""
+
+    def test_matches_per_step(self):
+        vocab = tiny_vocab()
+        cfg = replace(tiny_model_config(vocab, gating=True), encoder_layers=2)
+        model = Model(cfg)
+        a_steps, b_steps = (
+            sequentialize(shell_complex(vocab, seed), np.random.default_rng(0), cfg)
+            for seed in (0, 1)
+        )
+        assert a_steps[0].pocket.n_edges > 5000
+        graph, n = a_steps[2].graph, a_steps[2].pocket.n_atoms
+        near = int(np.argmin(np.linalg.norm(graph.positions[:n], axis=1)))
+        senders = graph.edge_src[graph.edge_dst == near]
+        assert np.any(senders < n) and np.any(senders >= n)
+        batch = [*a_steps, replace(a_steps[2], focal=near), *b_steps]
+        model.store.flat[:] = np.random.default_rng(13).uniform(-0.5, 0.5, size=model.n_params)
+        analytic = grad(model, batch).flat
+        reference = per_step_grad(model, batch)
+        assert np.max(np.abs(analytic - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
 class TestNumericGuards:
     def setup_model(self):
         cfg = tiny_model_config(VOCAB)
