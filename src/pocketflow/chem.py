@@ -45,8 +45,8 @@ class ElementKind:
     max_valence: int
 
     def __post_init__(self) -> None:
-        if self.covalent_radius <= 0:
-            raise ValueError(f"{self.symbol}: covalent radius must be positive")
+        if not 0 < self.covalent_radius < np.inf:  # NaN fails both tests
+            raise ValueError(f"{self.symbol}: covalent radius must be positive and finite")
         if self.max_valence < 1:
             raise ValueError(f"{self.symbol}: max valence must be >= 1")
 

@@ -9,6 +9,7 @@ keys that no dataclass owns take theirs from ``_UNOWNED``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import field, fields, make_dataclass
 from pathlib import Path
 
@@ -169,6 +170,8 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
                 values[key] = int(value_txt)
             elif kind is float:
                 values[key] = float(value_txt)
+                if not math.isfinite(values[key]):
+                    raise ValueError(f"{value_txt} is not finite")
             else:
                 values[key] = value_txt
         except ValueError as exc:

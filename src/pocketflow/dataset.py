@@ -87,9 +87,9 @@ def _entry(item: dict, vocab: Vocabulary, path: Path) -> ComplexEntry:
                 "[i, j, order] with an order from 1 to 3"
             )
     try:
-        pocket = Pocket(_atoms(item["pocket"], vocab), item["pocket"]["bfactors"])
-        entry = ComplexEntry(pocket, Molecule(_atoms(item["ligand"], vocab), bonds), entry_id)
-    except ValueError as exc:  # the checks of Atom, Pocket, Molecule and ComplexEntry
+        pocket = Pocket(_atoms(item, "pocket", vocab), item["pocket"]["bfactors"])
+        entry = ComplexEntry(pocket, Molecule(_atoms(item, "ligand", vocab), bonds), entry_id)
+    except ValueError as exc:  # the checks of _atoms, Atom, Pocket, Molecule and ComplexEntry
         raise DatasetError(f"{path}: entry {entry_id!r}: {exc}") from None
     for b in pocket.bfactors.tolist():  # NaN fails both tests
         if not 0.0 <= b < math.inf:
@@ -99,8 +99,8 @@ def _entry(item: dict, vocab: Vocabulary, path: Path) -> ComplexEntry:
     return entry
 
 
-def _atoms(block: dict, vocab: Vocabulary) -> list[Atom]:
-    return [
-        Atom(vocab.index(sym), np.array(pos))
-        for sym, pos in zip(block["elements"], block["positions"])
-    ]
+def _atoms(item: dict, part: str, vocab: Vocabulary) -> list[Atom]:
+    elements, positions = item[part]["elements"], item[part]["positions"]
+    if len(elements) != len(positions):
+        raise ValueError(f"{part} has {len(elements)} elements but {len(positions)} positions")
+    return [Atom(vocab.index(sym), np.array(pos)) for sym, pos in zip(elements, positions)]

@@ -27,34 +27,36 @@ the encoder parameters stay fixed.  Generation shares one prefix across the
 steps that grow a molecule, training across the steps of a trajectory within
 a gradient evaluation.
 
-Pocket pairs: a message weight depends on its edge's distance alone, and
-the two directed copies of a pocket pair have the same distance bit for bit,
-so the prefix runs the RBF expansion, the edge MLP and, in
-:meth:`Encoder.pocket_backward`, the MLP's backward pass once per undirected
-pair (P = E/2 rows), with each layer's d(loss)/d(m) folded onto the pairs
-first.  The pocket's edge list is symmetric and source-major, so its
-destination order ``by_dst`` is also the reverse-edge index
-(:func:`pair_edges`).  The per-atom sums over the pocket edges stay directed,
-in source-major order, so that the prefix still equals a full encoding bit
-for bit.  Every context graph, the ligand edges of each step and the
-prefix-free full encoding stay per directed edge.
+Edge blocks: every message is formed by :meth:`Encoder._pass` and
+back-propagated by :meth:`Encoder._pass_backward`, on a directed block (one
+edge-MLP row per edge: the edges after the pocket's own) or on the pocket's
+pair block.  A message weight depends on its edge's distance alone, and the
+two directed copies of a pocket pair have the same distance bit for bit, so
+the pair block runs each pair (i, j), i < j, both ways (every i -> j, then
+every j -> i) on one row per pair (P = E/2): the RBF expansion, the edge MLP
+and its backward pass run once per pair.  Its receivers ``[j; i]`` meet their
+senders in increasing order, as in a source-major directed list, so the
+per-atom sums equal a full encoding's bit for bit.  Backward, each edge runs
+as its reverse, which has the same row: the adjoint goes into the forward
+pass's receivers, in the same order, and a pair's d(loss)/d(m) is the sum of
+its two rows.
 
 Factored readout: generation and training need only the conditioner
 :func:`aggregate_readout`, the focal row and the mean of the last layer's
-output, and :meth:`Encoder.encode_with_cache`, given a focal, forms just
-those for both, without the last layer's output.  Every message adds into
-the mean alike, so the mean needs only each atom's summed outgoing messages
-(on the pocket edges, a per-pocket sum), and the focal row only the edges
-into the focal.  Backward, the readout's adjoint is the same on every row
-but the focal's, and layer 0's pocket rows start from the same embeddings at
-every step; so :meth:`Encoder.backward` adds each step's share of the pocket
-edges' adjoint into per-pocket sums of (n, H) rows, and
+output, and :meth:`Encoder.encode_with_cache`, given a focal, forms just those
+at every depth, without the last layer's output.  Every message adds into the
+mean alike, so the mean needs only each atom's summed outgoing messages (on
+the pocket edges, a per-pocket sum), and the focal row only the edges into
+the focal.  The readout's adjoint is the same on every row but the focal's,
+and layer 0's pocket rows start from the same embeddings at every step; so
+:meth:`Encoder.backward` adds each step's share of the pocket edges' adjoint
+into per-pocket sums of (n, H) or (P, H) rows, and
 :meth:`Encoder.pocket_backward` pushes them through the pocket edges once for
-all the steps.  With the default two layers no per-step array or loop then
-has the pocket's edge count as a size; layers in between stay per edge.  The
-sums are reassociated, so the readout and gradients can move in the last
-ulp against a full encoding.  Every scatter goes through :func:`scatter_add`,
-which adds in the same order as a row-wise ``np.add.at``.
+all the steps.  No per-step array then has the pocket's edge count as a size
+but a middle layer's pair-block pass.  The sums are reassociated, so the
+readout and gradients can move in the last ulp against a full encoding.
+Every scatter goes through :func:`scatter_add`, which adds in the same order
+as a row-wise ``np.add.at``.
 """
 
 from __future__ import annotations
@@ -168,12 +170,13 @@ class PocketEncoding:
     """The part of the forward pass that only the pocket determines; valid
     only while the encoder parameters stay fixed.
 
-    ``messages`` has one row per undirected pocket pair and ``pair_of`` maps
-    each directed pocket edge to its pair; ``by_dst`` is also the
-    reverse-edge index (see :func:`pair_edges`).  ``aggregate`` and
-    ``out_messages`` stay sums over the directed edges, each atom's terms in
-    the source-major order of a full encoding, so that a context encoded on
-    this prefix equals its full encoding bit for bit.
+    ``messages`` has one row per undirected pocket pair, ``pair_of`` maps
+    each directed pocket edge to its pair, and ``block`` is the pocket's pair
+    block (see the module docstring).  ``aggregate`` and ``out_messages`` are
+    sums over the directed edges, each atom's terms in the source-major order
+    of a full encoding, so that a context encoded on this prefix equals its
+    full encoding bit for bit.  The pocket edges into atom f are the reverses
+    of f's source-major run out of it, in the same order.
     """
 
     graph: ContextGraph  # the pocket alone
@@ -181,19 +184,14 @@ class PocketEncoding:
     messages: list[np.ndarray]  # per layer, the edge-MLP output m per pair (P, H)
     aggregate: np.ndarray  # layer 0's output on pocket rows, before ligand messages
     out_messages: np.ndarray  # (n, H) the last layer's m summed per source atom
-    by_dst: np.ndarray  # edge indices ordered by destination, then source
-    dst_start: np.ndarray  # (n + 1,) where each atom's run in ``by_dst`` starts
+    # senders [i; j] and receivers [j; i], both (2, P), and the receivers'
+    # flat scatter index at width H
+    block: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     def edge_messages(self, layer: int, edges: np.ndarray | slice = slice(None)) -> np.ndarray:
         """The edge-MLP output m of layer ``layer`` on the directed pocket
         edges ``edges`` (all of them by default), one row per edge."""
         return self.messages[layer][self.pair_of[edges]]
-
-    def incoming(self, node: int) -> np.ndarray:
-        """Indices of the pocket edges into ``node``; none for a placed atom."""
-        if node >= self.graph.n_atoms:
-            return self.by_dst[:0]
-        return self.by_dst[self.dst_start[node] : self.dst_start[node + 1]]
 
 
 def pair_edges(graph: ContextGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -229,17 +227,17 @@ def pair_edges(graph: ContextGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def scatter_add(
     out: np.ndarray, index: np.ndarray, rows: np.ndarray, flat: np.ndarray | None = None
 ) -> np.ndarray:
-    """Add each row of ``rows`` (n, w) into row ``index[i]`` of ``out`` viewed
-    as (-1, w): ``np.add.at(out, index, rows)`` for a C-contiguous ``out``, as one
-    1-D ``np.add.at`` over flat element indices.  Every element receives its
-    terms in the same order, so the result is the same bit for bit.
+    """Add each row of ``rows`` (index.shape + (w,)) into row ``index[i]`` of
+    ``out`` viewed as (-1, w): ``np.add.at(out, index, rows)`` for a C-contiguous
+    ``out``, as one 1-D ``np.add.at`` over flat element indices.  Every element
+    receives its terms in the same order, so the result is the same bit for bit.
 
     Returns the flat indices, which a later scatter by the same ``index``
     and width can pass back as ``flat`` rather than build them again."""
     if not out.flags.c_contiguous:
         raise ValueError("scatter_add needs a C-contiguous output")
     if flat is None:
-        flat = np.add.outer(index * rows.shape[1], np.arange(rows.shape[1])).ravel()
+        flat = np.add.outer(index * rows.shape[-1], np.arange(rows.shape[-1])).ravel()
     np.add.at(out.reshape(-1), flat, rows.reshape(-1))
     return flat
 
@@ -271,14 +269,14 @@ class Encoder:
         self.bank = bank
         self.store = store
         none, rows = np.zeros(0, dtype=int), np.zeros((0, cfg.embed_width))
+        ends = np.zeros((2, 0), dtype=int)
         self.empty_pocket = PocketEncoding(
             ContextGraph(none, none, np.zeros((0, 3)), none, none, np.zeros(0), np.zeros(0)),
             none,
             [rows] * cfg.n_layers,
             rows,
             rows,
-            none,
-            np.zeros(1, dtype=int),
+            (ends, ends, none),
         )
 
     @staticmethod
@@ -356,8 +354,9 @@ class Encoder:
         ``pocket.graph`` (by default the empty prefix).
 
         ``m`` holds the edge-MLP outputs of the edges after the pocket's own,
-        computed here when not given; the pocket edges' are read from
-        ``pocket``, and at layer 0 so is their whole sum on the pocket rows.
+        computed here when not given.  The pocket edges run as the pocket's
+        pair block but at layer 0, whose sum on the pocket rows is read from
+        ``pocket``.
         """
         if h.shape != (graph.n_atoms, self.cfg.embed_width):
             raise ValueError(
@@ -365,21 +364,35 @@ class Encoder:
                 f"({graph.n_atoms}, {self.cfg.embed_width})"
             )
         pocket = pocket or self.empty_pocket
+        start = pocket.graph.n_edges
         if m is None:
-            edge_feat = self.edge_features(graph, slice(pocket.graph.n_edges, None))
-            _, m = self._edge_mlp(layer, edge_feat)
+            _, m = self._edge_mlp(layer, self.edge_features(graph, slice(start, None)))
         h_next = h.copy()
-        first = 0
+        gamma = self._gamma(graph, layer)
         if layer == 0:
             h_next[: pocket.graph.n_atoms] = pocket.aggregate
-            first = pocket.graph.n_edges
-        src = graph.edge_src[first:]
-        msg = _times_messages(h[src], pocket.edge_messages(layer, slice(first, None)), m)
-        gamma = self._gamma(graph, layer)
-        if gamma is not None:
-            msg *= gamma[src, None]
-        scatter_add(h_next, graph.edge_dst[first:], msg)
+        else:
+            self._pass(h_next, h, pocket.block, pocket.messages[layer], gamma)
+        self._pass(h_next, h, (graph.edge_src[start:], graph.edge_dst[start:], None), m, gamma)
         return h_next
+
+    def _pass(
+        self, out: np.ndarray, h: np.ndarray, block: tuple, m: np.ndarray, gamma: np.ndarray | None
+    ) -> np.ndarray:
+        """Add the messages ``gamma[u] * h[u] * m`` of every edge u -> v of
+        ``block`` into row v of ``out``, each row in block order.
+
+        ``block`` is ``(send, recv, flat)``: a directed block, with (E,)
+        senders and receivers and one row of ``m`` per edge, or a pair block,
+        with (2, P) ones and one row of ``m`` per pair.  ``flat`` is the flat
+        scatter index of ``recv``, or None to build it; it is returned.
+        """
+        send, recv, flat = block
+        rows = h[send]
+        rows *= m
+        if gamma is not None:
+            rows *= gamma[send, None]
+        return scatter_add(out, recv, rows, flat)
 
     def encode(self, graph: ContextGraph, pocket: PocketEncoding | None = None) -> np.ndarray:
         h, _ = self.encode_with_cache(graph, pocket)
@@ -393,22 +406,20 @@ class Encoder:
         ``graph`` extends ``pocket.graph`` (see :meth:`encode_pocket`; by
         default the empty prefix), and the cache holds the edge features and
         edge-MLP values of the edges after the pocket's own.  Returns the
-        embeddings or, given a ``focal`` atom, their :func:`aggregate_readout`.
-        From two layers on, the readout never forms the last layer over the
-        pocket edges (see :meth:`_last_layer_readout`).
+        embeddings or, given a ``focal`` atom, their :func:`aggregate_readout`,
+        formed without the last layer's output (see :meth:`_last_layer_readout`).
         """
         pocket = pocket or self.empty_pocket
         edge_feat = self.edge_features(graph, slice(pocket.graph.n_edges, None))
         mlp = [self._edge_mlp(layer, edge_feat) for layer in range(self.cfg.n_layers)]
-        factored = focal is not None and self.cfg.n_layers > 1
         h = self.initial_embeddings(graph)
         h_in = []
-        for layer, (_, m) in enumerate(mlp[: len(mlp) - factored]):
+        for layer, (_, m) in enumerate(mlp[: len(mlp) - (focal is not None)]):
             h_in.append(h)
             h = self.message_layer(h, graph, layer, m, pocket)
         cache = {"edge_feat": edge_feat, "mlp": mlp, "h_in": h_in, "pocket": pocket, "focal": focal}
-        if not factored:
-            return (h if focal is None else aggregate_readout(h, focal)), cache
+        if focal is None:
+            return h, cache
         h_in.append(h)
         cond, cache["readout"] = self._last_layer_readout(h, graph, focal, mlp[-1][1], pocket)
         return cond, cache
@@ -422,8 +433,8 @@ class Encoder:
         Every message ``gamma[src] * x[src] * m_e`` adds into the mean alike,
         so the mean needs only each atom's outgoing messages summed, which on
         the pocket edges is ``pocket.out_messages``; the focal row needs only
-        the edges into the focal.  Also returns what
-        :meth:`_readout_backward` reads.
+        the edges into the focal, on the pocket the reverses of the focal's
+        source-major run.  Also returns what :meth:`_readout_backward` reads.
         """
         _check_focal(focal, len(x))
         layer, start = self.cfg.n_layers - 1, pocket.graph.n_edges
@@ -434,12 +445,13 @@ class Encoder:
         out_m[: len(pocket.out_messages)] = pocket.out_messages
         scatter_add(out_m, src, m)
         (into,) = (graph.edge_dst[start:] == focal).nonzero()
-        pocket_in = pocket.incoming(focal)
-        in_src = np.concatenate([pocket.graph.edge_src[pocket_in], src[into]])
-        in_m = np.concatenate([pocket.edge_messages(layer, pocket_in), m[into]])
+        lo, hi = np.searchsorted(pocket.graph.edge_src, (focal, focal + 1))
+        in_pairs = pocket.pair_of[lo:hi]
+        in_src = np.concatenate([pocket.graph.edge_dst[lo:hi], src[into]])
+        in_m = np.concatenate([pocket.messages[layer][in_pairs], m[into]])
         row = x[focal] + (gx[in_src] * in_m).sum(axis=0)
         mean = (x + gx * out_m).mean(axis=0)
-        return np.concatenate([row, mean]), (gx, out_m, into, pocket_in, in_src, in_m)
+        return np.concatenate([row, mean]), (gx, out_m, into, in_pairs, in_src, in_m)
 
     def encode_pocket(self, graph: ContextGraph) -> tuple[PocketEncoding, dict]:
         """Encode a pocket-only graph once for reuse by every context built on
@@ -449,54 +461,34 @@ class Encoder:
         which :meth:`pocket_backward` then reads.
 
         The RBF features and the edge MLP run once per undirected pair (see
-        :func:`pair_edges`).  Each pair's term is scattered once to each end,
-        the pairs that end at an atom first, so every atom adds its terms in
-        the source-major order of a full encoding, into its incoming (layer
-        0) and its outgoing (``out_messages``) sums alike.
+        :func:`pair_edges`), and layer 0 as the pocket's pair block.
         """
-        by_dst, pairs, pair_of = pair_edges(graph)
+        _, pairs, pair_of = pair_edges(graph)
         i, j = graph.edge_src[pairs], graph.edge_dst[pairs]
-        # the directed edges pair by pair: first every i -> j (i < j), then every j -> i
-        frm, to = np.concatenate([i, j]), np.concatenate([j, i])
+        send, recv = np.stack([i, j]), np.stack([j, i])
         edge_feat = self.edge_features(graph, pairs)
         mlp = [self._edge_mlp(layer, edge_feat) for layer in range(self.cfg.n_layers)]
         h0 = self.initial_embeddings(graph)
-        msg = _times_messages(h0[frm], mlp[0][1], mlp[0][1])  # each pair's m, both ways
-        gamma = self._gamma(graph, 0)
-        if gamma is not None:
-            msg *= gamma[frm, None]
         aggregate = h0.copy()
-        flat = scatter_add(aggregate, to, msg)
-        # the edges out of an atom are those into it reversed, so the same
-        # index sums each pair's m into both ends in source-major order
+        flat = self._pass(aggregate, h0, (send, recv, None), mlp[0][1], self._gamma(graph, 0))
         out_messages = np.zeros(h0.shape)
-        half = len(flat) // 2
-        for end, part in ((j, flat[:half]), (i, flat[half:])):
+        # the edges out of an atom are those into it reversed, with the same m
+        for end, part in zip(recv, np.split(flat, 2)):
             scatter_add(out_messages, end, mlp[-1][1], part)
         encoding = PocketEncoding(
-            graph,
-            pair_of,
-            [m for _, m in mlp],
-            aggregate,
-            out_messages,
-            by_dst,
-            # the edges into an atom are, reversed, the source-major run out of it
-            np.searchsorted(graph.edge_src, np.arange(graph.n_atoms + 1)),
+            graph, pair_of, [m for _, m in mlp], aggregate, out_messages, (send, recv, flat)
         )
         cache = {
             "encoding": encoding,
-            "pairs": pairs,
-            "ends": (frm, to),  # the directed edges pair by pair
-            "flat": flat,  # the flat scatter index of ``to``
             "edge_feat": edge_feat,  # (P, n_rbf)
             "mlp": mlp,  # per layer, the hidden activations t and m per pair
             "h0": h0,
             # sums over the steps on this pocket, added by ``backward``
             "g0": np.zeros(h0.shape),  # d(loss)/d(layer 0's output), pocket rows
-            "dh0": np.zeros(h0.shape),  # d(loss)/d(embeddings) less the pocket edges' share
+            "dh0": np.zeros(h0.shape),  # d(loss)/d(embeddings) less layer 0's pocket block
             "last": np.zeros(h0.shape),  # gamma * x * the readout's mean adjoint
-            "focal": [],  # per step, the pocket edges into the focal and their focal-row dm
-            "edge_dm": {},  # layer -> d(loss)/d(m) on the directed edges, other layers
+            "focal": [],  # per step, the pairs of the pocket edges into the focal and their dm
+            "dm": {},  # layer -> d(loss)/d(m) per pair of a layer that ran the pair block
         }
         return encoding, cache
 
@@ -523,28 +515,59 @@ class Encoder:
         n, start = pocket.graph.n_atoms, pocket.graph.n_edges
         if n and pocket_cache is None:
             raise ValueError("a context on a pocket prefix needs the pocket's cache")
-        top = self.cfg.n_layers
+        g, top = dh, self.cfg.n_layers
+        block = graph.edge_src[start:], graph.edge_dst[start:], None  # the edges after the pocket's
         if "readout" in cache:
-            top -= 1
-            g = self._readout_backward(graph, cache, dh, grads, pocket_cache)
-        elif cache["focal"] is not None:
-            g = readout_backward(dh, graph.n_atoms, cache["focal"])
-        else:
-            g = dh
-        for layer in reversed(range(1, top)):
-            g, dm = self._edges_backward(graph, cache, layer, g, grads)
-            if n:
-                edge_dm = pocket_cache["edge_dm"]
-                if layer in edge_dm:
-                    edge_dm[layer] += dm
-                else:
-                    edge_dm[layer] = dm.copy()
-        dh0, _ = self._edges_backward(graph, cache, 0, g, grads, start)
+            g, top = self._readout_backward(graph, cache, dh, grads, pocket_cache), top - 1
+        for layer in reversed(range(top)):
+            h, dx = cache["h_in"][layer], g.copy()  # the residual path
+            if n and layer == 0:  # layer 0's pocket block runs in pocket_backward
+                pocket_cache["g0"] += g[:n]
+            elif n:
+                sums, m = pocket_cache["dm"], pocket.messages[layer]
+                dm = self._pass_backward(graph, layer, pocket.block, h, g, m, dx, grads)
+                sums[layer] = sums[layer] + dm if layer in sums else dm
+            t, m = cache["mlp"][layer]
+            dm = self._pass_backward(graph, layer, block, h, g, m, dx, grads)
+            self._mlp_backward(layer, cache["edge_feat"], t, dm, grads)
+            g = dx
         if n:
-            pocket_cache["g0"] += g[:n]
-            pocket_cache["dh0"] += dh0[:n]
+            pocket_cache["dh0"] += g[:n]
         table = graph.origins[n:] * self.vocab_size + graph.elements[n:]
-        scatter_add(grads["encoder.embed"], table, dh0[n:])
+        scatter_add(grads["encoder.embed"], table, g[n:])
+
+    def _pass_backward(
+        self, graph: ContextGraph, layer: int, block: tuple, h, g, m, dh, grads: ParamStore
+    ) -> np.ndarray:
+        """Back through :meth:`_pass` of ``block`` at layer ``layer``, given
+        its input ``h`` and d(loss)/d(out) ``g``: add the messages' share of
+        d(loss)/d(h) into ``dh`` and the gate's gradient into ``grads``, and
+        return d(loss)/d(m), one row per row of ``m``.
+
+        A pair block runs each edge as its reverse, which has the same row of
+        ``m``: rows ``g[send] * m`` are scattered into ``recv`` by the forward
+        pass's flat index, so each atom adds its terms in increasing neighbour
+        order, as over its source-major run of outgoing edges.  A pair's
+        d(loss)/d(m) is the sum of its two edges' rows.
+        """
+        send, recv, flat = block
+        if send.ndim == 2:
+            send, recv = recv, send
+        else:
+            flat = None  # a directed block's index scatters into ``recv``
+        dmsg = g[recv]
+        gamma = self._gamma(graph, layer)
+        if gamma is not None:
+            pre = h[send]
+            pre *= m
+            dgamma = (dmsg * pre).sum(axis=-1)
+            grads[f"encoder.layer{layer}.gate"][...] += np.sum(dgamma * graph.bfactor_weights[send])
+            dmsg *= gamma[send, None]
+        dm = h[send]
+        dm *= dmsg
+        dmsg *= m
+        scatter_add(dh, send, dmsg, flat)
+        return dm if dm.ndim == 2 else dm[0] + dm[1]
 
     def _readout_backward(
         self,
@@ -562,16 +585,16 @@ class Encoder:
         layer = self.cfg.n_layers - 1
         pocket = cache["pocket"]
         n, start = pocket.graph.n_atoms, pocket.graph.n_edges
-        gx, out_m, into, pocket_in, in_src, in_m = cache["readout"]
+        gx, out_m, into, in_pairs, in_src, in_m = cache["readout"]
         width = self.cfg.embed_width
         df, c = dcond[:width], dcond[width:] / graph.n_atoms
         df_rows = gx[in_src] * df  # d(loss)/d(m) on the edges into the focal, less c
         dm = gx[graph.edge_src[start:]] * c
-        dm[into] += df_rows[len(pocket_in) :]
+        dm[into] += df_rows[len(in_pairs) :]
         self._mlp_backward(layer, cache["edge_feat"], cache["mlp"][layer][0], dm, grads)
         if n:
             pocket_cache["last"] += gx[:n] * c
-            pocket_cache["focal"].append((pocket_in, df_rows[: len(pocket_in)]))
+            pocket_cache["focal"].append((in_pairs, df_rows[: len(in_pairs)]))
         dx = out_m * c
         df_m = in_m * df
         gamma = self._gamma(graph, layer)
@@ -588,80 +611,34 @@ class Encoder:
         dx[in_src] += df_m  # one edge per source into the focal: no repeated rows
         return dx
 
-    def _edges_backward(
-        self,
-        graph: ContextGraph,
-        cache: dict,
-        layer: int,
-        g: np.ndarray,
-        grads: ParamStore,
-        first: int = 0,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Back through one message layer's edges from index ``first`` on,
-        given d(loss)/d(output) ``g``.  Adds the gate's gradient and the MLP
-        gradients of the edges after the pocket's own; returns d(loss)/d(input)
-        and the directed pocket edges' d(loss)/d(m)."""
-        t, m = cache["mlp"][layer]
-        pocket_m = cache["pocket"].edge_messages(layer, slice(first, None))
-        src, dst = graph.edge_src[first:], graph.edge_dst[first:]
-        h_src = cache["h_in"][layer][src]
-        dmsg = g[dst]  # (E, H)
-        gamma = self._gamma(graph, layer)
-        if gamma is not None:
-            msg_pre = _times_messages(h_src.copy(), pocket_m, m)
-            dgamma = (dmsg * msg_pre).sum(axis=1)
-            grads[f"encoder.layer{layer}.gate"][...] += np.sum(dgamma * graph.bfactor_weights[src])
-            dmsg *= gamma[src, None]
-        dm = h_src  # in place, to keep one (E, H) array fewer alive
-        dm *= dmsg
-        dprev = g.copy()  # residual path
-        scatter_add(dprev, src, _times_messages(dmsg, pocket_m, m))
-        self._mlp_backward(layer, cache["edge_feat"], t, dm[len(pocket_m) :], grads)
-        return dprev, dm[: len(pocket_m)]
-
     def pocket_backward(self, pocket_cache: dict, grads: ParamStore) -> None:
         """Finish the pocket edges' share of the gradient, once for every step
         that :meth:`backward` added into ``pocket_cache``.  Each share is
-        linear in the sums kept there, and each layer's d(loss)/d(m) is folded
-        onto the pairs (an edge's plus its reverse's) before the edge MLP's
-        backward pass, which thus runs on P = E/2 rows:
+        linear in the sums kept there, and the edge MLP's backward pass runs
+        once per layer, on the pairs' summed d(loss)/d(m):
 
         - layer 0: the pocket rows' input embeddings ``h0`` are the same at
-          every step, so the pocket edges' d(loss)/d(m), their messages' share
-          of d(loss)/d(embeddings) and the gate gradient all follow from the
-          summed output adjoint ``g0``; pair (i, j) gets
-          ``gamma_i h0[i] g0[j] + gamma_j h0[j] g0[i]``;
-        - the last layer (from two layers on): d(loss)/d(m) of edge i->j is
-          source i's summed term, so pair (i, j) gets ``last[i] + last[j]``
-          plus the folded rows of the edges into each focal;
-        - any other layer: its summed d(loss)/d(m) on the directed edges.
+          every step, so the pair block's backward pass on the summed output
+          adjoint ``g0`` yields, for all the steps, the pairs' d(loss)/d(m),
+          the messages' share of d(loss)/d(embeddings) and the gate gradient
+          (``g0`` stays zero when layer 0 is also the last layer);
+        - the last layer, given a focal: d(loss)/d(m) of edge i->j is source
+          i's summed term, so pair (i, j) gets ``last[i] + last[j]`` plus the
+          rows of the edges into each focal;
+        - any other layer: the pairs' d(loss)/d(m) that ``backward`` summed.
         """
         c = pocket_cache
-        encoding, pairs, (frm, to) = c["encoding"], c["pairs"], c["ends"]
-        graph, h0, g0, m0 = encoding.graph, c["h0"], c["g0"], c["mlp"][0][1]
-        dm = {layer: d[pairs] + d[encoding.by_dst[pairs]] for layer, d in c["edge_dm"].items()}
-        gamma = self._gamma(graph, 0)
-        g_frm = g0[frm]
-        # edge u -> v has dm = gamma_u h0[u] g0[v]; rows here are each edge's
-        # reverse, and the two halves hold the two directions of every pair
-        both = h0[to] if gamma is None else h0[to] * gamma[to, None]
-        both *= g_frm
-        dm[0] = both[: len(pairs)] + both[len(pairs) :]
-        # per atom, g0[dst] * m summed over its outgoing edges: over its
-        # incoming ones, g0[src] * m, as each pair's m is the same both ways
-        sent = np.zeros(h0.shape)
-        scatter_add(sent, to, _times_messages(g_frm, m0, m0), c["flat"])
-        if gamma is not None:
-            grads["encoder.layer0.gate"][...] += graph.bfactor_weights @ (h0 * sent).sum(axis=1)
-            sent *= gamma[:, None]
+        encoding, sent = c["encoding"], np.zeros(c["h0"].shape)
+        graph, block, dm = encoding.graph, encoding.block, dict(c["dm"])
+        dm[0] = self._pass_backward(graph, 0, block, c["h0"], c["g0"], c["mlp"][0][1], sent, grads)
         sent += c["dh0"]
         scatter_add(grads["encoder.embed"], graph.origins * self.vocab_size + graph.elements, sent)
         if c["focal"]:
             last = self.cfg.n_layers - 1
-            i, j = frm[: len(pairs)], to[: len(pairs)]
+            i, j = block[0]  # each pair's ends
             d = c["last"][i] + c["last"][j]
-            edges, rows = zip(*c["focal"])
-            scatter_add(d, encoding.pair_of[np.concatenate(edges)], np.concatenate(rows))
+            pairs, rows = zip(*c["focal"])
+            scatter_add(d, np.concatenate(pairs), np.concatenate(rows))
             dm[last] = dm[last] + d if last in dm else d
         for layer, d in dm.items():
             self._mlp_backward(layer, c["edge_feat"], c["mlp"][layer][0], d, grads)
@@ -676,14 +653,6 @@ class Encoder:
         da = (dm @ self.store[f"{p}.w2"].T) * (1.0 - t**2)
         grads[f"{p}.w1"][...] += edge_feat.T @ da
         grads[f"{p}.b1"][...] += da.sum(axis=0)
-
-
-def _times_messages(rows: np.ndarray, pocket_m: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``rows`` (one per edge) times the edge messages, in place: ``pocket_m``
-    on the leading pocket edges (possibly none), ``m`` on the trailing ones."""
-    rows[: len(pocket_m)] *= pocket_m
-    rows[len(rows) - len(m) :] *= m
-    return rows
 
 
 def _check_focal(focal: int, n_atoms: int) -> None:

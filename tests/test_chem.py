@@ -100,6 +100,13 @@ class TestVocabulary:
         with pytest.raises(ValueError, match=r"elements\.txt: no element entries"):
             Vocabulary.from_file(table)
 
+    @pytest.mark.parametrize("radius", ["nan", "inf"])
+    def test_from_file_non_finite_radius_names_file_and_line(self, tmp_path, radius):
+        table = tmp_path / "elements.txt"
+        table.write_text(f"O 0.66 2\nC {radius} 4\n")
+        with pytest.raises(ValueError, match=r"elements\.txt:2: C: covalent radius .* finite"):
+            Vocabulary.from_file(table)
+
 
 class TestInferBonds:
     def test_cc_single_bond(self):

@@ -16,6 +16,8 @@ from pocketflow.generator import GenConfig
 from pocketflow.model import ModelConfig
 from pocketflow.trainer import TrainConfig
 
+FLOAT_KEYS = [f.name for f in dataclasses.fields(RunConfig) if f.type is float]
+
 
 def non_default_config():
     return RunConfig(
@@ -101,6 +103,12 @@ class TestParsing:
     def test_bad_bool(self):
         with pytest.raises(ConfigError, match="bad value"):
             parse_config("[encoder]\nbfactor_gating = yes\n")
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_rejected(self, key, token):
+        with pytest.raises(ConfigError, match=rf"run\.cfg:2: bad value for '{key}': .*not finite"):
+            parse_config(f"# every float key\n{key} = {token}\n", source="run.cfg")
 
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config("# a comment\n\n[trainer]\nepochs = 3  # inline\n")

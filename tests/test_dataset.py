@@ -124,6 +124,20 @@ def test_bad_atom_is_dataset_error_naming_archive_and_entry(tmp_path, edit):
         load_dataset(path, VOCAB)
 
 
+@pytest.mark.parametrize("part", ["pocket", "ligand"])
+@pytest.mark.parametrize("shorter", ["elements", "positions"])
+def test_element_and_position_counts_must_agree(tmp_path, part, shorter):
+    entries = toy_dataset(VOCAB, n_copies=2, seed=1)
+    path = tmp_path / "data.json"
+    save_dataset(entries, VOCAB, path)
+    payload = json.loads(path.read_text())
+    payload["entries"][1][part][shorter].pop()
+    path.write_text(json.dumps(payload))
+    message = rf"data\.json: entry 'toy_001': {part} has \d+ elements but \d+ positions"
+    with pytest.raises(DatasetError, match=message):
+        load_dataset(path, VOCAB)
+
+
 def test_unsupported_version(tmp_path):
     path = tmp_path / "data.json"
     save_dataset(toy_dataset(VOCAB, n_copies=1, seed=1), VOCAB, path)

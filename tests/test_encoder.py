@@ -420,6 +420,19 @@ class TestPocketPairs:
             assert t.shape == (n_pairs, 5) and m.shape == (n_pairs, 6)
         assert [m.shape for m in encoding.messages] == [(n_pairs, 6)] * 3
 
+    def test_middle_layer_adjoint_is_summed_per_pair(self):
+        """With three layers, a step's backward pass adds the middle layer's
+        pocket d(loss)/d(m) into the pocket's cache as one row per pair."""
+        enc = make_encoder(EncoderConfig(embed_width=6, hidden_width=5, n_layers=3), randomize=True)
+        graph = pocket_graph("shell400")
+        encoding, pocket_cache = enc.encode_pocket(graph)
+        step = extend_graph(graph, CAVITY_LIGAND[:2], 6.0)
+        _, cache = enc.encode_with_cache(step, encoding, step.n_atoms - 1)
+        dcond = np.random.default_rng(3).standard_normal(12)
+        enc.backward(step, cache, dcond, ParamStore(enc.store.shapes), pocket_cache)
+        shapes = {layer: dm.shape for layer, dm in pocket_cache["dm"].items()}
+        assert shapes == {1: (graph.n_edges // 2, 6)}
+
     @pytest.mark.parametrize("pocket_name", ["toy", "shell400"])
     def test_directed_sums_are_bit_equal_to_a_directed_pass(self, pocket_name):
         cfg = EncoderConfig(embed_width=6, hidden_width=5, n_layers=2, bfactor_gating=True)

@@ -22,6 +22,15 @@ def test_store_of_other_sections_rejected():
         Model(ModelConfig(), ParamStore({"w": (2,)}))
 
 
+@pytest.mark.parametrize("radius", ["nan", "inf"])
+def test_non_finite_vocabulary_radius_is_checkpoint_error(tmp_path, radius):
+    path = tmp_path / "model.ckpt"
+    Model(ModelConfig(encoder_layers=1, type_flow_layers=1, coord_flow_layers=1)).save(path)
+    path.write_text(path.read_text().replace(",C:6:0.77:4,", f",C:6:{radius}:4,"))
+    with pytest.raises(CheckpointError, match="C: covalent radius must be positive and finite"):
+        Model.load(path)
+
+
 @pytest.mark.parametrize("key", ["vocab", "embed_width", "bfactor_gating"])
 def test_missing_metadata_key_is_checkpoint_error(tmp_path, key):
     path = tmp_path / "model.ckpt"
