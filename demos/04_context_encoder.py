@@ -23,7 +23,7 @@ bfactors = rng.uniform(5.0, 60.0, size=10)
 pocket = Pocket([Atom(int(e), p) for e, p in zip(elements, positions)], bfactors)
 
 graph = build_graph(pocket, cutoff=6.0)
-print(f"Context graph: {graph.n_atoms} atoms, {graph.n_edges} directed edges")
+print(f"Context graph: {graph.n_atoms} atoms, {graph.n_edges} undirected edges (each stored once)")
 
 cfg = EncoderConfig(embed_width=8, hidden_width=16, n_layers=2, bfactor_gating=True)
 bank = RbfBank.default()

@@ -17,7 +17,6 @@ from .chem import (
     VocabularyError,
     check_validity,
     infer_bonds,
-    max_valence,
     open_valence,
 )
 from .config import ConfigError, RunConfig, read_config, write_config
@@ -37,7 +36,6 @@ from .geometry import (
     RbfBank,
     RigidTransform,
     apply_rigid,
-    pairwise_distance,
     rbf_expand,
     rmsd,
 )

@@ -145,11 +145,6 @@ class Vocabulary:
         return cls(entries)
 
 
-def max_valence(element: ElementKind) -> int:
-    """Bond-order capacity of an element."""
-    return element.max_valence
-
-
 @dataclass(frozen=True)
 class Atom:
     """One typed point: vocabulary index plus Cartesian position in Angstrom."""

@@ -27,19 +27,20 @@ the encoder parameters stay fixed.  Generation shares one prefix across the
 steps that grow a molecule, training across the steps of a trajectory within
 a gradient evaluation.
 
-Edge blocks: every message is formed by :meth:`Encoder._pass` and
-back-propagated by :meth:`Encoder._pass_backward`, on a directed block (one
-edge-MLP row per edge: the edges after the pocket's own) or on the pocket's
-pair block.  A message weight depends on its edge's distance alone, and the
-two directed copies of a pocket pair have the same distance bit for bit, so
-the pair block runs each pair (i, j), i < j, both ways (every i -> j, then
-every j -> i) on one row per pair (P = E/2): the RBF expansion, the edge MLP
-and its backward pass run once per pair.  Its receivers ``[j; i]`` meet their
-senders in increasing order, as in a source-major directed list, so the
-per-atom sums equal a full encoding's bit for bit.  Backward, each edge runs
-as its reverse, which has the same row: the adjoint goes into the forward
-pass's receivers, in the same order, and a pair's d(loss)/d(m) is the sum of
-its two rows.
+Pair blocks: a graph stores each undirected edge once, as (i, j) with
+i < j, and a message weight depends on its edge's distance alone, so both
+directions of an edge share one edge-MLP row: the RBF expansion, the edge
+MLP and its backward pass run once per edge.  Every message is formed by
+:meth:`Encoder._pass` and back-propagated by :meth:`Encoder._pass_backward`
+on a pair block, a run of edges sent as ``[i; j]`` and received as
+``[j; i]``: every i -> j, then every j -> i.  An atom v thus meets the
+edges (u, v) first, then (v, w).  A graph's edges come as the pocket's
+pairs, then pocket-ligand, then ligand-ligand, each run in lexicographic
+order, so v adds its terms in increasing partner order, whichever blocks
+the edges are split into; the per-atom sums of a prefix encoding equal a
+full encoding's bit for bit.  Backward, each edge runs as its reverse,
+which has the same row: the adjoint goes into the forward pass's receivers,
+in the same order, and an edge's d(loss)/d(m) is the sum of its two rows.
 
 Factored readout: generation and training need only the conditioner
 :func:`aggregate_readout`, the focal row and the mean of the last layer's
@@ -50,7 +51,7 @@ the pocket edges, a per-pocket sum), and the focal row only the edges into
 the focal.  The readout's adjoint is the same on every row but the focal's,
 and layer 0's pocket rows start from the same embeddings at every step; so
 :meth:`Encoder.backward` adds each step's share of the pocket edges' adjoint
-into per-pocket sums of (n, H) or (P, H) rows, and
+into per-pocket sums of (n, H) or (E, H) rows, and
 :meth:`Encoder.pocket_backward` pushes them through the pocket edges once for
 all the steps.  No per-step array then has the pocket's edge count as a size
 but a middle layer's pair-block pass.  The sums are reassociated, so the
@@ -80,8 +81,9 @@ PROTEIN, LIGAND = 0, 1
 class ContextGraph:
     """Atoms of the conditioning context plus its distance-cutoff edge list.
 
-    Edges are directed and stored both ways, so an undirected neighbor pair
-    contributes one entry per direction.
+    Each undirected edge is stored once, as ``(edge_src, edge_dst)`` with
+    ``edge_src < edge_dst``; a graph with a self-loop or a reversed edge
+    raises ``ValueError``.
     """
 
     elements: np.ndarray  # (n,) vocabulary indices
@@ -95,9 +97,23 @@ class ContextGraph:
     # times per layer, and at toy scale each Python call counts
     n_atoms: int = field(init=False, repr=False, compare=False)
     n_edges: int = field(init=False, repr=False, compare=False)
+    # (2, E) [src; dst]: a run of edges is a view, the senders of its pair block
+    edges: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.n_atoms, self.n_edges = len(self.elements), len(self.edge_src)
+        self.edges = np.array([self.edge_src, self.edge_dst])
+        self.edge_src, self.edge_dst = self.edges  # views: each list is stored once
+        if (self.edge_src >= self.edge_dst).any():
+            raise ValueError("each edge must be stored once, as (src, dst) with src < dst")
+
+
+def _upper_pairs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (i, j) with i < j where ``mask`` is set, in lexicographic order:
+    ``np.nonzero(np.triu(mask, 1))``, without ``np.triu``'s per-call cost."""
+    i, j = np.nonzero(mask)
+    upper = i < j
+    return i[upper], j[upper]
 
 
 def build_graph(
@@ -109,7 +125,7 @@ def build_graph(
 
     Undirected edges link every pair (protein-protein, protein-ligand and
     ligand-ligand alike) with distance <= cutoff.  This is the pocket-only
-    graph, its edges in source-major order, extended by :func:`extend_graph`
+    graph, its edges in lexicographic order, extended by :func:`extend_graph`
     when atoms are placed.
     """
     if cutoff <= 0:
@@ -118,7 +134,7 @@ def build_graph(
         raise ValueError("empty context")
     n = len(pocket)
     dist = distance_matrix(pocket.positions, pocket.positions)
-    src, dst = np.nonzero((dist <= cutoff) & ~np.eye(n, dtype=bool))
+    src, dst = _upper_pairs(dist <= cutoff)
     graph = ContextGraph(
         elements=pocket.elements,
         origins=np.full(n, PROTEIN),
@@ -139,27 +155,25 @@ def extend_graph(
     """``graph`` plus ``placed`` as ligand atoms, at O(L*(n+L)) distance cost.
 
     The edges of ``graph`` keep the head of the list; the new ones follow as
-    old->new then new->any, each ordered by source then destination.  Every
-    node thus meets its edges in increasing neighbour order, as in a fully
-    source-major list, so the encoder's per-node sums (the forward pass and
-    the scattered adjoints) match such a list bit for bit.
+    old-new pairs, then new-new pairs, each run in lexicographic order, so
+    that the encoder's per-atom sums match a full encoding bit for bit (see
+    the module docstring).
     """
     n, n_new = graph.n_atoms, len(placed)
     new_pos, new_elements = _atom_arrays(placed)
     positions = np.vstack([graph.positions, new_pos])
     dist = distance_matrix(new_pos, positions)  # (L, n + L)
     near = dist <= cutoff
-    near[:, n:] &= ~np.eye(n_new, dtype=bool)
     old_src, new_dst = np.nonzero(near[:, :n].T)
-    new_src, any_dst = np.nonzero(near)
+    new_src, new_pair = _upper_pairs(near[:, n:])
     return ContextGraph(
         elements=np.concatenate([graph.elements, new_elements]),
         origins=np.concatenate([graph.origins, np.full(n_new, LIGAND)]),
         positions=positions,
         edge_src=np.concatenate([graph.edge_src, old_src, n + new_src]),
-        edge_dst=np.concatenate([graph.edge_dst, n + new_dst, any_dst]),
+        edge_dst=np.concatenate([graph.edge_dst, n + new_dst, n + new_pair]),
         edge_dist=np.concatenate(
-            [graph.edge_dist, dist[new_dst, old_src], dist[new_src, any_dst]]
+            [graph.edge_dist, dist[new_dst, old_src], dist[new_src, n + new_pair]]
         ),
         bfactor_weights=np.concatenate([graph.bfactor_weights, np.zeros(n_new)]),
     )
@@ -170,76 +184,45 @@ class PocketEncoding:
     """The part of the forward pass that only the pocket determines; valid
     only while the encoder parameters stay fixed.
 
-    ``messages`` has one row per undirected pocket pair, ``pair_of`` maps
-    each directed pocket edge to its pair, and ``block`` is the pocket's pair
-    block (see the module docstring).  ``aggregate`` and ``out_messages`` are
-    sums over the directed edges, each atom's terms in the source-major order
-    of a full encoding, so that a context encoded on this prefix equals its
-    full encoding bit for bit.  The pocket edges into atom f are the reverses
-    of f's source-major run out of it, in the same order.
+    ``messages`` has one row per pocket edge.  ``aggregate`` and
+    ``out_messages`` are per-atom sums, each atom's terms in increasing
+    partner order, so that a context encoded on this prefix equals its full
+    encoding bit for bit.
     """
 
     graph: ContextGraph  # the pocket alone
-    pair_of: np.ndarray  # (E,) the undirected pair of each directed pocket edge
-    messages: list[np.ndarray]  # per layer, the edge-MLP output m per pair (P, H)
+    messages: list[np.ndarray]  # per layer, the edge-MLP output m per edge (E, H)
     aggregate: np.ndarray  # layer 0's output on pocket rows, before ligand messages
-    out_messages: np.ndarray  # (n, H) the last layer's m summed per source atom
-    # senders [i; j] and receivers [j; i], both (2, P), and the receivers'
-    # flat scatter index at width H
-    block: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-    def edge_messages(self, layer: int, edges: np.ndarray | slice = slice(None)) -> np.ndarray:
-        """The edge-MLP output m of layer ``layer`` on the directed pocket
-        edges ``edges`` (all of them by default), one row per edge."""
-        return self.messages[layer][self.pair_of[edges]]
+    out_messages: np.ndarray  # (n, H) the last layer's m summed per atom over its edges
 
 
-def pair_edges(graph: ContextGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The undirected pairs of a symmetric, source-major edge list.
-
-    Returns ``by_dst`` (the edges ordered by destination, then source, which
-    for such a list is the reverse-edge index), ``pairs`` (the edges with
-    source < destination, in list order: one per pair, ordered by their
-    lower then higher atom) and ``pair_of`` (the pair of each edge).  Raises
-    ``ValueError`` unless every edge has a reverse of the same distance and
-    no edge is a self-loop, so that no edge is ever paired wrongly.  With
-    ``by_dst`` a stable sort, these checks also hold the list to source-major
-    order, which :meth:`Encoder.encode_pocket` relies on.
-    """
-    src, dst = graph.edge_src, graph.edge_dst
-    by_dst = np.argsort(dst, kind="stable")
-    pairs = np.flatnonzero(src < dst)
-    if not (
-        2 * len(pairs) == graph.n_edges
-        and (src[by_dst] == dst).all()
-        and (dst[by_dst] == src).all()
-        and (graph.edge_dist[by_dst] == graph.edge_dist).all()
-    ):
-        raise ValueError(
-            "pocket edges must be source-major and closed under reversal, "
-            "with equal distances both ways and no self-loops"
-        )
-    pair_of = np.empty(graph.n_edges, dtype=int)
-    pair_of[pairs] = pair_of[by_dst[pairs]] = np.arange(len(pairs))
-    return by_dst, pairs, pair_of
+def _out_sums(out: np.ndarray, block: np.ndarray, m: np.ndarray) -> None:
+    """Add each edge's ``m`` into both its ends' rows of ``out``, the dst ends
+    first, so that each atom adds its terms in increasing partner order."""
+    scatter_add(out, block[::-1].ravel(), np.concatenate([m, m]))
 
 
-def scatter_add(
-    out: np.ndarray, index: np.ndarray, rows: np.ndarray, flat: np.ndarray | None = None
+def _last_layer_dm(
+    last: np.ndarray, block: np.ndarray, edges: np.ndarray, rows: np.ndarray
 ) -> np.ndarray:
+    """The last layer's d(loss)/d(m) on ``block`` given a focal: each edge's
+    ``m`` enters the readout's mean once from each end, so edge (i, j) gets
+    ``last[i] + last[j]`` (``last`` is gamma * x times the mean's adjoint), and
+    the edges into a focal add ``rows``."""
+    dm = last[block[0]] + last[block[1]]
+    scatter_add(dm, edges, rows)
+    return dm
+
+
+def scatter_add(out: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
     """Add each row of ``rows`` (index.shape + (w,)) into row ``index[i]`` of
     ``out`` viewed as (-1, w): ``np.add.at(out, index, rows)`` for a C-contiguous
     ``out``, as one 1-D ``np.add.at`` over flat element indices.  Every element
-    receives its terms in the same order, so the result is the same bit for bit.
-
-    Returns the flat indices, which a later scatter by the same ``index``
-    and width can pass back as ``flat`` rather than build them again."""
+    receives its terms in the same order, so the result is the same bit for bit."""
     if not out.flags.c_contiguous:
         raise ValueError("scatter_add needs a C-contiguous output")
-    if flat is None:
-        flat = np.add.outer(index * rows.shape[-1], np.arange(rows.shape[-1])).ravel()
-    np.add.at(out.reshape(-1), flat, rows.reshape(-1))
-    return flat
+    flat = np.add.outer(index * rows.shape[-1], np.arange(rows.shape[-1]))
+    np.add.at(out.reshape(-1), flat.ravel(), rows.reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -269,14 +252,11 @@ class Encoder:
         self.bank = bank
         self.store = store
         none, rows = np.zeros(0, dtype=int), np.zeros((0, cfg.embed_width))
-        ends = np.zeros((2, 0), dtype=int)
         self.empty_pocket = PocketEncoding(
             ContextGraph(none, none, np.zeros((0, 3)), none, none, np.zeros(0), np.zeros(0)),
-            none,
             [rows] * cfg.n_layers,
             rows,
             rows,
-            (ends, ends, none),
         )
 
     @staticmethod
@@ -321,10 +301,8 @@ class Encoder:
         self._check_elements(graph)
         return self.store["encoder.embed"][graph.origins, graph.elements].copy()
 
-    def edge_features(
-        self, graph: ContextGraph, edges: np.ndarray | slice = slice(None)
-    ) -> np.ndarray:
-        """RBF features of the edges ``edges`` (an index array or a slice)."""
+    def edge_features(self, graph: ContextGraph, edges: slice = slice(None)) -> np.ndarray:
+        """RBF features of the edges ``edges``."""
         return rbf_expand(graph.edge_dist[edges], self.bank)
 
     def _edge_mlp(self, layer: int, edge_feat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -354,9 +332,8 @@ class Encoder:
         ``pocket.graph`` (by default the empty prefix).
 
         ``m`` holds the edge-MLP outputs of the edges after the pocket's own,
-        computed here when not given.  The pocket edges run as the pocket's
-        pair block but at layer 0, whose sum on the pocket rows is read from
-        ``pocket``.
+        computed here when not given.  The pocket edges run as one pair block
+        but at layer 0, whose sum on the pocket rows is read from ``pocket``.
         """
         if h.shape != (graph.n_atoms, self.cfg.embed_width):
             raise ValueError(
@@ -372,27 +349,19 @@ class Encoder:
         if layer == 0:
             h_next[: pocket.graph.n_atoms] = pocket.aggregate
         else:
-            self._pass(h_next, h, pocket.block, pocket.messages[layer], gamma)
-        self._pass(h_next, h, (graph.edge_src[start:], graph.edge_dst[start:], None), m, gamma)
+            self._pass(h_next, h, pocket.graph.edges, pocket.messages[layer], gamma)
+        self._pass(h_next, h, graph.edges[:, start:], m, gamma)
         return h_next
 
-    def _pass(
-        self, out: np.ndarray, h: np.ndarray, block: tuple, m: np.ndarray, gamma: np.ndarray | None
-    ) -> np.ndarray:
-        """Add the messages ``gamma[u] * h[u] * m`` of every edge u -> v of
-        ``block`` into row v of ``out``, each row in block order.
-
-        ``block`` is ``(send, recv, flat)``: a directed block, with (E,)
-        senders and receivers and one row of ``m`` per edge, or a pair block,
-        with (2, P) ones and one row of ``m`` per pair.  ``flat`` is the flat
-        scatter index of ``recv``, or None to build it; it is returned.
-        """
-        send, recv, flat = block
-        rows = h[send]
+    def _pass(self, out, h, block: np.ndarray, m, gamma: np.ndarray | None) -> None:
+        """Add the messages ``gamma[u] * h[u] * m`` of the pair block ``block``
+        (one row of ``m`` per edge, sent both ways) into the receivers' rows
+        of ``out``, in block order."""
+        rows = h[block]
         rows *= m
         if gamma is not None:
-            rows *= gamma[send, None]
-        return scatter_add(out, recv, rows, flat)
+            rows *= gamma[block, None]
+        scatter_add(out, block[::-1], rows)
 
     def encode(self, graph: ContextGraph, pocket: PocketEncoding | None = None) -> np.ndarray:
         h, _ = self.encode_with_cache(graph, pocket)
@@ -430,28 +399,31 @@ class Encoder:
         """:func:`aggregate_readout` of the last layer's output, from its input
         ``x`` and the edge-MLP outputs ``m`` of the edges after the pocket's.
 
-        Every message ``gamma[src] * x[src] * m_e`` adds into the mean alike,
-        so the mean needs only each atom's outgoing messages summed, which on
+        Every message ``gamma[u] * x[u] * m_e`` adds into the mean alike, so
+        the mean needs only each atom's outgoing messages summed, which on
         the pocket edges is ``pocket.out_messages``; the focal row needs only
-        the edges into the focal, on the pocket the reverses of the focal's
-        source-major run.  Also returns what :meth:`_readout_backward` reads.
+        the edges into the focal.  Also returns what :meth:`_readout_backward`
+        reads.
         """
         _check_focal(focal, len(x))
         layer, start = self.cfg.n_layers - 1, pocket.graph.n_edges
-        src = graph.edge_src[start:]
         gamma = self._gamma(graph, layer)
         gx = x if gamma is None else x * gamma[:, None]
         out_m = np.zeros(x.shape)
         out_m[: len(pocket.out_messages)] = pocket.out_messages
-        scatter_add(out_m, src, m)
-        (into,) = (graph.edge_dst[start:] == focal).nonzero()
-        lo, hi = np.searchsorted(pocket.graph.edge_src, (focal, focal + 1))
-        in_pairs = pocket.pair_of[lo:hi]
-        in_src = np.concatenate([pocket.graph.edge_dst[lo:hi], src[into]])
-        in_m = np.concatenate([pocket.messages[layer][in_pairs], m[into]])
+        _out_sums(out_m, graph.edges[:, start:], m)
+        # the edges into the focal, those with dst == focal then those with
+        # src == focal, are in list order (pocket edges first) and in
+        # increasing partner order (see the module docstring)
+        src, dst = graph.edge_src, graph.edge_dst
+        (to_f,), (from_f,) = (dst == focal).nonzero(), (src == focal).nonzero()
+        edges, in_src = np.concatenate([to_f, from_f]), np.concatenate([src[to_f], dst[from_f]])
+        k = np.searchsorted(edges, start)
+        in_pocket, into = edges[:k], edges[k:] - start
+        in_m = np.concatenate([pocket.messages[layer][in_pocket], m[into]])
         row = x[focal] + (gx[in_src] * in_m).sum(axis=0)
         mean = (x + gx * out_m).mean(axis=0)
-        return np.concatenate([row, mean]), (gx, out_m, into, in_pairs, in_src, in_m)
+        return np.concatenate([row, mean]), (gx, out_m, into, in_pocket, in_src, in_m)
 
     def encode_pocket(self, graph: ContextGraph) -> tuple[PocketEncoding, dict]:
         """Encode a pocket-only graph once for reuse by every context built on
@@ -459,36 +431,27 @@ class Encoder:
         last layer's outgoing message sums.  Also returns the cache into which
         :meth:`backward` adds the pocket's share of each step's adjoint, and
         which :meth:`pocket_backward` then reads.
-
-        The RBF features and the edge MLP run once per undirected pair (see
-        :func:`pair_edges`), and layer 0 as the pocket's pair block.
         """
-        _, pairs, pair_of = pair_edges(graph)
-        i, j = graph.edge_src[pairs], graph.edge_dst[pairs]
-        send, recv = np.stack([i, j]), np.stack([j, i])
-        edge_feat = self.edge_features(graph, pairs)
+        block = graph.edges
+        edge_feat = self.edge_features(graph)
         mlp = [self._edge_mlp(layer, edge_feat) for layer in range(self.cfg.n_layers)]
         h0 = self.initial_embeddings(graph)
         aggregate = h0.copy()
-        flat = self._pass(aggregate, h0, (send, recv, None), mlp[0][1], self._gamma(graph, 0))
+        self._pass(aggregate, h0, block, mlp[0][1], self._gamma(graph, 0))
         out_messages = np.zeros(h0.shape)
-        # the edges out of an atom are those into it reversed, with the same m
-        for end, part in zip(recv, np.split(flat, 2)):
-            scatter_add(out_messages, end, mlp[-1][1], part)
-        encoding = PocketEncoding(
-            graph, pair_of, [m for _, m in mlp], aggregate, out_messages, (send, recv, flat)
-        )
+        _out_sums(out_messages, block, mlp[-1][1])
+        encoding = PocketEncoding(graph, [m for _, m in mlp], aggregate, out_messages)
         cache = {
             "encoding": encoding,
-            "edge_feat": edge_feat,  # (P, n_rbf)
-            "mlp": mlp,  # per layer, the hidden activations t and m per pair
+            "edge_feat": edge_feat,  # (E, n_rbf)
+            "mlp": mlp,  # per layer, the hidden activations t and m per edge
             "h0": h0,
             # sums over the steps on this pocket, added by ``backward``
             "g0": np.zeros(h0.shape),  # d(loss)/d(layer 0's output), pocket rows
             "dh0": np.zeros(h0.shape),  # d(loss)/d(embeddings) less layer 0's pocket block
             "last": np.zeros(h0.shape),  # gamma * x * the readout's mean adjoint
-            "focal": [],  # per step, the pairs of the pocket edges into the focal and their dm
-            "dm": {},  # layer -> d(loss)/d(m) per pair of a layer that ran the pair block
+            "focal": [],  # per step, the pocket edges into the focal and their dm
+            "dm": {},  # layer -> d(loss)/d(m) per edge of a layer that ran the pocket block
         }
         return encoding, cache
 
@@ -516,7 +479,7 @@ class Encoder:
         if n and pocket_cache is None:
             raise ValueError("a context on a pocket prefix needs the pocket's cache")
         g, top = dh, self.cfg.n_layers
-        block = graph.edge_src[start:], graph.edge_dst[start:], None  # the edges after the pocket's
+        block = graph.edges[:, start:]  # the edges after the pocket's
         if "readout" in cache:
             g, top = self._readout_backward(graph, cache, dh, grads, pocket_cache), top - 1
         for layer in reversed(range(top)):
@@ -525,7 +488,7 @@ class Encoder:
                 pocket_cache["g0"] += g[:n]
             elif n:
                 sums, m = pocket_cache["dm"], pocket.messages[layer]
-                dm = self._pass_backward(graph, layer, pocket.block, h, g, m, dx, grads)
+                dm = self._pass_backward(graph, layer, pocket.graph.edges, h, g, m, dx, grads)
                 sums[layer] = sums[layer] + dm if layer in sums else dm
             t, m = cache["mlp"][layer]
             dm = self._pass_backward(graph, layer, block, h, g, m, dx, grads)
@@ -537,37 +500,32 @@ class Encoder:
         scatter_add(grads["encoder.embed"], table, g[n:])
 
     def _pass_backward(
-        self, graph: ContextGraph, layer: int, block: tuple, h, g, m, dh, grads: ParamStore
+        self, graph: ContextGraph, layer: int, block: np.ndarray, h, g, m, dh, grads: ParamStore
     ) -> np.ndarray:
         """Back through :meth:`_pass` of ``block`` at layer ``layer``, given
         its input ``h`` and d(loss)/d(out) ``g``: add the messages' share of
         d(loss)/d(h) into ``dh`` and the gate's gradient into ``grads``, and
-        return d(loss)/d(m), one row per row of ``m``.
+        return d(loss)/d(m), one row per edge.
 
-        A pair block runs each edge as its reverse, which has the same row of
-        ``m``: rows ``g[send] * m`` are scattered into ``recv`` by the forward
-        pass's flat index, so each atom adds its terms in increasing neighbour
-        order, as over its source-major run of outgoing edges.  A pair's
-        d(loss)/d(m) is the sum of its two edges' rows.
+        Each edge runs as its reverse, which has the same row of ``m``: rows
+        ``g[send] * m`` are scattered into the forward pass's receivers, in
+        its order, so each atom adds its terms in increasing partner order.
+        An edge's d(loss)/d(m) is the sum of its two rows.
         """
-        send, recv, flat = block
-        if send.ndim == 2:
-            send, recv = recv, send
-        else:
-            flat = None  # a directed block's index scatters into ``recv``
-        dmsg = g[recv]
+        send, recv = block, block[::-1]
+        dmsg = g[send]  # d(loss)/d(message) of each reverse edge recv -> send
         gamma = self._gamma(graph, layer)
         if gamma is not None:
-            pre = h[send]
+            pre = h[recv]
             pre *= m
             dgamma = (dmsg * pre).sum(axis=-1)
-            grads[f"encoder.layer{layer}.gate"][...] += np.sum(dgamma * graph.bfactor_weights[send])
-            dmsg *= gamma[send, None]
-        dm = h[send]
+            grads[f"encoder.layer{layer}.gate"][...] += np.sum(dgamma * graph.bfactor_weights[recv])
+            dmsg *= gamma[recv, None]
+        dm = h[recv]
         dm *= dmsg
         dmsg *= m
-        scatter_add(dh, send, dmsg, flat)
-        return dm if dm.ndim == 2 else dm[0] + dm[1]
+        scatter_add(dh, recv, dmsg)
+        return dm[0] + dm[1]
 
     def _readout_backward(
         self,
@@ -580,21 +538,21 @@ class Encoder:
         """Back through :meth:`_last_layer_readout` given d(loss)/d(readout):
         the adjoint of the last layer's output is the mean's share ``c`` on
         every row plus ``df`` on the focal's.  Adds the last layer's
-        gradients but for the pocket edges' MLP, whose d(loss)/d(m) goes into
-        ``pocket_cache`` per source atom, and returns d(loss)/d(x)."""
+        gradients but for the pocket edges' MLP, whose share goes into
+        ``pocket_cache``, and returns d(loss)/d(x)."""
         layer = self.cfg.n_layers - 1
         pocket = cache["pocket"]
         n, start = pocket.graph.n_atoms, pocket.graph.n_edges
-        gx, out_m, into, in_pairs, in_src, in_m = cache["readout"]
+        gx, out_m, into, in_pocket, in_src, in_m = cache["readout"]
         width = self.cfg.embed_width
         df, c = dcond[:width], dcond[width:] / graph.n_atoms
         df_rows = gx[in_src] * df  # d(loss)/d(m) on the edges into the focal, less c
-        dm = gx[graph.edge_src[start:]] * c
-        dm[into] += df_rows[len(in_pairs) :]
+        last, k = gx * c, len(in_pocket)
+        dm = _last_layer_dm(last, graph.edges[:, start:], into, df_rows[k:])
         self._mlp_backward(layer, cache["edge_feat"], cache["mlp"][layer][0], dm, grads)
         if n:
-            pocket_cache["last"] += gx[:n] * c
-            pocket_cache["focal"].append((in_pairs, df_rows[: len(in_pairs)]))
+            pocket_cache["last"] += last[:n]
+            pocket_cache["focal"].append((in_pocket, df_rows[:k]))
         dx = out_m * c
         df_m = in_m * df
         gamma = self._gamma(graph, layer)
@@ -608,37 +566,35 @@ class Encoder:
             df_m *= gamma[in_src, None]
         dx += c
         dx[cache["focal"]] += df
-        dx[in_src] += df_m  # one edge per source into the focal: no repeated rows
+        dx[in_src] += df_m  # one edge per partner into the focal: no repeated rows
         return dx
 
     def pocket_backward(self, pocket_cache: dict, grads: ParamStore) -> None:
         """Finish the pocket edges' share of the gradient, once for every step
         that :meth:`backward` added into ``pocket_cache``.  Each share is
         linear in the sums kept there, and the edge MLP's backward pass runs
-        once per layer, on the pairs' summed d(loss)/d(m):
+        once per layer, on the edges' summed d(loss)/d(m):
 
         - layer 0: the pocket rows' input embeddings ``h0`` are the same at
-          every step, so the pair block's backward pass on the summed output
-          adjoint ``g0`` yields, for all the steps, the pairs' d(loss)/d(m),
+          every step, so the pocket block's backward pass on the summed output
+          adjoint ``g0`` yields, for all the steps, the edges' d(loss)/d(m),
           the messages' share of d(loss)/d(embeddings) and the gate gradient
           (``g0`` stays zero when layer 0 is also the last layer);
-        - the last layer, given a focal: d(loss)/d(m) of edge i->j is source
-          i's summed term, so pair (i, j) gets ``last[i] + last[j]`` plus the
-          rows of the edges into each focal;
-        - any other layer: the pairs' d(loss)/d(m) that ``backward`` summed.
+        - the last layer, given a focal: :func:`_last_layer_dm` of the summed
+          ``last`` and the rows of the edges into each focal;
+        - any other layer: the edges' d(loss)/d(m) that ``backward`` summed.
         """
         c = pocket_cache
         encoding, sent = c["encoding"], np.zeros(c["h0"].shape)
-        graph, block, dm = encoding.graph, encoding.block, dict(c["dm"])
+        graph, dm = encoding.graph, dict(c["dm"])
+        block = graph.edges
         dm[0] = self._pass_backward(graph, 0, block, c["h0"], c["g0"], c["mlp"][0][1], sent, grads)
         sent += c["dh0"]
         scatter_add(grads["encoder.embed"], graph.origins * self.vocab_size + graph.elements, sent)
         if c["focal"]:
             last = self.cfg.n_layers - 1
-            i, j = block[0]  # each pair's ends
-            d = c["last"][i] + c["last"][j]
-            pairs, rows = zip(*c["focal"])
-            scatter_add(d, np.concatenate(pairs), np.concatenate(rows))
+            edges, rows = zip(*c["focal"])
+            d = _last_layer_dm(c["last"], block, np.concatenate(edges), np.concatenate(rows))
             dm[last] = dm[last] + d if last in dm else d
         for layer, d in dm.items():
             self._mlp_backward(layer, c["edge_feat"], c["mlp"][layer][0], d, grads)

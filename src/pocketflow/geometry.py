@@ -48,13 +48,6 @@ class RbfBank:
         return cls(centers, float(centers[1] - centers[0]))
 
 
-def pairwise_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean distance between two 3-D points."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return float(np.linalg.norm(a - b))
-
-
 def distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distances from every row of ``a`` (n, 3) to every row of
     ``b`` (m, 3), shape (n, m)."""
@@ -90,13 +83,6 @@ def rmsd(a: Molecule, b: Molecule, align: bool = False) -> float:
     if align:
         pa, pb = _kabsch_superpose(pa, pb)
     return float(np.sqrt(np.mean(np.sum((pa - pb) ** 2, axis=1))))
-
-
-def mean_atom_distance(a: Molecule, b: Molecule) -> float:
-    """Mean of per-atom distances (the non-standard RMSD variant)."""
-    if len(a) != len(b):
-        raise ValueError(f"atom counts differ: {len(a)} vs {len(b)}")
-    return float(np.mean(np.linalg.norm(a.positions - b.positions, axis=1)))
 
 
 def _kabsch_superpose(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,8 @@ Every step of a trajectory extends the same pocket graph, so one pass encodes
 each pocket once (:meth:`Encoder.encode_pocket`), then runs each step through
 the encoder's factored readout: with the default two layers a step's forward
 and backward work covers its ligand edges and (n, H) rows of the pocket, not
-the pocket's own edges.  :meth:`Encoder.backward` adds each step's share of
+the pocket's own edges.  Every edge, pocket or ligand, is stored once, and
+its two directions share one edge-MLP row and one row of its backward pass.  :meth:`Encoder.backward` adds each step's share of
 the pocket edges' adjoint into per-pocket sums, and
 :meth:`Encoder.pocket_backward` pushes them through the pocket edges once.
 Sums are reassociated against encoding every step on its own full graph, so

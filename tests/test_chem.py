@@ -15,7 +15,6 @@ from pocketflow.chem import (
     VocabularyError,
     check_validity,
     infer_bonds,
-    max_valence,
     open_valence,
     used_valence,
 )
@@ -46,7 +45,7 @@ class TestVocabulary:
         "symbol,valence", [("C", 4), ("O", 2), ("H", 1), ("N", 3)]
     )
     def test_max_valence_table(self, symbol, valence):
-        assert max_valence(VOCAB[VOCAB.index(symbol)]) == valence
+        assert VOCAB[VOCAB.index(symbol)].max_valence == valence
 
     def test_unknown_symbol(self):
         with pytest.raises(VocabularyError):

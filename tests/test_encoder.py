@@ -13,11 +13,10 @@ from pocketflow.encoder import (
     aggregate_readout,
     build_graph,
     extend_graph,
-    pair_edges,
     readout_backward,
     scatter_add,
 )
-from pocketflow.geometry import RbfBank, RigidTransform, apply_rigid
+from pocketflow.geometry import RbfBank, RigidTransform, apply_rigid, distance_matrix
 from pocketflow.params import ParamStore
 from pocketflow.synthetic import toy_complex
 
@@ -47,8 +46,8 @@ def pocket_of(*positions, elements=None, bfactors=None):
 class TestBuildGraph:
     def test_pair_within_cutoff(self):
         graph = build_graph(pocket_of((0, 0, 0), (3, 0, 0)), cutoff=6.0)
-        assert graph.n_edges == 2  # one undirected edge, both directions
-        assert set(zip(graph.edge_src, graph.edge_dst)) == {(0, 1), (1, 0)}
+        assert graph.n_edges == 1  # one undirected edge, stored once
+        assert set(zip(graph.edge_src, graph.edge_dst)) == {(0, 1)}
 
     def test_pair_beyond_cutoff(self):
         graph = build_graph(pocket_of((0, 0, 0), (7, 0, 0)), cutoff=6.0)
@@ -57,14 +56,14 @@ class TestBuildGraph:
     def test_collinear_chain(self):
         graph = build_graph(pocket_of((0, 0, 0), (4, 0, 0), (8, 0, 0)), cutoff=6.0)
         pairs = set(zip(graph.edge_src.tolist(), graph.edge_dst.tolist()))
-        assert pairs == {(0, 1), (1, 0), (1, 2), (2, 1)}
+        assert pairs == {(0, 1), (1, 2)}
 
     def test_origin_flags_and_cross_edges(self):
         pocket = pocket_of((0, 0, 0))
         placed = [Atom(O, (2.0, 0, 0))]
         graph = build_graph(pocket, placed, cutoff=6.0)
         assert graph.origins.tolist() == [PROTEIN, LIGAND]
-        assert graph.n_edges == 2
+        assert graph.n_edges == 1
 
     def test_distances_consistent(self):
         rng = np.random.default_rng(0)
@@ -82,6 +81,27 @@ class TestBuildGraph:
     def test_non_positive_cutoff_rejected(self, cutoff):
         with pytest.raises(ValueError, match="cutoff must be positive"):
             build_graph(pocket_of((0, 0, 0), (1, 0, 0)), cutoff=cutoff)
+
+    @pytest.mark.parametrize("pocket_name", ["toy", "shell400"])
+    def test_edges_are_the_dense_triu_pairs(self, pocket_name):
+        """Each undirected edge once, as the np.triu pairs of a dense distance
+        matrix: the pocket's pairs, then pocket-ligand, then ligand-ligand,
+        each run in lexicographic order, with the dense matrix's distances."""
+        pocket = pocket_atoms(pocket_name)
+        rng = np.random.default_rng(4)
+        anchor = pocket.centroid() if pocket_name == "toy" else np.zeros(3)
+        placed = [Atom(C, anchor + p) for p in rng.uniform(-2.5, 2.5, (10, 3))]
+        n = len(pocket)
+        for t in range(len(placed) + 1):
+            positions = np.vstack([pocket.positions, *[a.position for a in placed[:t]]])
+            dense = distance_matrix(positions, positions)
+            src, dst = np.nonzero(np.triu(dense <= 6.0, 1))
+            run = np.argsort((src >= n).astype(int) + (dst >= n), kind="stable")
+            src, dst = src[run], dst[run]
+            pocket_only = build_graph(pocket)
+            for graph in (build_graph(pocket, placed[:t]), extend_graph(pocket_only, placed[:t])):
+                assert np.array_equal(graph.edge_src, src) and np.array_equal(graph.edge_dst, dst)
+                assert np.array_equal(graph.edge_dist, dense[src, dst])
 
 
 class TestMessageLayer:
@@ -207,18 +227,6 @@ class TestScatterAdd:
         np.add.at(expected, (origins, elements), rows)
         scatter_add(table, origins * 5 + elements, rows)
         assert np.array_equal(table, expected)
-
-    def test_returned_flat_index_serves_a_second_scatter(self):
-        rng = np.random.default_rng(1)
-        index = np.array([4, 0, 4, 2, 2, 7])
-        first, second = rng.standard_normal((2, 6, 3)) * 10.0 ** rng.integers(-8, 9, (2, 6, 1))
-        out = rng.standard_normal((8, 3))
-        expected = out.copy()
-        np.add.at(expected, index, first)
-        np.add.at(expected, index, second)
-        flat = scatter_add(out, index, first)
-        scatter_add(out, np.array([], dtype=int), second, flat)
-        assert np.array_equal(out, expected)
 
     def test_non_contiguous_output_rejected(self):
         out = np.zeros((3, 8))[:, ::2]
@@ -355,14 +363,23 @@ class TestFactoredReadout:
                 got, _ = enc.encode_with_cache(graph, encoding, focal)
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
             # a pocket focal that receives both pocket and ligand messages
-            senders = graph.edge_src[graph.edge_dst == near]
+            senders = partners(graph, near)
             pocket_focal_met_both |= bool(np.any(senders < n) and np.any(senders >= n))
         assert pocket_focal_met_both
 
 
+def partners(graph, atom):
+    """The atoms that share an edge with ``atom``, read from both ends."""
+    src, dst = graph.edge_src, graph.edge_dst
+    return np.concatenate([src[dst == atom], dst[src == atom]])
+
+
+def pocket_atoms(pocket_name):
+    return toy_complex(VOCAB).pocket if pocket_name == "toy" else shell_pocket(400, seed=0)
+
+
 def pocket_graph(pocket_name):
-    pocket = toy_complex(VOCAB).pocket if pocket_name == "toy" else shell_pocket(400, seed=0)
-    return build_graph(pocket, cutoff=6.0)
+    return build_graph(pocket_atoms(pocket_name), cutoff=6.0)
 
 
 def full_path_grads(enc, pocket, placed, focal, dcond):
@@ -386,35 +403,24 @@ def prefix_grads(enc, pocket, placed, focal, dcond):
 
 
 class TestPocketPairs:
-    """The pocket prefix runs its edge MLP once per undirected pair; these
-    tests hold the pairing to the directed edge list it stands for."""
+    """The pocket prefix runs its edge MLP once per undirected edge; these
+    tests hold it to the directed edge list it stands for."""
 
     @pytest.mark.parametrize("pocket_name", ["toy", "shell400"])
     def test_both_copies_of_every_edge_have_bit_equal_distances(self, pocket_name):
+        """Both directions of an edge share its one stored distance, which
+        equals the distance computed from either end bit for bit."""
         graph = pocket_graph(pocket_name)
-        dist = {(s, d): x for s, d, x in zip(graph.edge_src, graph.edge_dst, graph.edge_dist)}
-        assert len(dist) == graph.n_edges > 0
-        for (s, d), x in dist.items():
-            assert dist[d, s].tobytes() == x.tobytes()
-
-    @pytest.mark.parametrize("pocket_name", ["toy", "shell400"])
-    def test_every_pair_has_exactly_two_edges_one_each_way(self, pocket_name):
-        graph = pocket_graph(pocket_name)
-        by_dst, pairs, pair_of = pair_edges(graph)
-        assert 2 * len(pairs) == graph.n_edges
-        assert np.all(np.bincount(pair_of, minlength=len(pairs)) == 2)
-        src, dst = graph.edge_src, graph.edge_dst
-        assert np.all(src[pairs] < dst[pairs])
-        # each pair's two edges run opposite ways, and by_dst reverses every edge
-        one, other = np.argsort(pair_of, kind="stable").reshape(-1, 2).T
-        assert np.array_equal(src[one], dst[other]) and np.array_equal(dst[one], src[other])
-        assert np.array_equal(src[by_dst], dst) and np.array_equal(dst[by_dst], src)
+        dense = distance_matrix(graph.positions, graph.positions)
+        assert graph.n_edges > 0
+        assert np.array_equal(graph.edge_dist, dense[graph.edge_src, graph.edge_dst])
+        assert np.array_equal(graph.edge_dist, dense[graph.edge_dst, graph.edge_src])
 
     def test_cache_rows_are_pairs(self):
         enc = make_encoder(EncoderConfig(embed_width=6, hidden_width=5, n_layers=3))
         graph = pocket_graph("shell400")
         encoding, cache = enc.encode_pocket(graph)
-        n_pairs = graph.n_edges // 2
+        n_pairs = graph.n_edges
         assert cache["edge_feat"].shape == (n_pairs, len(BANK))
         for t, m in cache["mlp"]:
             assert t.shape == (n_pairs, 5) and m.shape == (n_pairs, 6)
@@ -431,7 +437,7 @@ class TestPocketPairs:
         dcond = np.random.default_rng(3).standard_normal(12)
         enc.backward(step, cache, dcond, ParamStore(enc.store.shapes), pocket_cache)
         shapes = {layer: dm.shape for layer, dm in pocket_cache["dm"].items()}
-        assert shapes == {1: (graph.n_edges // 2, 6)}
+        assert shapes == {1: (graph.n_edges, 6)}
 
     @pytest.mark.parametrize("pocket_name", ["toy", "shell400"])
     def test_directed_sums_are_bit_equal_to_a_directed_pass(self, pocket_name):
@@ -440,10 +446,18 @@ class TestPocketPairs:
         graph = pocket_graph(pocket_name)
         encoding, _ = enc.encode_pocket(graph)
         h0 = enc.initial_embeddings(graph)
-        want = enc.message_layer(h0, graph, 0, encoding.edge_messages(0))
+        # the directed edge list, both copies of every edge, source-major
+        n_edges = graph.n_edges
+        src = np.concatenate([graph.edge_src, graph.edge_dst])
+        dst = np.concatenate([graph.edge_dst, graph.edge_src])
+        order = np.lexsort((dst, src))
+        src, dst, edge = src[order], dst[order], np.tile(np.arange(n_edges), 2)[order]
+        gamma = 1.0 + float(enc.store["encoder.layer0.gate"]) * graph.bfactor_weights
+        want = h0.copy()
+        np.add.at(want, dst, h0[src] * encoding.messages[0][edge] * gamma[src, None])
         assert np.array_equal(encoding.aggregate, want)
         want = np.zeros(h0.shape)
-        np.add.at(want, graph.edge_src, encoding.edge_messages(1))
+        np.add.at(want, src, encoding.messages[1][edge])
         assert np.array_equal(encoding.out_messages, want)
 
     @pytest.mark.parametrize("gating", [False, True])
@@ -472,7 +486,7 @@ class TestPocketPairs:
     def test_empty_prefix(self):
         enc = make_encoder(randomize=True)
         assert enc.empty_pocket.graph.n_edges == 0
-        assert enc.empty_pocket.edge_messages(1).shape == (0, 6)
+        assert enc.empty_pocket.messages[1].shape == (0, 6)
         graph = build_graph(shell_pocket(30, seed=1), CAVITY_LIGAND, cutoff=6.0)
         assert np.array_equal(enc.encode(graph, enc.empty_pocket), enc.encode(graph))
         assert np.array_equal(
@@ -497,8 +511,8 @@ class TestPocketPairs:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def hand_graph(edges, dist=None):
-    """A two- or three-atom carbon graph with the given directed edges."""
+def hand_graph(edges):
+    """A three-atom carbon graph with the given edges."""
     src, dst = (np.array(side, dtype=int) for side in zip(*edges))
     return ContextGraph(
         elements=np.full(3, C),
@@ -506,39 +520,28 @@ def hand_graph(edges, dist=None):
         positions=np.zeros((3, 3)),
         edge_src=src,
         edge_dst=dst,
-        edge_dist=np.array(dist if dist is not None else [1.5] * len(edges)),
+        edge_dist=np.full(len(edges), 1.5),
         bfactor_weights=np.zeros(3),
     )
 
 
 class TestPairGuard:
-    @pytest.mark.parametrize(
-        "graph",
-        [
-            hand_graph([(0, 1)]),  # one-directional
-            hand_graph([(0, 1), (1, 2), (2, 1)]),  # one pair has no reverse
-            hand_graph([(0, 1), (1, 0)], dist=[1.5, 1.6]),  # the copies' distances differ
-            hand_graph([(0, 0), (0, 1), (1, 0)]),  # a self-loop
-            hand_graph([(1, 0), (0, 1)]),  # symmetric, but not source-major
-            hand_graph([(0, 2), (0, 1), (2, 0), (1, 0)]),  # a source's destinations unsorted
-        ],
-        ids=[
-            "one_directional",
-            "missing_reverse",
-            "unequal_distances",
-            "self_loop",
-            "dst_major",
-            "unsorted_destinations",
-        ],
-    )
-    def test_unpairable_graph_raises(self, graph):
-        with pytest.raises(ValueError, match="closed under reversal"):
-            pair_edges(graph)
-        with pytest.raises(ValueError, match="closed under reversal"):
-            make_encoder().encode_pocket(graph)
+    """A context graph stores each undirected edge once, as (src, dst) with
+    src < dst."""
 
-    def test_symmetric_source_major_graph_pairs(self):
-        by_dst, pairs, pair_of = pair_edges(hand_graph([(0, 1), (0, 2), (1, 0), (2, 0)]))
-        assert by_dst.tolist() == [2, 3, 0, 1]
-        assert pairs.tolist() == [0, 1]
-        assert pair_of.tolist() == [0, 1, 0, 1]
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(0, 0), (0, 1)],  # a self-loop
+            [(0, 1), (2, 1)],  # one edge stored as (dst, src)
+            [(0, 1), (1, 0)],  # one edge stored both ways
+        ],
+        ids=["self_loop", "reversed_edge", "both_directions"],
+    )
+    def test_unpairable_graph_raises(self, edges):
+        with pytest.raises(ValueError, match="src < dst"):
+            hand_graph(edges)
+
+    def test_pair_list_accepted(self):
+        graph = hand_graph([(0, 2), (0, 1), (1, 2)])
+        assert graph.n_edges == 3

@@ -305,12 +305,13 @@ def random_pocket(n_atoms=400, seed=0):
     return Pocket(atoms, rng.uniform(5.0, 60.0, size=n_atoms))
 
 
-def dense_source_major(graph, cutoff):
-    """The same context with its edges rebuilt densely, ordered by source
-    then destination: the order a plain pairwise construction gives."""
+def dense_triu_pairs(graph, cutoff):
+    """The same context with its edges rebuilt densely as the np.triu pairs
+    of the distance matrix, in lexicographic order: the order a plain
+    pairwise construction gives."""
     diff = graph.positions[:, None, :] - graph.positions[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=-1))
-    src, dst = np.nonzero((dist <= cutoff) & ~np.eye(graph.n_atoms, dtype=bool))
+    src, dst = np.nonzero(np.triu(dist <= cutoff, 1))
     return dataclasses.replace(graph, edge_src=src, edge_dst=dst, edge_dist=dist[src, dst])
 
 
@@ -336,7 +337,7 @@ class TestPocketCache:
             full = build_graph(pocket, state.placed, cutoff=cfg.graph_cutoff)
             h = model.encoder.encode(graph, cache)
             assert np.array_equal(h, model.encoder.encode(full))
-            assert np.array_equal(h, model.encoder.encode(dense_source_major(full, cfg.graph_cutoff)))
+            assert np.array_equal(h, model.encoder.encode(dense_triu_pairs(full, cfg.graph_cutoff)))
             if finished:
                 break
             finished = step(model, state, rng, gen_cfg)

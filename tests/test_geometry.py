@@ -12,8 +12,6 @@ from pocketflow.geometry import (
     TransformError,
     apply_rigid,
     distance_matrix,
-    mean_atom_distance,
-    pairwise_distance,
     rbf_expand,
     rmsd,
 )
@@ -24,6 +22,10 @@ C = VOCAB.index("C")
 
 def mol(*positions):
     return Molecule([Atom(C, p) for p in positions], [])
+
+
+def pairwise_distance(a, b):
+    return distance_matrix(np.array([a], dtype=float), np.array([b], dtype=float))[0, 0]
 
 
 class TestPairwiseDistance:
@@ -80,11 +82,11 @@ class TestRbfExpand:
     def test_invariant_under_joint_rigid_motion(self):
         rng = np.random.default_rng(3)
         a, b = rng.uniform(-4, 4, size=(2, 3))
-        base = rbf_expand(pairwise_distance(a, b), self.BANK)
+        base = rbf_expand(np.linalg.norm(a - b), self.BANK)
         for k in range(20):
             t = RigidTransform.random(np.random.default_rng(k))
             a2, b2 = apply_rigid(t, np.stack([a, b]))
-            moved = rbf_expand(pairwise_distance(a2, b2), self.BANK)
+            moved = rbf_expand(np.linalg.norm(a2 - b2), self.BANK)
             assert np.max(np.abs(moved - base)) < 1e-12
 
     def test_bank_validation(self):
@@ -120,11 +122,6 @@ class TestRmsd:
     def test_empty_molecules_rejected(self, align):
         with pytest.raises(ValueError, match="empty molecules"):
             rmsd(mol(), mol(), align=align)
-
-    def test_mean_atom_distance_variant(self):
-        a = mol((0, 0, 0), (2, 0, 0))
-        b = mol((1, 0, 0), (2, 0, 0))
-        assert mean_atom_distance(a, b) == pytest.approx(0.5)
 
     def test_aligned_removes_rigid_motion(self):
         rng = np.random.default_rng(9)

@@ -262,6 +262,12 @@ class TestSharedPocketGrad:
             assert max_relative_error(analytic, fd_gradient(model, batch)) < 1e-3
 
 
+def partners(graph, atom):
+    """The atoms that share an edge with ``atom``, read from both ends."""
+    src, dst = graph.edge_src, graph.edge_dst
+    return np.concatenate([src[dst == atom], dst[src == atom]])
+
+
 class TestFactoredGrad:
     """The factored last layer and the deferred layer-0 pocket sums at the
     depths ``TestSharedPocketGrad`` leaves out, with a step whose focal is a
@@ -278,7 +284,7 @@ class TestFactoredGrad:
         )
         pocket_focal = replace(a_steps[1], focal=0)
         n = pocket_focal.pocket.n_atoms
-        senders = pocket_focal.graph.edge_src[pocket_focal.graph.edge_dst == 0]
+        senders = partners(pocket_focal.graph, 0)
         assert np.any(senders < n) and np.any(senders >= n)
         batch = [a_steps[0], b_steps[1], pocket_focal, a_steps[1], b_steps[2]]
         rng = np.random.default_rng(11)
@@ -320,10 +326,10 @@ class TestPocketScaleGrad:
             sequentialize(shell_complex(vocab, seed), np.random.default_rng(0), cfg)
             for seed in (0, 1)
         )
-        assert a_steps[0].pocket.n_edges > 5000
+        assert a_steps[0].pocket.n_edges > 2500
         graph, n = a_steps[2].graph, a_steps[2].pocket.n_atoms
         near = int(np.argmin(np.linalg.norm(graph.positions[:n], axis=1)))
-        senders = graph.edge_src[graph.edge_dst == near]
+        senders = partners(graph, near)
         assert np.any(senders < n) and np.any(senders >= n)
         batch = [*a_steps, replace(a_steps[2], focal=near), *b_steps]
         model.store.flat[:] = np.random.default_rng(13).uniform(-0.5, 0.5, size=model.n_params)
