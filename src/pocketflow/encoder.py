@@ -578,8 +578,9 @@ class Encoder:
         - layer 0: the pocket rows' input embeddings ``h0`` are the same at
           every step, so the pocket block's backward pass on the summed output
           adjoint ``g0`` yields, for all the steps, the edges' d(loss)/d(m),
-          the messages' share of d(loss)/d(embeddings) and the gate gradient
-          (``g0`` stays zero when layer 0 is also the last layer);
+          the messages' share of d(loss)/d(embeddings) and the gate gradient;
+          it is skipped when ``g0`` is all zero, as when layer 0 is also the
+          last layer;
         - the last layer, given a focal: :func:`_last_layer_dm` of the summed
           ``last`` and the rows of the edges into each focal;
         - any other layer: the edges' d(loss)/d(m) that ``backward`` summed.
@@ -588,7 +589,8 @@ class Encoder:
         encoding, sent = c["encoding"], np.zeros(c["h0"].shape)
         graph, dm = encoding.graph, dict(c["dm"])
         block = graph.edges
-        dm[0] = self._pass_backward(graph, 0, block, c["h0"], c["g0"], c["mlp"][0][1], sent, grads)
+        if c["g0"].any():
+            dm[0] = self._pass_backward(graph, 0, block, c["h0"], c["g0"], c["mlp"][0][1], sent, grads)
         sent += c["dh0"]
         scatter_add(grads["encoder.embed"], graph.origins * self.vocab_size + graph.elements, sent)
         if c["focal"]:

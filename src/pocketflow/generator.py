@@ -4,18 +4,19 @@ Atoms are placed one at a time: pick a focal context atom, sample an element
 from the type flow and a focal-relative offset from the coordinate flow (both
 conditioned on the encoded context), then judge the candidate by its distances
 to the context alone.  A clash rejects it, the placed atoms within bond range
-become its bonds, and the bond counts give the open valences.  Rejected
-placements are resampled a bounded number of times.  Generation stops when no
-focal atom with open valence remains, the atom budget is reached, or
+become its bonds, and only its partners' open valences and its own change.
+Rejected placements are resampled a bounded number of times.  Generation stops
+when no focal atom with open valence remains, the atom budget is reached, or
 resampling is exhausted.
 
 The pocket is encoded once per molecule (:class:`GenerationState` keeps the
 forward-only :class:`~pocketflow.encoder.PocketEncoding`) and each step only
-adds the placed atoms' edges.  The conditioner comes from
+adds the placed atoms' edges.  :func:`step` forms the conditioner once, with
 :meth:`~pocketflow.encoder.Encoder.encode_with_cache` given the focal, as in
-training, which forms the last layer only at the focal row and the mean.  It
-equals the readout of a full re-encode of the context up to the last ulp, on
-the condition that the model parameters stay fixed while one molecule grows.
+training, and hands it to :func:`generate_type` and :func:`generate_coord` on
+every attempt.  It equals the readout of a full re-encode of the context up to
+the last ulp, on the condition that the model parameters stay fixed while one
+molecule grows.
 """
 
 from __future__ import annotations
@@ -97,29 +98,18 @@ def select_focal(state: GenerationState) -> int | None:
     return len(state.pocket) + candidates[int(np.argmin(d))]
 
 
-def _context_condition(
-    model: Model, state: GenerationState, focal: int
-) -> tuple[ContextGraph, np.ndarray]:
-    graph, pocket = state.context(model)
-    cond, _ = model.encoder.encode_with_cache(graph, pocket, focal)
-    return graph, cond
-
-
 def generate_type(
     model: Model,
     state: GenerationState,
-    focal: int,
+    cond: np.ndarray,
     rng: np.random.Generator,
     valence_constrained: bool = True,
-    cond: np.ndarray | None = None,
 ) -> int:
     """Sample an element index through the type flow, argmax-decoded.
 
     Under ``valence_constrained``, single-valence elements are masked while
     exactly one open valence slot remains among the placed atoms.
     """
-    if cond is None:
-        _, cond = _context_condition(model, state, focal)
     x, _ = model.type_flow.sample(cond, rng)
     single = model.cfg.vocab.max_valences == 1
     open_slots = sum(max(v, 0) for v in state.open_valences)
@@ -130,17 +120,15 @@ def generate_type(
 
 def generate_coord(
     model: Model,
-    state: GenerationState,
-    focal: int,
+    origin: np.ndarray,
     element: int,
     rng: np.random.Generator,
-    cond: np.ndarray | None = None,
+    cond: np.ndarray,
 ) -> np.ndarray:
-    """Sample the new atom position as a flow offset from the focal atom."""
-    if cond is None:
-        _, cond = _context_condition(model, state, focal)
+    """Sample the new atom position as a flow offset from ``origin``, the
+    focal atom's position."""
     offset, _ = model.coord_flow.sample(np.concatenate([cond, model.one_hot(element)]), rng)
-    return [*state.pocket.atoms, *state.placed][focal].position + offset
+    return origin + offset
 
 
 def step(
@@ -152,7 +140,8 @@ def step(
     """Attempt to place one atom; returns True when generation is finished.
 
     ``state.bonds`` must list the bonds among the placed atoms, as
-    :func:`~pocketflow.chem.infer_bonds` would infer them; every state that
+    :func:`~pocketflow.chem.infer_bonds` would infer them, and
+    ``state.open_valences`` their open valences; every state that
     :func:`generate_ligand` passes in does.  Only the candidate's own bonds
     can then be new, so one row of distances, from every context atom to the
     candidate, decides each attempt:
@@ -161,8 +150,10 @@ def step(
       covalent-radius sum to any context atom;
     - it bonds (singly) to each placed atom within the radius sum plus
       ``bond_tolerance``, the window of ``infer_bonds``;
-    - under valence-constrained sampling it is rejected when the bonds it
-      would form drive the placed set's total open valence negative.
+    - each partner's open valence drops by one and the candidate's is its
+      capacity less its partner count; under valence-constrained sampling
+      the attempt is rejected when their total is negative.  Only an
+      accepted attempt merges its bonds into ``state.bonds``.
     """
     if state.t >= cfg.max_atoms:
         return True
@@ -170,24 +161,23 @@ def step(
     if focal is None:
         return True
     vocab = model.cfg.vocab
-    graph, cond = _context_condition(model, state, focal)
+    graph, pocket = state.context(model)
+    cond, _ = model.encoder.encode_with_cache(graph, pocket, focal)
     n, t = len(state.pocket), state.t
     for _ in range(1 + cfg.clash_retries):
-        element = generate_type(model, state, focal, rng, cfg.valence_constrained, cond)
-        position = generate_coord(model, state, focal, element, rng, cond)
+        element = generate_type(model, state, cond, rng, cfg.valence_constrained)
+        position = generate_coord(model, graph.positions[focal], element, rng, cond)
         d = distance_matrix(graph.positions, position[None])[:, 0]
         rsum = vocab.radii[graph.elements] + vocab.radii[element]
         if np.any(d < cfg.clash_factor * rsum):
             continue
         partners = np.flatnonzero(d[n:] <= rsum[n:] + cfg.bond_tolerance)
-        bonds = sorted(state.bonds + [(int(i), t, 1) for i in partners])
-        ends = np.array([b[:2] for b in bonds], dtype=int).ravel()
-        elements = np.append(graph.elements[n:], element)
-        open_valences = vocab.max_valences[elements] - np.bincount(ends, minlength=t + 1)
+        open_valences = np.array([*state.open_valences, vocab.max_valences[element] - len(partners)])
+        open_valences[partners] -= 1
         if cfg.valence_constrained and open_valences.sum() < 0:
             continue
         state.placed = state.placed + [Atom(element, position)]
-        state.bonds = bonds
+        state.bonds = sorted(state.bonds + [(int(i), t, 1) for i in partners])
         state.open_valences = open_valences.tolist()
         return state.t >= cfg.max_atoms
     return True  # resampling exhausted

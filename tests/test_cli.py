@@ -14,10 +14,27 @@ from pocketflow.chem import Vocabulary
 from pocketflow.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from pocketflow.config import RunConfig, write_config
 from pocketflow.model import Model
-from pocketflow.molio import write_xyz
+from pocketflow.molio import molecule_to_records, write_xyz
+from pocketflow.pdb import serialize_pdb
 from pocketflow.synthetic import toy_complex, toy_complex_pdb, toy_dataset
+from test_generator import random_pocket
 
 VOCAB = Vocabulary.default()
+REPO = Path(__file__).resolve().parents[1]
+
+
+def run_cli(argv, **env):
+    """Run ``python -m pocketflow.cli`` in a subprocess with ``env`` added."""
+    src = str(Path(pocketflow.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        **env,
+    }
+    env.pop("POCKETFLOW_CONFIG", None)
+    return subprocess.run(
+        [sys.executable, "-m", "pocketflow.cli", *argv], env=env, capture_output=True, text=True
+    )
 
 
 @pytest.fixture()
@@ -230,6 +247,25 @@ class TestGenerate:
         assert code == EXIT_DATA
 
 
+    @pytest.mark.parametrize("pocket_name", ["toy", "random400"])
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path, pocket_name):
+        pocket = toy_complex(VOCAB).pocket if pocket_name == "toy" else random_pocket()
+        pocket_pdb = tmp_path / "pocket.pdb"
+        pocket_pdb.write_text(serialize_pdb(molecule_to_records(pocket, VOCAB, "ALA")))
+        outputs = []
+        for threads in ("1", "2"):
+            out_dir = tmp_path / f"threads{threads}"
+            proc = run_cli(
+                ["generate", str(REPO / "perfbench" / "gen_model.ckpt"), str(pocket_pdb),
+                 "--count", "5", "--seed", "3", "--out", str(out_dir)],
+                OPENBLAS_NUM_THREADS=threads,
+            )
+            assert proc.returncode == EXIT_OK, proc.stderr
+            outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
+        assert len(outputs[0]) == 10
+        assert outputs[0] == outputs[1]
+
+
 class TestEvaluate:
     def test_reference_only_dir(self, workspace, capsys):
         tmp_path, manifest, cfg_path = workspace
@@ -344,11 +380,6 @@ class TestUsageAndConfig:
             "config": ["ingest", str(manifest), "--out", str(tmp_path / "x.json"),
                        "--config", str(pdb_dir)],
         }[case]
-        src = str(Path(pocketflow.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        env.pop("POCKETFLOW_CONFIG", None)
-        proc = subprocess.run(
-            [sys.executable, "-m", "pocketflow.cli", *argv], env=env, capture_output=True, text=True
-        )
+        proc = run_cli(argv)
         assert proc.returncode == EXIT_DATA, proc.stderr
         assert "Traceback" not in proc.stderr

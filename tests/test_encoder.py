@@ -511,6 +511,36 @@ class TestPocketPairs:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+class TestPocketBackwardPasses:
+    @pytest.mark.parametrize("n_layers, passes", [(1, 0), (2, 1)])
+    def test_layer0_pair_pass_runs_only_on_a_nonzero_adjoint(self, n_layers, passes):
+        """With one layer the readout's adjoint never reaches layer 0's input,
+        so ``pocket_backward`` skips the pocket block's pass on the all-zero
+        ``g0``; the gradient still equals the full path's."""
+        cfg = EncoderConfig(embed_width=6, hidden_width=5, n_layers=n_layers, bfactor_gating=True)
+        enc = make_encoder(cfg, randomize=True)
+        complex_ = toy_complex(VOCAB)
+        pocket, placed = complex_.pocket, complex_.ligand.atoms[:2]
+        encoding, pocket_cache = enc.encode_pocket(build_graph(pocket, cutoff=6.0))
+        graph = extend_graph(encoding.graph, placed, 6.0)
+        focal = graph.n_atoms - 1
+        dcond = np.random.default_rng(4).standard_normal(12)
+        grads = ParamStore(enc.store.shapes)
+        _, cache = enc.encode_with_cache(graph, encoding, focal)
+        enc.backward(graph, cache, dcond, grads, pocket_cache)
+        calls, real = [], enc._pass_backward
+
+        def counting(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        enc._pass_backward = counting
+        enc.pocket_backward(pocket_cache, grads)
+        assert calls == [0] * passes
+        want = full_path_grads(enc, pocket, placed, focal, dcond)
+        assert np.max(np.abs(grads.flat - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def hand_graph(edges):
     """A three-atom carbon graph with the given edges."""
     src, dst = (np.array(side, dtype=int) for side in zip(*edges))

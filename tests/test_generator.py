@@ -58,6 +58,14 @@ def small_model(seed=0, randomize_encoder=False):
     return model
 
 
+def condition(model, state, focal):
+    """The conditioner that ``step`` forms for ``focal``, and the focal's
+    position."""
+    graph, pocket = state.context(model)
+    cond, _ = model.encoder.encode_with_cache(graph, pocket, focal)
+    return cond, graph.positions[focal]
+
+
 def pocket_with_centroid_at_origin():
     return Pocket(
         [Atom(C, (1.0, 0, 0)), Atom(N, (-1.0, 0, 0))], np.array([10.0, 20.0])
@@ -118,17 +126,17 @@ class TestGenerateType:
         model.store["typeflow.layer0.b"][len(VOCAB) + C] = 50.0
         entry = toy_complex(VOCAB)
         state = GenerationState(pocket=entry.pocket)
-        focal = select_focal(state)
+        cond, _ = condition(model, state, select_focal(state))
         rng = np.random.default_rng(0)
-        draws = {generate_type(model, state, focal, rng) for _ in range(50)}
+        draws = {generate_type(model, state, cond, rng) for _ in range(50)}
         assert draws == {C}
 
     def test_deterministic_per_seed(self):
         model = small_model()
         state = GenerationState(pocket=toy_complex(VOCAB).pocket)
-        focal = select_focal(state)
-        a = [generate_type(model, state, focal, np.random.default_rng(7)) for _ in range(3)]
-        b = [generate_type(model, state, focal, np.random.default_rng(7)) for _ in range(3)]
+        cond, _ = condition(model, state, select_focal(state))
+        a = [generate_type(model, state, cond, np.random.default_rng(7)) for _ in range(3)]
+        b = [generate_type(model, state, cond, np.random.default_rng(7)) for _ in range(3)]
         assert a == b
 
     def test_valence_mask_blocks_monovalent_when_one_slot_left(self):
@@ -139,10 +147,11 @@ class TestGenerateType:
         open_one = GenerationState(
             pocket=pocket, placed=[Atom(O, (3.0, 0, 0))], bonds=[], open_valences=[1]
         )
+        cond, _ = condition(model, open_one, 2)
         rng = np.random.default_rng(1)
-        masked = generate_type(model, open_one, 2, rng, valence_constrained=True)
+        masked = generate_type(model, open_one, cond, rng, valence_constrained=True)
         assert VOCAB[masked].max_valence > 1
-        unmasked = generate_type(model, open_one, 2, np.random.default_rng(1), valence_constrained=False)
+        unmasked = generate_type(model, open_one, cond, np.random.default_rng(1), valence_constrained=False)
         assert unmasked == VOCAB.index("F")
 
 
@@ -152,8 +161,20 @@ class TestGenerateCoord:
         entry = toy_complex(VOCAB)
         state = GenerationState(pocket=entry.pocket)
         focal = select_focal(state)
-        out = generate_coord(model, state, focal, C, ZeroRng())
+        cond, origin = condition(model, state, focal)
+        out = generate_coord(model, origin, C, ZeroRng(), cond)
         assert np.allclose(out, entry.pocket.atoms[focal].position, atol=1e-10)
+
+    def test_zero_latent_lands_on_placed_focal(self):
+        model = small_model(randomize_encoder=True)
+        placed = [Atom(C, (0.5, 0.5, 0.0)), Atom(O, (1.5, 1.2, 0.3))]
+        state = GenerationState(
+            pocket=toy_complex(VOCAB).pocket, placed=placed, bonds=[(0, 1, 1)], open_valences=[3, 1]
+        )
+        focal = len(state.pocket) + 1
+        cond, origin = condition(model, state, focal)
+        out = generate_coord(model, origin, C, ZeroRng(), cond)
+        assert np.allclose(out, placed[1].position, atol=1e-10)
 
     def test_shift_only_flow_offsets_by_unit_x(self):
         model = small_model()
@@ -161,16 +182,17 @@ class TestGenerateCoord:
         entry = toy_complex(VOCAB)
         state = GenerationState(pocket=entry.pocket)
         focal = select_focal(state)
-        out = generate_coord(model, state, focal, C, ZeroRng())
+        cond, origin = condition(model, state, focal)
+        out = generate_coord(model, origin, C, ZeroRng(), cond)
         expected = entry.pocket.atoms[focal].position + np.array([1.0, 0.0, 0.0])
         assert np.allclose(out, expected, atol=1e-10)
 
     def test_same_seed_same_coordinate(self):
         model = small_model(randomize_encoder=True)
         state = GenerationState(pocket=toy_complex(VOCAB).pocket)
-        focal = select_focal(state)
-        a = generate_coord(model, state, focal, C, np.random.default_rng(3))
-        b = generate_coord(model, state, focal, C, np.random.default_rng(3))
+        cond, origin = condition(model, state, select_focal(state))
+        a = generate_coord(model, origin, C, np.random.default_rng(3), cond)
+        b = generate_coord(model, origin, C, np.random.default_rng(3), cond)
         assert np.array_equal(a, b)
 
 
@@ -204,6 +226,21 @@ class TestStep:
         before = rng.bit_generator.state
         assert step(model, state, rng, GenConfig(max_atoms=1))
         assert state.t == 1 and rng.bit_generator.state == before
+
+    def test_offset_is_taken_from_a_placed_focal(self):
+        model = small_model()
+        model.store["typeflow.layer0.b"][len(VOCAB) + C] = 50.0
+        model.store["coordflow.layer0.b"][3:] = [1.5, 0.0, 0.0]
+        state = GenerationState(
+            pocket=pocket_with_centroid_at_origin(),
+            placed=[Atom(C, (3.0, 0, 0))],
+            bonds=[],
+            open_valences=[4],
+        )
+        assert step(model, state, ZeroRng(), GenConfig(max_atoms=2))
+        assert state.t == 2
+        assert np.allclose(state.placed[1].position, (4.5, 0, 0), atol=1e-10)
+        assert state.bonds == [(0, 1, 1)] and state.open_valences == [3, 3]
 
     def test_clash_exhaustion_emits_stop(self):
         model = small_model()
@@ -377,8 +414,8 @@ class TestStepBookkeeping:
         rejects = Counter()
         real_step, real_coord = generator.step, generator.generate_coord
 
-        def recording_coord(model, state, focal, element, rng, cond=None):
-            position = real_coord(model, state, focal, element, rng, cond)
+        def recording_coord(model, origin, element, rng, cond):
+            position = real_coord(model, origin, element, rng, cond)
             tried.append(Atom(element, position))
             return position
 
