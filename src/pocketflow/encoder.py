@@ -58,6 +58,14 @@ but a middle layer's pair-block pass.  The sums are reassociated, so the
 readout and gradients can move in the last ulp against a full encoding.
 Every scatter goes through :func:`scatter_add`, which adds in the same order
 as a row-wise ``np.add.at``.
+
+Caches: a step's cache keeps only its own edges' RBF features and the
+indices of the edges into its focal, nothing with the pocket's atom or edge
+count as a size, so that a trainer can hold every step's cache at once;
+:meth:`Encoder.backward` re-runs the step's edge MLP and layers from them,
+bit for bit.  A pocket's cache keeps its edges' RBF features but not the
+edge MLP's hidden activations, which :meth:`Encoder.pocket_backward`
+recomputes.
 """
 
 from __future__ import annotations
@@ -305,11 +313,19 @@ class Encoder:
         """RBF features of the edges ``edges``."""
         return rbf_expand(graph.edge_dist[edges], self.bank)
 
+    def _hidden(self, layer: int, edge_feat: np.ndarray) -> np.ndarray:
+        """The edge MLP's hidden activations t per edge, formed in place."""
+        p = f"encoder.layer{layer}"
+        t = edge_feat @ self.store[f"{p}.w1"]
+        t += self.store[f"{p}.b1"]
+        return np.tanh(t, out=t)
+
     def _edge_mlp(self, layer: int, edge_feat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The edge MLP's hidden activations t and its output m per edge."""
-        p = f"encoder.layer{layer}"
-        t = np.tanh(edge_feat @ self.store[f"{p}.w1"] + self.store[f"{p}.b1"])
-        return t, t @ self.store[f"{p}.w2"] + self.store[f"{p}.b2"]
+        t = self._hidden(layer, edge_feat)
+        m = t @ self.store[f"encoder.layer{layer}.w2"]
+        m += self.store[f"encoder.layer{layer}.b2"]
+        return t, m
 
     def _gamma(self, graph: ContextGraph, layer: int) -> np.ndarray | None:
         """Per-atom B-factor gate factors, applied to the messages each atom
@@ -370,60 +386,60 @@ class Encoder:
     def encode_with_cache(
         self, graph: ContextGraph, pocket: PocketEncoding | None = None, focal: int | None = None
     ):
-        """Embed atoms then run all message layers, keeping what backward needs.
+        """Embed atoms then run all message layers, keeping what backward
+        re-runs them from.
 
         ``graph`` extends ``pocket.graph`` (see :meth:`encode_pocket`; by
-        default the empty prefix), and the cache holds the edge features and
-        edge-MLP values of the edges after the pocket's own.  Returns the
-        embeddings or, given a ``focal`` atom, their :func:`aggregate_readout`,
-        formed without the last layer's output (see :meth:`_last_layer_readout`).
+        default the empty prefix).  Returns the embeddings or, given a
+        ``focal`` atom, their :func:`aggregate_readout`, formed without the
+        last layer's output (see :meth:`_readout_terms`).  The cache holds the
+        edge features of the edges after the pocket's own and the edges into
+        the focal; :meth:`backward` recomputes every activation from them.
         """
         pocket = pocket or self.empty_pocket
         edge_feat = self.edge_features(graph, slice(pocket.graph.n_edges, None))
-        mlp = [self._edge_mlp(layer, edge_feat) for layer in range(self.cfg.n_layers)]
-        h = self.initial_embeddings(graph)
-        h_in = []
-        for layer, (_, m) in enumerate(mlp[: len(mlp) - (focal is not None)]):
-            h_in.append(h)
-            h = self.message_layer(h, graph, layer, m, pocket)
-        cache = {"edge_feat": edge_feat, "mlp": mlp, "h_in": h_in, "pocket": pocket, "focal": focal}
+        cache = {"edge_feat": edge_feat, "pocket": pocket, "focal": focal}
+        mlp, h_in = self._layer_inputs(graph, cache)
+        x, m = h_in[-1], mlp[-1][1]
         if focal is None:
-            return h, cache
-        h_in.append(h)
-        cond, cache["readout"] = self._last_layer_readout(h, graph, focal, mlp[-1][1], pocket)
-        return cond, cache
+            return self.message_layer(x, graph, len(mlp) - 1, m, pocket), cache
+        _check_focal(focal, graph.n_atoms)
+        # the edges into the focal, those with dst == focal then those with
+        # src == focal, are in list order (pocket edges first) and in
+        # increasing partner order (see the module docstring)
+        src, dst, start = graph.edge_src, graph.edge_dst, pocket.graph.n_edges
+        (to_f,), (from_f,) = (dst == focal).nonzero(), (src == focal).nonzero()
+        edges, in_src = np.concatenate([to_f, from_f]), np.concatenate([src[to_f], dst[from_f]])
+        k = np.searchsorted(edges, start)
+        cache["readout"] = (edges[k:] - start, edges[:k], in_src)  # into, in_pocket, in_src
+        gx, out_m, in_m = self._readout_terms(x, graph, m, cache)
+        row = x[focal] + (gx[in_src] * in_m).sum(axis=0)
+        mean = (x + gx * out_m).mean(axis=0)
+        return np.concatenate([row, mean]), cache
 
-    def _last_layer_readout(
-        self, x: np.ndarray, graph: ContextGraph, focal: int, m: np.ndarray, pocket: PocketEncoding
-    ) -> tuple[np.ndarray, tuple]:
-        """:func:`aggregate_readout` of the last layer's output, from its input
-        ``x`` and the edge-MLP outputs ``m`` of the edges after the pocket's.
+    def _layer_inputs(self, graph: ContextGraph, cache: dict) -> tuple[list, list]:
+        """Every layer's edge-MLP values ``(t, m)`` and every layer's input
+        embeddings, from a cache of :meth:`encode_with_cache`."""
+        pocket = cache["pocket"]
+        mlp = [self._edge_mlp(layer, cache["edge_feat"]) for layer in range(self.cfg.n_layers)]
+        h_in = [self.initial_embeddings(graph)]
+        for layer, (_, m) in enumerate(mlp[:-1]):
+            h_in.append(self.message_layer(h_in[-1], graph, layer, m, pocket))
+        return mlp, h_in
 
-        Every message ``gamma[u] * x[u] * m_e`` adds into the mean alike, so
-        the mean needs only each atom's outgoing messages summed, which on
-        the pocket edges is ``pocket.out_messages``; the focal row needs only
-        the edges into the focal.  Also returns what :meth:`_readout_backward`
-        reads.
-        """
-        _check_focal(focal, len(x))
-        layer, start = self.cfg.n_layers - 1, pocket.graph.n_edges
+    def _readout_terms(self, x: np.ndarray, graph: ContextGraph, m: np.ndarray, cache: dict):
+        """From the last layer's input ``x`` and the edge-MLP outputs ``m`` of
+        the edges after the pocket's, what its readout needs: ``gamma * x``,
+        each atom's outgoing ``m`` summed (every message adds into the mean
+        alike) and the ``m`` of the edges into the focal."""
+        pocket, (into, in_pocket, _) = cache["pocket"], cache["readout"]
+        layer = self.cfg.n_layers - 1
         gamma = self._gamma(graph, layer)
         gx = x if gamma is None else x * gamma[:, None]
         out_m = np.zeros(x.shape)
         out_m[: len(pocket.out_messages)] = pocket.out_messages
-        _out_sums(out_m, graph.edges[:, start:], m)
-        # the edges into the focal, those with dst == focal then those with
-        # src == focal, are in list order (pocket edges first) and in
-        # increasing partner order (see the module docstring)
-        src, dst = graph.edge_src, graph.edge_dst
-        (to_f,), (from_f,) = (dst == focal).nonzero(), (src == focal).nonzero()
-        edges, in_src = np.concatenate([to_f, from_f]), np.concatenate([src[to_f], dst[from_f]])
-        k = np.searchsorted(edges, start)
-        in_pocket, into = edges[:k], edges[k:] - start
-        in_m = np.concatenate([pocket.messages[layer][in_pocket], m[into]])
-        row = x[focal] + (gx[in_src] * in_m).sum(axis=0)
-        mean = (x + gx * out_m).mean(axis=0)
-        return np.concatenate([row, mean]), (gx, out_m, into, in_pocket, in_src, in_m)
+        _out_sums(out_m, graph.edges[:, pocket.graph.n_edges :], m)
+        return gx, out_m, np.concatenate([pocket.messages[layer][in_pocket], m[into]])
 
     def encode_pocket(self, graph: ContextGraph) -> tuple[PocketEncoding, dict]:
         """Encode a pocket-only graph once for reuse by every context built on
@@ -434,17 +450,16 @@ class Encoder:
         """
         block = graph.edges
         edge_feat = self.edge_features(graph)
-        mlp = [self._edge_mlp(layer, edge_feat) for layer in range(self.cfg.n_layers)]
+        messages = [self._edge_mlp(layer, edge_feat)[1] for layer in range(self.cfg.n_layers)]
         h0 = self.initial_embeddings(graph)
         aggregate = h0.copy()
-        self._pass(aggregate, h0, block, mlp[0][1], self._gamma(graph, 0))
+        self._pass(aggregate, h0, block, messages[0], self._gamma(graph, 0))
         out_messages = np.zeros(h0.shape)
-        _out_sums(out_messages, block, mlp[-1][1])
-        encoding = PocketEncoding(graph, [m for _, m in mlp], aggregate, out_messages)
+        _out_sums(out_messages, block, messages[-1])
+        encoding = PocketEncoding(graph, messages, aggregate, out_messages)
         cache = {
             "encoding": encoding,
-            "edge_feat": edge_feat,  # (E, n_rbf)
-            "mlp": mlp,  # per layer, the hidden activations t and m per edge
+            "edge_feat": edge_feat,  # (E, n_rbf); pocket_backward recomputes t from it
             "h0": h0,
             # sums over the steps on this pocket, added by ``backward``
             "g0": np.zeros(h0.shape),  # d(loss)/d(layer 0's output), pocket rows
@@ -478,19 +493,21 @@ class Encoder:
         n, start = pocket.graph.n_atoms, pocket.graph.n_edges
         if n and pocket_cache is None:
             raise ValueError("a context on a pocket prefix needs the pocket's cache")
+        mlp, h_in = self._layer_inputs(graph, cache)
         g, top = dh, self.cfg.n_layers
         block = graph.edges[:, start:]  # the edges after the pocket's
         if "readout" in cache:
-            g, top = self._readout_backward(graph, cache, dh, grads, pocket_cache), top - 1
+            g = self._readout_backward(graph, cache, h_in[-1], mlp[-1], dh, grads, pocket_cache)
+            top -= 1
         for layer in reversed(range(top)):
-            h, dx = cache["h_in"][layer], g.copy()  # the residual path
+            h, dx = h_in[layer], g.copy()  # the residual path
             if n and layer == 0:  # layer 0's pocket block runs in pocket_backward
                 pocket_cache["g0"] += g[:n]
             elif n:
                 sums, m = pocket_cache["dm"], pocket.messages[layer]
                 dm = self._pass_backward(graph, layer, pocket.graph.edges, h, g, m, dx, grads)
                 sums[layer] = sums[layer] + dm if layer in sums else dm
-            t, m = cache["mlp"][layer]
+            t, m = mlp[layer]
             dm = self._pass_backward(graph, layer, block, h, g, m, dx, grads)
             self._mlp_backward(layer, cache["edge_feat"], t, dm, grads)
             g = dx
@@ -528,28 +545,25 @@ class Encoder:
         return dm[0] + dm[1]
 
     def _readout_backward(
-        self,
-        graph: ContextGraph,
-        cache: dict,
-        dcond: np.ndarray,
-        grads: ParamStore,
-        pocket_cache: dict | None,
+        self, graph: ContextGraph, cache: dict, x, mlp, dcond, grads: ParamStore, pocket_cache
     ) -> np.ndarray:
-        """Back through :meth:`_last_layer_readout` given d(loss)/d(readout):
-        the adjoint of the last layer's output is the mean's share ``c`` on
-        every row plus ``df`` on the focal's.  Adds the last layer's
-        gradients but for the pocket edges' MLP, whose share goes into
-        ``pocket_cache``, and returns d(loss)/d(x)."""
+        """Back through the readout of :meth:`encode_with_cache` given the
+        last layer's input ``x``, its edge-MLP values ``(t, m)`` and
+        d(loss)/d(readout): the adjoint of the last layer's output is the
+        mean's share ``c`` on every row plus ``df`` on the focal's.  Adds the
+        last layer's gradients but for the pocket edges' MLP, whose share
+        goes into ``pocket_cache``, and returns d(loss)/d(x)."""
         layer = self.cfg.n_layers - 1
         pocket = cache["pocket"]
         n, start = pocket.graph.n_atoms, pocket.graph.n_edges
-        gx, out_m, into, in_pocket, in_src, in_m = cache["readout"]
+        into, in_pocket, in_src = cache["readout"]
+        gx, out_m, in_m = self._readout_terms(x, graph, mlp[1], cache)
         width = self.cfg.embed_width
         df, c = dcond[:width], dcond[width:] / graph.n_atoms
         df_rows = gx[in_src] * df  # d(loss)/d(m) on the edges into the focal, less c
         last, k = gx * c, len(in_pocket)
         dm = _last_layer_dm(last, graph.edges[:, start:], into, df_rows[k:])
-        self._mlp_backward(layer, cache["edge_feat"], cache["mlp"][layer][0], dm, grads)
+        self._mlp_backward(layer, cache["edge_feat"], mlp[0], dm, grads)
         if n:
             pocket_cache["last"] += last[:n]
             pocket_cache["focal"].append((in_pocket, df_rows[:k]))
@@ -557,7 +571,6 @@ class Encoder:
         df_m = in_m * df
         gamma = self._gamma(graph, layer)
         if gamma is not None:
-            x = cache["h_in"][layer]
             w = graph.bfactor_weights
             grads[f"encoder.layer{layer}.gate"][...] += (
                 w @ (x * dx).sum(axis=1) + w[in_src] @ (x[in_src] * df_m).sum(axis=1)
@@ -590,7 +603,8 @@ class Encoder:
         graph, dm = encoding.graph, dict(c["dm"])
         block = graph.edges
         if c["g0"].any():
-            dm[0] = self._pass_backward(graph, 0, block, c["h0"], c["g0"], c["mlp"][0][1], sent, grads)
+            m = encoding.messages[0]
+            dm[0] = self._pass_backward(graph, 0, block, c["h0"], c["g0"], m, sent, grads)
         sent += c["dh0"]
         scatter_add(grads["encoder.embed"], graph.origins * self.vocab_size + graph.elements, sent)
         if c["focal"]:
@@ -599,16 +613,19 @@ class Encoder:
             d = _last_layer_dm(c["last"], block, np.concatenate(edges), np.concatenate(rows))
             dm[last] = dm[last] + d if last in dm else d
         for layer, d in dm.items():
-            self._mlp_backward(layer, c["edge_feat"], c["mlp"][layer][0], d, grads)
+            self._mlp_backward(layer, c["edge_feat"], self._hidden(layer, c["edge_feat"]), d, grads)
 
     def _mlp_backward(
         self, layer: int, edge_feat: np.ndarray, t: np.ndarray, dm: np.ndarray, grads: ParamStore
     ) -> None:
-        """Add the edge MLP's parameter gradients given d(loss)/d(m)."""
+        """Add the edge MLP's parameter gradients given d(loss)/d(m) and its
+        hidden activations ``t``, which are overwritten."""
         p = f"encoder.layer{layer}"
         grads[f"{p}.w2"][...] += t.T @ dm
         grads[f"{p}.b2"][...] += dm.sum(axis=0)
-        da = (dm @ self.store[f"{p}.w2"].T) * (1.0 - t**2)
+        da = dm @ self.store[f"{p}.w2"].T
+        np.square(t, out=t)
+        da *= np.subtract(1.0, t, out=t)
         grads[f"{p}.w1"][...] += edge_feat.T @ da
         grads[f"{p}.b1"][...] += da.sum(axis=0)
 
@@ -622,12 +639,3 @@ def aggregate_readout(embeddings: np.ndarray, focal: int) -> np.ndarray:
     """Fixed-width conditioner: focal embedding concatenated with the mean."""
     _check_focal(focal, len(embeddings))
     return np.concatenate([embeddings[focal], embeddings.mean(axis=0)])
-
-
-def readout_backward(dcond: np.ndarray, n_atoms: int, focal: int) -> np.ndarray:
-    """d(loss)/d(embeddings) given d(loss)/d(readout)."""
-    width = dcond.size // 2
-    dh = np.empty((n_atoms, width))
-    dh[...] = dcond[width:] / n_atoms
-    dh[focal] += dcond[:width]
-    return dh

@@ -16,6 +16,9 @@ with z ~ N(0, I).  Depth makes the conditioner c -> (A, M) nonlinear; it does
 not widen the family of densities.  The Jacobian in z is diag(A), hence
 log|det J| = sum_i sum_d log s_id, the inverse is z = (x - M) / A, and
 log p(x) = log N(z) - log|det J|.
+
+Every pass runs on rows: N events against N conditioning vectors share one
+conditioner matmul, and the per-vector calls are the case N = 1.
 """
 
 from __future__ import annotations
@@ -101,46 +104,52 @@ class FlowStack:
 
     # -- the closed form ------------------------------------------------------
 
+    def _rows(self, v: np.ndarray, cond: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``v`` and ``cond`` as (N, D) and (N, C) rows; a single (D,) event
+        with a (C,) conditioner is the case N = 1."""
+        v, cond = np.asarray(v, dtype=float), np.asarray(cond, dtype=float)
+        if v.ndim == cond.ndim == 1:
+            v, cond = v[None], cond[None]
+        if v.ndim != 2 or v.shape[1] != self.event_dim:
+            raise ValueError(f"event shape {v.shape} != (N, {self.event_dim})")
+        if cond.shape != (len(v), self.cond_dim):
+            raise ValueError(f"conditioning shape {cond.shape} != ({len(v)}, {self.cond_dim})")
+        return v, cond
+
     def _affine(self, cond: np.ndarray):
-        """The whole stack at one conditioning vector.
+        """The whole stack at each row of an (N, cond_dim) conditioner.
 
         Returns ``(w, raw, s, means, amps)``: the stacked conditioner weights
-        (2KD, cond_dim), the raw scales and scales s_i (K, D) in event order,
-        and the running shifts M_0..M_K and scales A_0..A_K, each (K+1, D).
+        (2KD, cond_dim), the raw scales and scales s_i (K, D, N) in event
+        order, and the running shifts M_0..M_K and scales A_0..A_K, each
+        (K+1, D, N); the rows run along the last axis.  All rows share one
+        matmul; with N = 1 it is the matrix-vector product, bit for bit.
         """
-        cond = np.asarray(cond, dtype=float)
-        if cond.shape != (self.cond_dim,):
-            raise ValueError(f"conditioning shape {cond.shape} != ({self.cond_dim},)")
         w = np.concatenate([self.store[name] for name in self._w_names])
-        b = np.concatenate([self.store[name] for name in self._b_names])
-        raw, shift = (w @ cond + b)[self._order]
+        out = w @ cond.T
+        out += np.concatenate([self.store[name] for name in self._b_names])[:, None]
+        raw, shift = out.take(self._order, axis=0)
         s = softplus(raw) + self.scale_floor
-        means = np.zeros((self.n_layers + 1, self.event_dim))
+        means = np.zeros((self.n_layers + 1, self.event_dim, len(cond)))
         for i in range(self.n_layers):
             means[i + 1] = s[i] * means[i] + shift[i]
         amps = np.ones_like(means)
         np.cumprod(s, axis=0, out=amps[1:])
         return w, raw, s, means, amps
 
-    def _check_event(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.event_dim,):
-            raise ValueError(f"event shape {v.shape} != ({self.event_dim},)")
-        return v
-
     # -- transforms ---------------------------------------------------------
 
     def forward(self, z: np.ndarray, cond: np.ndarray) -> tuple[np.ndarray, float]:
         """Latent -> data; returns (x, log|det J|)."""
-        z = self._check_event(z)
+        z, cond = self._rows(z, cond)
         _, _, s, means, amps = self._affine(cond)
-        return amps[-1] * z + means[-1], float(np.log(s).sum())
+        return amps[-1, :, 0] * z[0] + means[-1, :, 0], float(np.log(s).sum())
 
     def inverse(self, x: np.ndarray, cond: np.ndarray) -> tuple[np.ndarray, float]:
         """Data -> latent; returns (z, log|det J^-1|) = (z, -forward logdet)."""
-        x = self._check_event(x)
+        x, cond = self._rows(x, cond)
         _, _, s, means, amps = self._affine(cond)
-        return (x - means[-1]) / amps[-1], -float(np.log(s).sum())
+        return (x[0] - means[-1, :, 0]) / amps[-1, :, 0], -float(np.log(s).sum())
 
     def log_prob(self, x: np.ndarray, cond: np.ndarray) -> float:
         """Exact log-density of x under the flow-transformed standard normal."""
@@ -158,19 +167,20 @@ class FlowStack:
     def nll(self, x: np.ndarray, cond: np.ndarray) -> float:
         return -self.log_prob(x, cond)
 
-    def nll_backward(
-        self, x: np.ndarray, cond: np.ndarray, grads: ParamStore
-    ) -> tuple[float, np.ndarray]:
-        """NLL of x plus exact gradients.
+    def nll_backward(self, x: np.ndarray, cond: np.ndarray, grads: ParamStore) -> tuple:
+        """NLL of each row of x (N, D) given its row of cond (N, C), with gradients.
 
-        Accumulates parameter gradients into ``grads`` and returns
-        ``(nll, d nll / d cond)`` so the conditioning pathway can continue
-        into the encoder.
+        Accumulates the parameter gradients of the NLLs' sum into ``grads``
+        and returns ``(nll, d nll / d cond)``, (N,) and (N, C), so that each
+        row's conditioning pathway can continue into the encoder.  A single
+        x (D,) and cond (C,) give a float and a (C,) adjoint.
         """
-        x = self._check_event(x)
+        single = np.ndim(x) == 1
+        x, cond = self._rows(x, cond)
         w, raw, s, means, amps = self._affine(cond)
-        z = (x - means[-1]) / amps[-1]
-        nll = -(base_log_prob(z) - float(np.log(s).sum()))
+        z = (x.T - means[-1]) / amps[-1]
+        base = -0.5 * self.event_dim * math.log(2.0 * math.pi) - 0.5 * np.einsum("dn,dn->n", z, z)
+        nll = -(base - np.log(s).sum(axis=(0, 1)))
 
         # Walking M_i = s_i M_{i-1} + b_i and A_i = s_i A_{i-1} back from
         # z = (x - M_K) / A_K multiplies each adjoint by the later s_j, so
@@ -178,11 +188,12 @@ class FlowStack:
         # + 1 / s_i, where x_{i-1} = A_{i-1} z + M_{i-1} enters layer i.
         dshift = -z / amps[1:]
         dscale = dshift * (amps[:-1] * z + means[:-1]) + 1.0 / s
-        dout = np.empty(w.shape[0])
+        dout = np.empty((w.shape[0], len(x)))
         dout[self._order] = (dscale * sigmoid(raw), dshift)
-        dw = np.outer(dout, cond)
+        dw, db = dout @ cond, dout.sum(axis=1)
         rows = 2 * self.event_dim
         for i, (w_name, b_name) in enumerate(zip(self._w_names, self._b_names)):
             grads[w_name][...] += dw[i * rows : (i + 1) * rows]
-            grads[b_name][...] += dout[i * rows : (i + 1) * rows]
-        return float(nll), w.T @ dout
+            grads[b_name][...] += db[i * rows : (i + 1) * rows]
+        dcond = dout.T @ w
+        return (float(nll[0]), dcond[0]) if single else (nll, dcond)

@@ -166,21 +166,6 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, dict[str, str]]:
     return store, meta
 
 
-def max_relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-7) -> float:
-    """Largest elementwise relative difference, ignoring joint near-zeros.
-
-    Pairs whose magnitudes both sit below ``floor`` are treated as equal;
-    used for comparing analytic against finite-difference gradients.
-    """
-    a = np.asarray(a, dtype=float).reshape(-1)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    scale = np.maximum(np.abs(a), np.abs(b))
-    mask = scale > floor
-    if not mask.any():
-        return 0.0
-    return float(np.max(np.abs(a[mask] - b[mask]) / scale[mask]))
-
-
 def softplus(x: np.ndarray | float) -> np.ndarray | float:
     """Numerically stable log(1 + exp(x))."""
     x = np.asarray(x, dtype=float)

@@ -14,15 +14,20 @@ the flow and encoder backward passes, and the optimizer is plain SGD.
 each step's loss together with the gradient of their mean.
 
 Every step of a trajectory extends the same pocket graph, so one pass encodes
-each pocket once (:meth:`Encoder.encode_pocket`), then runs each step through
-the encoder's factored readout: with the default two layers a step's forward
-and backward work covers its ligand edges and (n, H) rows of the pocket, not
-the pocket's own edges.  Every edge, pocket or ligand, is stored once, and
-its two directions share one edge-MLP row and one row of its backward pass.  :meth:`Encoder.backward` adds each step's share of
-the pocket edges' adjoint into per-pocket sums, and
+each pocket of the batch once (:meth:`Encoder.encode_pocket`), then runs each
+step through the encoder's factored readout: with the default two layers a
+step's forward and backward work covers its ligand edges and (n, H) rows of
+the pocket, not the pocket's own edges.  Every edge, pocket or ligand, is
+stored once, and its two directions share one edge-MLP row and one row of
+its backward pass.  Each flow then runs once, forward and backward, over the
+(N, C) conditioners of all N steps.  Last, pocket by pocket,
+:meth:`Encoder.backward` takes each step's conditioner adjoint and adds the
+step's share of the pocket edges' adjoint into per-pocket sums, and
 :meth:`Encoder.pocket_backward` pushes them through the pocket edges once.
-Sums are reassociated against encoding every step on its own full graph, so
-the per-step losses and the gradient can move in the last ulp.
+Between the passes a step's encoder cache holds only its own edge features
+and focal edges, and backward recomputes the rest.  Sums are reassociated
+against encoding every step on its own full graph and against one flow pass
+per step, so the per-step losses and the gradient can move in the last ulp.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import ContextGraph, PocketEncoding, build_graph, extend_graph
+from .encoder import ContextGraph, build_graph, extend_graph
 from .geometry import distance_matrix
 from .model import Model, ModelConfig
 from .params import ParamStore
@@ -131,52 +136,42 @@ def sequentialize(
     return steps
 
 
-def _step_nll(
-    model: Model,
-    step: TrajectoryStep,
-    pocket: PocketEncoding,
-    grads: ParamStore,
-    pocket_cache: dict,
-) -> float:
-    """NLL of one step, encoded on ``pocket``; adds its gradient into ``grads``
-    and the pocket edges' share into ``pocket_cache``.  A function of its own,
-    so that the step's encoder cache is freed before the next step."""
-    cond, cache = model.encoder.encode_with_cache(step.graph, pocket, step.focal)
-    cond_coord = np.concatenate([cond, model.one_hot(int(np.argmax(step.target_type)))])
-    nll_type, dcond_type = model.type_flow.nll_backward(step.target_type, cond, grads)
-    nll_coord, dcond_coord = model.coord_flow.nll_backward(step.target_offset, cond_coord, grads)
-    value = nll_type + nll_coord
-    if not np.isfinite(value):
-        raise NumericError(f"non-finite loss {value!r}")
-    dcond = dcond_type + dcond_coord[: 2 * model.cfg.embed_width]
-    model.encoder.backward(step.graph, cache, dcond, grads, pocket_cache)
-    return value
-
-
-def _pocket_nll(model: Model, steps: list[TrajectoryStep], grads: ParamStore) -> list[float]:
-    """NLL of each of ``steps``, which share one pocket; adds their gradient
-    into ``grads``.  A function of its own, so that the pocket's encoding and
-    adjoint sums are freed before the next pocket is encoded."""
-    pocket, pocket_cache = model.encoder.encode_pocket(steps[0].pocket)
-    values = [_step_nll(model, step, pocket, grads, pocket_cache) for step in steps]
-    model.encoder.pocket_backward(pocket_cache, grads)
-    return values
-
-
 def _loss_and_grad(model: Model, steps: list[TrajectoryStep]) -> tuple[np.ndarray, ParamStore]:
     """Each step's NLL, in step order, and the exact gradient of their mean.
 
-    Steps are taken one pocket at a time, so that only one pocket encoding
-    and one set of per-pocket adjoint sums are alive."""
+    Every pocket and every step is encoded first, each flow then runs once
+    over all the steps' conditioners, and the encoder's backward passes run
+    pocket by pocket, each pocket's state freed once its ``pocket_backward``
+    has run."""
     if not steps:
         raise ValueError("empty batch")
+    encoder, width = model.encoder, 2 * model.cfg.embed_width
     groups: dict[int, list[int]] = {}
     for i, step in enumerate(steps):
         groups.setdefault(id(step.pocket), []).append(i)
+    cond, caches, pockets = np.empty((len(steps), width)), [None] * len(steps), {}
+    for key, members in groups.items():
+        encoding, pockets[key] = encoder.encode_pocket(steps[members[0]].pocket)
+        for i in members:
+            step = steps[i]
+            cond[i], caches[i] = encoder.encode_with_cache(step.graph, encoding, step.focal)
+    types = np.array([step.target_type for step in steps])
+    offsets = np.array([step.target_offset for step in steps])
+    element = np.eye(len(model.cfg.vocab))[types.argmax(axis=1)]
     grads = model.zero_grads()
-    values = np.empty(len(steps))
-    for members in groups.values():
-        values[members] = _pocket_nll(model, [steps[i] for i in members], grads)
+    values, dcond = model.type_flow.nll_backward(types, cond, grads)
+    nll_coord, dcoord = model.coord_flow.nll_backward(offsets, np.hstack([cond, element]), grads)
+    values += nll_coord
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise NumericError(f"non-finite loss {float(bad[0])!r}")
+    dcond += dcoord[:, :width]
+    for key, members in groups.items():
+        pocket_cache = pockets.pop(key)
+        for i in members:
+            encoder.backward(steps[i].graph, caches[i], dcond[i], grads, pocket_cache)
+            caches[i] = None
+        encoder.pocket_backward(pocket_cache, grads)
     grads.flat /= len(steps)
     if not np.all(np.isfinite(grads.flat)):
         raise NumericError("non-finite gradient")

@@ -28,10 +28,12 @@ from pocketflow.flows import FlowStack
 from pocketflow.generator import GenConfig, generate_ligand
 from pocketflow.geometry import RbfBank, RigidTransform, apply_rigid, rmsd
 from pocketflow.model import Model, ModelConfig
-from pocketflow.params import ParamStore, max_relative_error
+from pocketflow.params import ParamStore
 from pocketflow.pdb import ComplexEntry, StructureRecord, parse_pdb, serialize_pdb
 from pocketflow.synthetic import toy_complex, toy_dataset
 from pocketflow.trainer import TrainConfig, grad, nll_loss, sequentialize, train
+
+from helpers import max_relative_error
 
 VOCAB = Vocabulary.default()
 

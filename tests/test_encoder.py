@@ -13,12 +13,13 @@ from pocketflow.encoder import (
     aggregate_readout,
     build_graph,
     extend_graph,
-    readout_backward,
     scatter_add,
 )
 from pocketflow.geometry import RbfBank, RigidTransform, apply_rigid, distance_matrix
 from pocketflow.params import ParamStore
 from pocketflow.synthetic import toy_complex
+
+from helpers import readout_backward
 
 VOCAB = Vocabulary.default()
 C, N, O = VOCAB.index("C"), VOCAB.index("N"), VOCAB.index("O")
@@ -402,6 +403,17 @@ def prefix_grads(enc, pocket, placed, focal, dcond):
     return grads.flat
 
 
+def array_shapes(value) -> list[tuple[int, ...]]:
+    """The shape of every array in ``value``, through dicts, lists and tuples."""
+    if isinstance(value, np.ndarray):
+        return [value.shape]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [shape for item in value for shape in array_shapes(item)]
+    return []
+
+
 class TestPocketPairs:
     """The pocket prefix runs its edge MLP once per undirected edge; these
     tests hold it to the directed edge list it stands for."""
@@ -417,14 +429,40 @@ class TestPocketPairs:
         assert np.array_equal(graph.edge_dist, dense[graph.edge_dst, graph.edge_src])
 
     def test_cache_rows_are_pairs(self):
+        """One row per pair in the edge features and every layer's messages;
+        the cache keeps no hidden activations (width 5), which
+        ``pocket_backward`` recomputes."""
         enc = make_encoder(EncoderConfig(embed_width=6, hidden_width=5, n_layers=3))
         graph = pocket_graph("shell400")
         encoding, cache = enc.encode_pocket(graph)
         n_pairs = graph.n_edges
         assert cache["edge_feat"].shape == (n_pairs, len(BANK))
-        for t, m in cache["mlp"]:
-            assert t.shape == (n_pairs, 5) and m.shape == (n_pairs, 6)
         assert [m.shape for m in encoding.messages] == [(n_pairs, 6)] * 3
+        assert all(5 not in shape for shape in array_shapes(cache))
+
+    def test_step_cache_has_no_pocket_sized_array(self):
+        """A step's cache keeps its own edge features and the edges into its
+        focal, nothing with the pocket's atom or edge count as a size; its
+        backward pass still gives the full path's gradient."""
+        enc = make_encoder(randomize=True)
+        pocket = shell_pocket(400, seed=0)
+        encoding, pocket_cache = enc.encode_pocket(build_graph(pocket, cutoff=6.0))
+        n, n_edges = encoding.graph.n_atoms, encoding.graph.n_edges
+        placed = CAVITY_LIGAND[:2]
+        graph = extend_graph(encoding.graph, placed, 6.0)
+        focal = graph.n_atoms - 1
+        _, cache = enc.encode_with_cache(graph, encoding, focal)
+        assert cache["pocket"] is encoding
+        shapes = array_shapes({key: value for key, value in cache.items() if key != "pocket"})
+        assert cache["edge_feat"].shape == (graph.n_edges - n_edges, len(BANK))
+        sizes = {n, n_edges, graph.n_atoms, graph.n_edges}
+        assert all(not sizes & set(shape) for shape in shapes)
+        dcond = np.random.default_rng(6).standard_normal(12)
+        grads = ParamStore(enc.store.shapes)
+        enc.backward(graph, cache, dcond, grads, pocket_cache)
+        enc.pocket_backward(pocket_cache, grads)
+        want = full_path_grads(enc, pocket, placed, focal, dcond)
+        assert np.max(np.abs(grads.flat - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_middle_layer_adjoint_is_summed_per_pair(self):
         """With three layers, a step's backward pass adds the middle layer's

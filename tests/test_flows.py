@@ -7,7 +7,9 @@ import pytest
 from scipy import stats
 
 from pocketflow.flows import FlowStack, base_log_prob
-from pocketflow.params import max_relative_error, softplus, softplus_inverse
+from pocketflow.params import softplus, softplus_inverse
+
+from helpers import max_relative_error
 
 LN2 = math.log(2.0)
 
@@ -263,3 +265,80 @@ class TestNllBackward:
             fd_cond[k] = (stack.nll(x, cond + e) - stack.nll(x, cond - e)) / (2 * h)
         assert max_relative_error(grads.flat, fd_params) < 1e-4
         assert max_relative_error(dcond, fd_cond) < 1e-4
+
+
+def fd_row_gradients(stack, x, cond, h=1e-5):
+    """Central differences of the summed row NLLs in every parameter and of
+    each row's NLL in its own conditioner."""
+
+    def total():
+        return sum(stack.nll(xi, ci) for xi, ci in zip(x, cond))
+
+    flat = stack.store.flat
+    fd_params = np.zeros(flat.size)
+    for k in range(flat.size):
+        saved = flat[k]
+        flat[k] = saved + h
+        up = total()
+        flat[k] = saved - h
+        down = total()
+        flat[k] = saved
+        fd_params[k] = (up - down) / (2 * h)
+    fd_cond = np.zeros(cond.shape)
+    for (i, k), _ in np.ndenumerate(cond):
+        e = np.zeros(cond.shape[1])
+        e[k] = h
+        fd_cond[i, k] = (stack.nll(x[i], cond[i] + e) - stack.nll(x[i], cond[i] - e)) / (2 * h)
+    return fd_params, fd_cond
+
+
+class TestRowwiseNllBackward:
+    """``nll_backward`` on (N, D) events and (N, C) conditioners: one
+    matmul for all the rows, the per-vector call being N = 1."""
+
+    @pytest.mark.parametrize("event_dim", [1, 3, 10])
+    @pytest.mark.parametrize("n_layers", [1, 2, 6])
+    def test_rows_equal_one_row_calls(self, n_layers, event_dim):
+        rng = np.random.default_rng(50 * n_layers + event_dim)
+        stack = random_stack(rng, n_layers, event_dim)
+        x, cond = rng.standard_normal((5, event_dim)), rng.standard_normal((5, 4))
+        grads = stack.store.zeros_like()
+        nll, dcond = stack.nll_backward(x, cond, grads)
+        assert nll.shape == (5,) and dcond.shape == (5, 4)
+        summed = stack.store.zeros_like()
+        for i in range(5):
+            one = stack.store.zeros_like()
+            nll_i, dcond_i = stack.nll_backward(x[i], cond[i], one)
+            assert isinstance(nll_i, float) and dcond_i.shape == (4,)
+            assert abs(nll[i] - nll_i) <= 1e-12 * abs(nll_i)
+            assert np.max(np.abs(dcond[i] - dcond_i)) <= 1e-12 * np.max(np.abs(dcond_i))
+            summed.flat[:] += one.flat
+        assert np.max(np.abs(grads.flat - summed.flat)) <= 1e-12 * np.max(np.abs(summed.flat))
+
+    def test_gradients_match_central_differences(self):
+        rng = np.random.default_rng(17)
+        stack = random_stack(rng, 3, 3)
+        x, cond = rng.standard_normal((3, 3)), rng.standard_normal((3, 4))
+        grads = stack.store.zeros_like()
+        nll, dcond = stack.nll_backward(x, cond, grads)
+        want = [stack.nll(xi, ci) for xi, ci in zip(x, cond)]
+        np.testing.assert_allclose(nll, want, rtol=1e-12)
+        fd_params, fd_cond = fd_row_gradients(stack, x, cond)
+        assert max_relative_error(grads.flat, fd_params) < 1e-4
+        assert max_relative_error(dcond, fd_cond) < 1e-4
+
+    @pytest.mark.parametrize(
+        "x_shape, cond_shape",
+        [
+            ((5, 2), (5, 4)),  # event width
+            ((5, 3), (5, 6)),  # conditioner width
+            ((5, 3), (4, 4)),  # row counts
+            ((3,), (1, 4)),  # one event, a row of conditioners
+            ((1, 3), (4,)),  # a row of events, one conditioner
+            ((2, 5, 3), (2, 5, 4)),  # a third axis
+        ],
+    )
+    def test_shape_errors(self, x_shape, cond_shape):
+        stack = FlowStack.create(2, 3, 4)
+        with pytest.raises(ValueError):
+            stack.nll_backward(np.zeros(x_shape), np.zeros(cond_shape), stack.store.zeros_like())

@@ -9,11 +9,12 @@ from pocketflow.params import (
     CheckpointError,
     ParamStore,
     load_checkpoint,
-    max_relative_error,
     save_checkpoint,
     softplus,
     softplus_inverse,
 )
+
+from helpers import max_relative_error
 
 
 class TestParamStore:
