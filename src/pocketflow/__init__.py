@@ -19,7 +19,7 @@ from .chem import (
     infer_bonds,
     open_valence,
 )
-from .config import ConfigError, RunConfig, read_config, write_config
+from .config import ConfigError, RunConfig, read_config
 from .encoder import ContextGraph, Encoder, EncoderConfig, aggregate_readout, build_graph
 from .evaluator import (
     AffinityModel,

@@ -182,10 +182,6 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         raise ConfigError(f"{source}: {exc}") from None
 
 
-def write_config(cfg: RunConfig, path: str | Path) -> None:
-    Path(path).write_text(dumps_config(cfg))
-
-
 def read_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.exists():

@@ -20,12 +20,13 @@ used by the trainer.
 Pocket prefix: every context graph extends a :class:`PocketEncoding`, the
 forward-pass values that only the pocket determines (its edges' edge-MLP
 outputs, the first layer's pocket rows and the last layer's outgoing message
-sums), or else the encoder's empty prefix.  :meth:`Encoder.encode_pocket`
-computes it once, and :func:`extend_graph` adds placed atoms at O(L*(n+L))
-cost; encoding the extended graph equals a full re-encode bit for bit while
-the encoder parameters stay fixed.  Generation shares one prefix across the
-steps that grow a molecule, training across the steps of a trajectory within
-a gradient evaluation.
+sums) plus the sums that its steps' backward passes add into, or else the
+encoder's empty prefix, the encoding of an empty graph.
+:meth:`Encoder.encode_pocket` computes it once, and :func:`extend_graph`
+adds placed atoms at O(L*(n+L)) cost; encoding the extended graph equals a
+full re-encode bit for bit while the encoder parameters stay fixed.
+Generation shares one prefix across the steps that grow a molecule, training
+across the steps of a trajectory within a gradient evaluation.
 
 Pair blocks: a graph stores each undirected edge once, as (i, j) with
 i < j, and a message weight depends on its edge's distance alone, so both
@@ -51,7 +52,7 @@ the pocket edges, a per-pocket sum), and the focal row only the edges into
 the focal.  The readout's adjoint is the same on every row but the focal's,
 and layer 0's pocket rows start from the same embeddings at every step; so
 :meth:`Encoder.backward` adds each step's share of the pocket edges' adjoint
-into per-pocket sums of (n, H) or (E, H) rows, and
+into sums of (n, H) or (E, H) rows held by the pocket's encoding, and
 :meth:`Encoder.pocket_backward` pushes them through the pocket edges once for
 all the steps.  No per-step array then has the pocket's edge count as a size
 but a middle layer's pair-block pass.  The sums are reassociated, so the
@@ -63,7 +64,7 @@ Caches: a step's cache keeps only its own edges' RBF features and the
 indices of the edges into its focal, nothing with the pocket's atom or edge
 count as a size, so that a trainer can hold every step's cache at once;
 :meth:`Encoder.backward` re-runs the step's edge MLP and layers from them,
-bit for bit.  A pocket's cache keeps its edges' RBF features but not the
+bit for bit.  A pocket's encoding keeps its edges' RBF features but not the
 edge MLP's hidden activations, which :meth:`Encoder.pocket_backward`
 recomputes.
 """
@@ -187,10 +188,12 @@ def extend_graph(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class PocketEncoding:
-    """The part of the forward pass that only the pocket determines; valid
-    only while the encoder parameters stay fixed.
+    """A pocket prefix: the part of the forward pass that only the pocket
+    determines, valid only while the encoder parameters stay fixed, and the
+    sums into which :meth:`Encoder.backward` adds each step's share of the
+    pocket edges' adjoint, which :meth:`Encoder.pocket_backward` finishes.
 
     ``messages`` has one row per pocket edge.  ``aggregate`` and
     ``out_messages`` are per-atom sums, each atom's terms in increasing
@@ -202,6 +205,19 @@ class PocketEncoding:
     messages: list[np.ndarray]  # per layer, the edge-MLP output m per edge (E, H)
     aggregate: np.ndarray  # layer 0's output on pocket rows, before ligand messages
     out_messages: np.ndarray  # (n, H) the last layer's m summed per atom over its edges
+    edge_feat: np.ndarray  # (E, n_rbf); pocket_backward recomputes t from it
+    h0: np.ndarray  # (n, H) layer 0's input embeddings
+    # sums over the steps on this pocket, added by ``Encoder.backward``
+    g0: np.ndarray = field(init=False)  # d(loss)/d(layer 0's output), pocket rows
+    dh0: np.ndarray = field(init=False)  # d(loss)/d(embeddings) less layer 0's pocket block
+    last: np.ndarray = field(init=False)  # gamma * x * the readout's mean adjoint
+    # per step, the pocket edges into the focal and their d(loss)/d(m)
+    focal: list = field(init=False, default_factory=list)
+    # layer -> d(loss)/d(m) per edge of a layer that ran the pocket block
+    dm: dict = field(init=False, default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.g0, self.dh0, self.last = (np.zeros(self.h0.shape) for _ in range(3))
 
 
 def _out_sums(out: np.ndarray, block: np.ndarray, m: np.ndarray) -> None:
@@ -259,12 +275,9 @@ class Encoder:
         self.vocab_size = vocab_size
         self.bank = bank
         self.store = store
-        none, rows = np.zeros(0, dtype=int), np.zeros((0, cfg.embed_width))
-        self.empty_pocket = PocketEncoding(
-            ContextGraph(none, none, np.zeros((0, 3)), none, none, np.zeros(0), np.zeros(0)),
-            [rows] * cfg.n_layers,
-            rows,
-            rows,
+        none = np.zeros(0, dtype=int)
+        self.empty_pocket = self.encode_pocket(
+            ContextGraph(none, none, np.zeros((0, 3)), none, none, np.zeros(0), np.zeros(0))
         )
 
     @staticmethod
@@ -441,12 +454,10 @@ class Encoder:
         _out_sums(out_m, graph.edges[:, pocket.graph.n_edges :], m)
         return gx, out_m, np.concatenate([pocket.messages[layer][in_pocket], m[into]])
 
-    def encode_pocket(self, graph: ContextGraph) -> tuple[PocketEncoding, dict]:
+    def encode_pocket(self, graph: ContextGraph) -> PocketEncoding:
         """Encode a pocket-only graph once for reuse by every context built on
         it with :func:`extend_graph`: every layer's edge MLP, layer 0, and the
-        last layer's outgoing message sums.  Also returns the cache into which
-        :meth:`backward` adds the pocket's share of each step's adjoint, and
-        which :meth:`pocket_backward` then reads.
+        last layer's outgoing message sums.
         """
         block = graph.edges
         edge_feat = self.edge_features(graph)
@@ -456,55 +467,33 @@ class Encoder:
         self._pass(aggregate, h0, block, messages[0], self._gamma(graph, 0))
         out_messages = np.zeros(h0.shape)
         _out_sums(out_messages, block, messages[-1])
-        encoding = PocketEncoding(graph, messages, aggregate, out_messages)
-        cache = {
-            "encoding": encoding,
-            "edge_feat": edge_feat,  # (E, n_rbf); pocket_backward recomputes t from it
-            "h0": h0,
-            # sums over the steps on this pocket, added by ``backward``
-            "g0": np.zeros(h0.shape),  # d(loss)/d(layer 0's output), pocket rows
-            "dh0": np.zeros(h0.shape),  # d(loss)/d(embeddings) less layer 0's pocket block
-            "last": np.zeros(h0.shape),  # gamma * x * the readout's mean adjoint
-            "focal": [],  # per step, the pocket edges into the focal and their dm
-            "dm": {},  # layer -> d(loss)/d(m) per edge of a layer that ran the pocket block
-        }
-        return encoding, cache
+        return PocketEncoding(graph, messages, aggregate, out_messages, edge_feat, h0)
 
     # -- backward --------------------------------------------------------
 
-    def backward(
-        self,
-        graph: ContextGraph,
-        cache: dict,
-        dh: np.ndarray,
-        grads: ParamStore,
-        pocket_cache: dict | None = None,
-    ) -> None:
+    def backward(self, graph: ContextGraph, cache: dict, dh: np.ndarray, grads: ParamStore) -> None:
         """Accumulate d(loss)/d(params) into ``grads`` given ``dh``, the
         adjoint of what :meth:`encode_with_cache` returned: the embeddings, or
         the readout when it was given a focal.
 
         The pocket edges' share is left out: it is added into the sums of
-        ``pocket_cache``, the cache of :meth:`encode_pocket` (needed unless
-        the pocket prefix is empty), and :meth:`pocket_backward` finishes it
-        once for every step that shares the pocket.
+        ``cache["pocket"]``, and :meth:`pocket_backward` finishes it once for
+        every step that shares the pocket.
         """
         pocket = cache["pocket"]
         n, start = pocket.graph.n_atoms, pocket.graph.n_edges
-        if n and pocket_cache is None:
-            raise ValueError("a context on a pocket prefix needs the pocket's cache")
         mlp, h_in = self._layer_inputs(graph, cache)
         g, top = dh, self.cfg.n_layers
         block = graph.edges[:, start:]  # the edges after the pocket's
         if "readout" in cache:
-            g = self._readout_backward(graph, cache, h_in[-1], mlp[-1], dh, grads, pocket_cache)
+            g = self._readout_backward(graph, cache, h_in[-1], mlp[-1], dh, grads)
             top -= 1
         for layer in reversed(range(top)):
             h, dx = h_in[layer], g.copy()  # the residual path
             if n and layer == 0:  # layer 0's pocket block runs in pocket_backward
-                pocket_cache["g0"] += g[:n]
+                pocket.g0 += g[:n]
             elif n:
-                sums, m = pocket_cache["dm"], pocket.messages[layer]
+                sums, m = pocket.dm, pocket.messages[layer]
                 dm = self._pass_backward(graph, layer, pocket.graph.edges, h, g, m, dx, grads)
                 sums[layer] = sums[layer] + dm if layer in sums else dm
             t, m = mlp[layer]
@@ -512,7 +501,7 @@ class Encoder:
             self._mlp_backward(layer, cache["edge_feat"], t, dm, grads)
             g = dx
         if n:
-            pocket_cache["dh0"] += g[:n]
+            pocket.dh0 += g[:n]
         table = graph.origins[n:] * self.vocab_size + graph.elements[n:]
         scatter_add(grads["encoder.embed"], table, g[n:])
 
@@ -545,14 +534,14 @@ class Encoder:
         return dm[0] + dm[1]
 
     def _readout_backward(
-        self, graph: ContextGraph, cache: dict, x, mlp, dcond, grads: ParamStore, pocket_cache
+        self, graph: ContextGraph, cache: dict, x, mlp, dcond, grads: ParamStore
     ) -> np.ndarray:
         """Back through the readout of :meth:`encode_with_cache` given the
         last layer's input ``x``, its edge-MLP values ``(t, m)`` and
         d(loss)/d(readout): the adjoint of the last layer's output is the
         mean's share ``c`` on every row plus ``df`` on the focal's.  Adds the
         last layer's gradients but for the pocket edges' MLP, whose share
-        goes into ``pocket_cache``, and returns d(loss)/d(x)."""
+        goes into the pocket's sums, and returns d(loss)/d(x)."""
         layer = self.cfg.n_layers - 1
         pocket = cache["pocket"]
         n, start = pocket.graph.n_atoms, pocket.graph.n_edges
@@ -565,8 +554,8 @@ class Encoder:
         dm = _last_layer_dm(last, graph.edges[:, start:], into, df_rows[k:])
         self._mlp_backward(layer, cache["edge_feat"], mlp[0], dm, grads)
         if n:
-            pocket_cache["last"] += last[:n]
-            pocket_cache["focal"].append((in_pocket, df_rows[:k]))
+            pocket.last += last[:n]
+            pocket.focal.append((in_pocket, df_rows[:k]))
         dx = out_m * c
         df_m = in_m * df
         gamma = self._gamma(graph, layer)
@@ -582,11 +571,11 @@ class Encoder:
         dx[in_src] += df_m  # one edge per partner into the focal: no repeated rows
         return dx
 
-    def pocket_backward(self, pocket_cache: dict, grads: ParamStore) -> None:
+    def pocket_backward(self, pocket: PocketEncoding, grads: ParamStore) -> None:
         """Finish the pocket edges' share of the gradient, once for every step
-        that :meth:`backward` added into ``pocket_cache``.  Each share is
-        linear in the sums kept there, and the edge MLP's backward pass runs
-        once per layer, on the edges' summed d(loss)/d(m):
+        that :meth:`backward` added into the sums of ``pocket``.  Each share is
+        linear in those sums, and the edge MLP's backward pass runs once per
+        layer, on the edges' summed d(loss)/d(m):
 
         - layer 0: the pocket rows' input embeddings ``h0`` are the same at
           every step, so the pocket block's backward pass on the summed output
@@ -598,22 +587,20 @@ class Encoder:
           ``last`` and the rows of the edges into each focal;
         - any other layer: the edges' d(loss)/d(m) that ``backward`` summed.
         """
-        c = pocket_cache
-        encoding, sent = c["encoding"], np.zeros(c["h0"].shape)
-        graph, dm = encoding.graph, dict(c["dm"])
-        block = graph.edges
-        if c["g0"].any():
-            m = encoding.messages[0]
-            dm[0] = self._pass_backward(graph, 0, block, c["h0"], c["g0"], m, sent, grads)
-        sent += c["dh0"]
+        graph, dm, sent = pocket.graph, dict(pocket.dm), np.zeros(pocket.h0.shape)
+        block, feat = graph.edges, pocket.edge_feat
+        if pocket.g0.any():
+            m = pocket.messages[0]
+            dm[0] = self._pass_backward(graph, 0, block, pocket.h0, pocket.g0, m, sent, grads)
+        sent += pocket.dh0
         scatter_add(grads["encoder.embed"], graph.origins * self.vocab_size + graph.elements, sent)
-        if c["focal"]:
+        if pocket.focal:
             last = self.cfg.n_layers - 1
-            edges, rows = zip(*c["focal"])
-            d = _last_layer_dm(c["last"], block, np.concatenate(edges), np.concatenate(rows))
+            edges, rows = zip(*pocket.focal)
+            d = _last_layer_dm(pocket.last, block, np.concatenate(edges), np.concatenate(rows))
             dm[last] = dm[last] + d if last in dm else d
         for layer, d in dm.items():
-            self._mlp_backward(layer, c["edge_feat"], self._hidden(layer, c["edge_feat"]), d, grads)
+            self._mlp_backward(layer, feat, self._hidden(layer, feat), d, grads)
 
     def _mlp_backward(
         self, layer: int, edge_feat: np.ndarray, t: np.ndarray, dm: np.ndarray, grads: ParamStore

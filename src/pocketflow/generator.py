@@ -9,9 +9,9 @@ Rejected placements are resampled a bounded number of times.  Generation stops
 when no focal atom with open valence remains, the atom budget is reached, or
 resampling is exhausted.
 
-The pocket is encoded once per molecule (:class:`GenerationState` keeps the
-forward-only :class:`~pocketflow.encoder.PocketEncoding`) and each step only
-adds the placed atoms' edges.  :func:`step` forms the conditioner once, with
+The pocket is encoded once per molecule (:class:`GenerationState` keeps its
+:class:`~pocketflow.encoder.PocketEncoding`) and each step only adds the
+placed atoms' edges.  :func:`step` forms the conditioner once, with
 :meth:`~pocketflow.encoder.Encoder.encode_with_cache` given the focal, as in
 training, and hands it to :func:`generate_type` and :func:`generate_coord` on
 every attempt.  It equals the readout of a full re-encode of the context up to
@@ -72,7 +72,7 @@ class GenerationState:
         """The current context graph plus the pocket encoding it extends."""
         cutoff = model.cfg.graph_cutoff
         if self.encoding is None:
-            self.encoding, _ = model.encoder.encode_pocket(build_graph(self.pocket, cutoff=cutoff))
+            self.encoding = model.encoder.encode_pocket(build_graph(self.pocket, cutoff=cutoff))
         return extend_graph(self.encoding.graph, self.placed, cutoff), self.encoding
 
     def molecule(self) -> Molecule:

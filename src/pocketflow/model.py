@@ -104,10 +104,6 @@ class Model:
         model.coord_flow.init()
         return model
 
-    @property
-    def n_params(self) -> int:
-        return self.store.size
-
     def zero_grads(self) -> ParamStore:
         return self.store.zeros_like()
 

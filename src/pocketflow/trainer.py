@@ -14,20 +14,22 @@ the flow and encoder backward passes, and the optimizer is plain SGD.
 each step's loss together with the gradient of their mean.
 
 Every step of a trajectory extends the same pocket graph, so one pass encodes
-each pocket of the batch once (:meth:`Encoder.encode_pocket`), then runs each
-step through the encoder's factored readout: with the default two layers a
-step's forward and backward work covers its ligand edges and (n, H) rows of
-the pocket, not the pocket's own edges.  Every edge, pocket or ligand, is
-stored once, and its two directions share one edge-MLP row and one row of
-its backward pass.  Each flow then runs once, forward and backward, over the
-(N, C) conditioners of all N steps.  Last, pocket by pocket,
+each pocket of the batch once, into one
+:class:`~pocketflow.encoder.PocketEncoding` (:meth:`Encoder.encode_pocket`),
+then runs each step through the encoder's factored readout: with the default
+two layers a step's forward and backward work covers its ligand edges and
+(n, H) rows of the pocket, not the pocket's own edges.  Every edge, pocket or
+ligand, is stored once, and its two directions share one edge-MLP row and one
+row of its backward pass.  Each flow then runs once, forward and backward,
+over the (N, C) conditioners of all N steps.  Last, pocket by pocket,
 :meth:`Encoder.backward` takes each step's conditioner adjoint and adds the
-step's share of the pocket edges' adjoint into per-pocket sums, and
-:meth:`Encoder.pocket_backward` pushes them through the pocket edges once.
-Between the passes a step's encoder cache holds only its own edge features
-and focal edges, and backward recomputes the rest.  Sums are reassociated
-against encoding every step on its own full graph and against one flow pass
-per step, so the per-step losses and the gradient can move in the last ulp.
+step's share of the pocket edges' adjoint into the sums of its pocket's
+encoding, and :meth:`Encoder.pocket_backward` pushes them through the pocket
+edges once.  Between the passes a step's encoder cache holds only its own edge
+features and focal edges, and backward recomputes the rest.  Sums are
+reassociated against encoding every step on its own full graph and against one
+flow pass per step, so the per-step losses and the gradient can move in the
+last ulp.
 """
 
 from __future__ import annotations
@@ -141,7 +143,7 @@ def _loss_and_grad(model: Model, steps: list[TrajectoryStep]) -> tuple[np.ndarra
 
     Every pocket and every step is encoded first, each flow then runs once
     over all the steps' conditioners, and the encoder's backward passes run
-    pocket by pocket, each pocket's state freed once its ``pocket_backward``
+    pocket by pocket, each pocket's encoding freed once its ``pocket_backward``
     has run."""
     if not steps:
         raise ValueError("empty batch")
@@ -151,10 +153,10 @@ def _loss_and_grad(model: Model, steps: list[TrajectoryStep]) -> tuple[np.ndarra
         groups.setdefault(id(step.pocket), []).append(i)
     cond, caches, pockets = np.empty((len(steps), width)), [None] * len(steps), {}
     for key, members in groups.items():
-        encoding, pockets[key] = encoder.encode_pocket(steps[members[0]].pocket)
+        pockets[key] = encoder.encode_pocket(steps[members[0]].pocket)
         for i in members:
             step = steps[i]
-            cond[i], caches[i] = encoder.encode_with_cache(step.graph, encoding, step.focal)
+            cond[i], caches[i] = encoder.encode_with_cache(step.graph, pockets[key], step.focal)
     types = np.array([step.target_type for step in steps])
     offsets = np.array([step.target_offset for step in steps])
     element = np.eye(len(model.cfg.vocab))[types.argmax(axis=1)]
@@ -167,11 +169,10 @@ def _loss_and_grad(model: Model, steps: list[TrajectoryStep]) -> tuple[np.ndarra
         raise NumericError(f"non-finite loss {float(bad[0])!r}")
     dcond += dcoord[:, :width]
     for key, members in groups.items():
-        pocket_cache = pockets.pop(key)
         for i in members:
-            encoder.backward(steps[i].graph, caches[i], dcond[i], grads, pocket_cache)
+            encoder.backward(steps[i].graph, caches[i], dcond[i], grads)
             caches[i] = None
-        encoder.pocket_backward(pocket_cache, grads)
+        encoder.pocket_backward(pockets.pop(key), grads)
     grads.flat /= len(steps)
     if not np.all(np.isfinite(grads.flat)):
         raise NumericError("non-finite gradient")

@@ -153,7 +153,7 @@ def test_criterion_4_gradient_correctness():
         bfactor_gating=True,
     )
     model = Model(cfg)
-    assert model.n_params <= 200, f"{model.n_params} parameters"
+    assert model.store.size <= 200, f"{model.store.size} parameters"
     c, o = vocab.index("C"), vocab.index("O")
     pocket = Pocket(
         [Atom(c, (0, 0, 0)), Atom(o, (2.5, 0, 0)), Atom(c, (0, 0, 2.5))],
@@ -167,10 +167,10 @@ def test_criterion_4_gradient_correctness():
     h = 1e-5
     rng = np.random.default_rng(1004)
     for point in range(5):
-        model.store.flat[:] = rng.uniform(-0.5, 0.5, size=model.n_params)
+        model.store.flat[:] = rng.uniform(-0.5, 0.5, size=model.store.size)
         analytic = grad(model, steps).flat.copy()
         numeric = np.zeros_like(analytic)
-        for i in range(model.n_params):
+        for i in range(model.store.size):
             orig = model.store.flat[i]
             model.store.flat[i] = orig + h
             up = nll_loss(model, steps)

@@ -1,5 +1,6 @@
 """End-to-end command-line pipeline: ingest, train, generate, evaluate."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 import pocketflow
 from pocketflow.chem import Vocabulary
 from pocketflow.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from pocketflow.config import RunConfig, write_config
+from pocketflow.config import RunConfig, dumps_config
 from pocketflow.model import Model
 from pocketflow.molio import molecule_to_records, write_xyz
 from pocketflow.pdb import serialize_pdb
@@ -21,6 +22,36 @@ from test_generator import random_pocket
 
 VOCAB = Vocabulary.default()
 REPO = Path(__file__).resolve().parents[1]
+
+# SHA-256 of each file that `generate --count 5 --seed 3` writes with
+# perfbench/gen_model.ckpt, pinned so that generation stays byte-identical
+# across commits, not only across BLAS thread counts
+GENERATED_SHA256 = {
+    "toy": {
+        "mol_000.pdb": "7d38db01399d394f9af6b77233e694007b86805985975566482444addadf3377",
+        "mol_000.xyz": "c7e62e9293d26c0c5586407473e02b34724620ad37c0614df08778df44429d05",
+        "mol_001.pdb": "5e7630b7a67d3f1f06d32ef7a5c7b91196b4dfe3e29104689fc9ae9144bce053",
+        "mol_001.xyz": "71f071b1a2951cf6f3372e299adc138e571177c608198bf06eac383487c290e2",
+        "mol_002.pdb": "b5bd4cb7624e9a64fb8e36437a70c20105835a69a9635aa76d811e47af3a15db",
+        "mol_002.xyz": "81406efe664d4c9d24a66a5ac175804357ddddecf8d65670467e3fbfbb5e960d",
+        "mol_003.pdb": "325deb72ea6d1ea86117f2ae8ab05207a9ce9459c69e0b8c6eed7c17f47b180b",
+        "mol_003.xyz": "9bcee7f2f481360261936290217682b9272e2b31c9ecad87d9f3994c69bbdbef",
+        "mol_004.pdb": "db4ea142e28a96ed2810e0863b6d2566b30e57875b888ab4ad877a64d7faf055",
+        "mol_004.xyz": "206af18ba34dc53b2eb9f6b0fd3300c905fc38ce8a84b24ce7af7f1c1a835957",
+    },
+    "random400": {
+        "mol_000.pdb": "a23d7561e4155136aeb20324600661108c133a57eb9348336ca6e4588005d3ab",
+        "mol_000.xyz": "b702ab0fd9172f3d4e3c2b0f3024a5afd57c6c194c2f4fd6d9dac613d270623d",
+        "mol_001.pdb": "a178471005ca8867921cf59b4c70fbd5ac74537589d156a039ed6828d59da021",
+        "mol_001.xyz": "713666c5204e9b8e97f4bb8c6e852a54fb7d44ac84097295c3ecb412eee81928",
+        "mol_002.pdb": "e94ef9969b970d109460d17e306136529a4a3b5c790b655bb3fae32fbe4bc80c",
+        "mol_002.xyz": "24bd581888f16754db3786e62e6c23269da7ade45f77cacc82da4fcf8ad997de",
+        "mol_003.pdb": "83d94f8ea2ca9f6c0f5428bd6bd8f6df2d00ceef6a705aa706eada9ac6c6b4db",
+        "mol_003.xyz": "159930804caa7ce2c6501eb951dedd44505b88d6241bce89d28f85ea901737bb",
+        "mol_004.pdb": "bd4bd1c0a0897029a47d2797bb10d79411e6f2e5cd30ea75c2cc3d1b5fa5ef83",
+        "mol_004.xyz": "6a0f2509aad0205c189f62274b6d8eccf3eb950310291429ba2e1f4588b4dc4c",
+    },
+}
 
 
 def run_cli(argv, **env):
@@ -63,7 +94,7 @@ def workspace(tmp_path):
         seed=3,
     )
     cfg_path = tmp_path / "run.cfg"
-    write_config(cfg, cfg_path)
+    cfg_path.write_text(dumps_config(cfg))
     return tmp_path, manifest, cfg_path
 
 
@@ -159,7 +190,7 @@ class TestTrain:
         tmp_path, manifest, cfg_path = workspace
         cfg = RunConfig(epochs=0, rbf_centers=6, embed_width=6, hidden_width=6,
                         encoder_layers=1, type_flow_layers=2, coord_flow_layers=2)
-        write_config(cfg, cfg_path)
+        cfg_path.write_text(dumps_config(cfg))
         archive, ckpt = run_pipeline(tmp_path, manifest, cfg_path)
         assert ckpt.exists()
         assert (tmp_path / "model.ckpt.log").read_text() == ""
@@ -169,7 +200,7 @@ class TestTrain:
         cfg = RunConfig(epochs=500, learning_rate=5.0, rbf_centers=6, embed_width=6,
                         hidden_width=6, encoder_layers=1, type_flow_layers=2,
                         coord_flow_layers=2)
-        write_config(cfg, cfg_path)
+        cfg_path.write_text(dumps_config(cfg))
         archive = tmp_path / "data.json"
         assert main(["ingest", str(manifest), "--out", str(archive), "--config", str(cfg_path)]) == EXIT_OK
         code = main(["train", str(archive), "--out", str(tmp_path / "m.ckpt"), "--config", str(cfg_path)])
@@ -264,6 +295,8 @@ class TestGenerate:
             outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
         assert len(outputs[0]) == 10
         assert outputs[0] == outputs[1]
+        digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs[0].items()}
+        assert digests == GENERATED_SHA256[pocket_name]
 
 
 class TestEvaluate:

@@ -10,7 +10,6 @@ from pocketflow.config import (
     dumps_config,
     parse_config,
     read_config,
-    write_config,
 )
 from pocketflow.generator import GenConfig
 from pocketflow.model import ModelConfig
@@ -56,7 +55,7 @@ class TestRoundTrip:
     def test_every_field_survives(self, tmp_path):
         cfg = non_default_config()
         path = tmp_path / "run.cfg"
-        write_config(cfg, path)
+        path.write_text(dumps_config(cfg))
         back = read_config(path)
         for field in dataclasses.fields(RunConfig):
             assert getattr(back, field.name) == getattr(cfg, field.name), field.name

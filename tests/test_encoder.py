@@ -351,7 +351,7 @@ class TestFactoredReadout:
         else:
             pocket, ligand = shell_pocket(400, seed=0), CAVITY_LIGAND
         n = len(pocket)
-        encoding, _ = enc.encode_pocket(build_graph(pocket, cutoff=6.0))
+        encoding = enc.encode_pocket(build_graph(pocket, cutoff=6.0))
         pocket_focal_met_both = False
         for t in range(len(ligand) + 1):
             placed = ligand[:t]
@@ -394,12 +394,12 @@ def full_path_grads(enc, pocket, placed, focal, dcond):
 
 def prefix_grads(enc, pocket, placed, focal, dcond):
     """The same gradient through the pocket prefix and ``pocket_backward``."""
-    encoding, pocket_cache = enc.encode_pocket(build_graph(pocket, cutoff=6.0))
+    encoding = enc.encode_pocket(build_graph(pocket, cutoff=6.0))
     graph = extend_graph(encoding.graph, placed, 6.0)
     grads = ParamStore(enc.store.shapes)
     _, cache = enc.encode_with_cache(graph, encoding, focal)
-    enc.backward(graph, cache, dcond, grads, pocket_cache)
-    enc.pocket_backward(pocket_cache, grads)
+    enc.backward(graph, cache, dcond, grads)
+    enc.pocket_backward(encoding, grads)
     return grads.flat
 
 
@@ -434,11 +434,11 @@ class TestPocketPairs:
         ``pocket_backward`` recomputes."""
         enc = make_encoder(EncoderConfig(embed_width=6, hidden_width=5, n_layers=3))
         graph = pocket_graph("shell400")
-        encoding, cache = enc.encode_pocket(graph)
+        encoding = enc.encode_pocket(graph)
         n_pairs = graph.n_edges
-        assert cache["edge_feat"].shape == (n_pairs, len(BANK))
+        assert encoding.edge_feat.shape == (n_pairs, len(BANK))
         assert [m.shape for m in encoding.messages] == [(n_pairs, 6)] * 3
-        assert all(5 not in shape for shape in array_shapes(cache))
+        assert all(5 not in shape for shape in array_shapes(vars(encoding)))
 
     def test_step_cache_has_no_pocket_sized_array(self):
         """A step's cache keeps its own edge features and the edges into its
@@ -446,7 +446,7 @@ class TestPocketPairs:
         backward pass still gives the full path's gradient."""
         enc = make_encoder(randomize=True)
         pocket = shell_pocket(400, seed=0)
-        encoding, pocket_cache = enc.encode_pocket(build_graph(pocket, cutoff=6.0))
+        encoding = enc.encode_pocket(build_graph(pocket, cutoff=6.0))
         n, n_edges = encoding.graph.n_atoms, encoding.graph.n_edges
         placed = CAVITY_LIGAND[:2]
         graph = extend_graph(encoding.graph, placed, 6.0)
@@ -459,8 +459,8 @@ class TestPocketPairs:
         assert all(not sizes & set(shape) for shape in shapes)
         dcond = np.random.default_rng(6).standard_normal(12)
         grads = ParamStore(enc.store.shapes)
-        enc.backward(graph, cache, dcond, grads, pocket_cache)
-        enc.pocket_backward(pocket_cache, grads)
+        enc.backward(graph, cache, dcond, grads)
+        enc.pocket_backward(encoding, grads)
         want = full_path_grads(enc, pocket, placed, focal, dcond)
         assert np.max(np.abs(grads.flat - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -469,12 +469,12 @@ class TestPocketPairs:
         pocket d(loss)/d(m) into the pocket's cache as one row per pair."""
         enc = make_encoder(EncoderConfig(embed_width=6, hidden_width=5, n_layers=3), randomize=True)
         graph = pocket_graph("shell400")
-        encoding, pocket_cache = enc.encode_pocket(graph)
+        encoding = enc.encode_pocket(graph)
         step = extend_graph(graph, CAVITY_LIGAND[:2], 6.0)
         _, cache = enc.encode_with_cache(step, encoding, step.n_atoms - 1)
         dcond = np.random.default_rng(3).standard_normal(12)
-        enc.backward(step, cache, dcond, ParamStore(enc.store.shapes), pocket_cache)
-        shapes = {layer: dm.shape for layer, dm in pocket_cache["dm"].items()}
+        enc.backward(step, cache, dcond, ParamStore(enc.store.shapes))
+        shapes = {layer: dm.shape for layer, dm in encoding.dm.items()}
         assert shapes == {1: (graph.n_edges, 6)}
 
     @pytest.mark.parametrize("pocket_name", ["toy", "shell400"])
@@ -482,7 +482,7 @@ class TestPocketPairs:
         cfg = EncoderConfig(embed_width=6, hidden_width=5, n_layers=2, bfactor_gating=True)
         enc = make_encoder(cfg, randomize=True)
         graph = pocket_graph(pocket_name)
-        encoding, _ = enc.encode_pocket(graph)
+        encoding = enc.encode_pocket(graph)
         h0 = enc.initial_embeddings(graph)
         # the directed edge list, both copies of every edge, source-major
         n_edges = graph.n_edges
@@ -508,8 +508,8 @@ class TestPocketPairs:
         cfg = EncoderConfig(embed_width=6, hidden_width=5, n_layers=2, bfactor_gating=gating)
         enc = make_encoder(cfg, randomize=True)
         pocket = pocket_of(*positions, bfactors=[10.0, 30.0, 50.0][: len(positions)])
-        encoding, cache = enc.encode_pocket(build_graph(pocket, cutoff=6.0))
-        assert encoding.graph.n_edges == 0 and cache["edge_feat"].shape == (0, len(BANK))
+        encoding = enc.encode_pocket(build_graph(pocket, cutoff=6.0))
+        assert encoding.graph.n_edges == 0 and encoding.edge_feat.shape == (0, len(BANK))
         placed = CAVITY_LIGAND[:2]
         graph = extend_graph(encoding.graph, placed, 6.0)
         assert np.array_equal(
@@ -559,13 +559,13 @@ class TestPocketBackwardPasses:
         enc = make_encoder(cfg, randomize=True)
         complex_ = toy_complex(VOCAB)
         pocket, placed = complex_.pocket, complex_.ligand.atoms[:2]
-        encoding, pocket_cache = enc.encode_pocket(build_graph(pocket, cutoff=6.0))
+        encoding = enc.encode_pocket(build_graph(pocket, cutoff=6.0))
         graph = extend_graph(encoding.graph, placed, 6.0)
         focal = graph.n_atoms - 1
         dcond = np.random.default_rng(4).standard_normal(12)
         grads = ParamStore(enc.store.shapes)
         _, cache = enc.encode_with_cache(graph, encoding, focal)
-        enc.backward(graph, cache, dcond, grads, pocket_cache)
+        enc.backward(graph, cache, dcond, grads)
         calls, real = [], enc._pass_backward
 
         def counting(*args):
@@ -573,7 +573,7 @@ class TestPocketBackwardPasses:
             return real(*args)
 
         enc._pass_backward = counting
-        enc.pocket_backward(pocket_cache, grads)
+        enc.pocket_backward(encoding, grads)
         assert calls == [0] * passes
         want = full_path_grads(enc, pocket, placed, focal, dcond)
         assert np.max(np.abs(grads.flat - want)) <= 1e-12 * np.max(np.abs(want))

@@ -169,12 +169,12 @@ class TestGrad:
         vocab = tiny_vocab()
         cfg = tiny_model_config(vocab, gating=True)
         model = Model(cfg)
-        assert model.n_params <= 200
+        assert model.store.size <= 200
         entry = tiny_complex(vocab)
         steps = sequentialize(entry, np.random.default_rng(0), cfg)
         rng = np.random.default_rng(42)
         for _ in range(5):
-            model.store.flat[:] = rng.uniform(-0.5, 0.5, size=model.n_params)
+            model.store.flat[:] = rng.uniform(-0.5, 0.5, size=model.store.size)
             analytic = grad(model, steps).flat
             numeric = fd_gradient(model, steps)
             assert max_relative_error(analytic, numeric) < 1e-3
@@ -185,7 +185,7 @@ class TestGrad:
         cfg = ModelConfig(vocab=VOCAB, bfactor_gating=False)
         rng = np.random.default_rng(1)
         model = Model.initialized(cfg, rng)
-        model.store.flat[:] = rng.uniform(-0.2, 0.2, size=model.n_params)
+        model.store.flat[:] = rng.uniform(-0.2, 0.2, size=model.store.size)
         steps = sequentialize(toy_complex(VOCAB), rng, cfg)
         g = grad(model, steps)
         table = g["encoder.embed"]
@@ -254,7 +254,7 @@ class TestSharedPocketGrad:
         ]
         rng = np.random.default_rng(7)
         for batch in batches:
-            model.store.flat[:] = rng.uniform(-0.5, 0.5, size=model.n_params)
+            model.store.flat[:] = rng.uniform(-0.5, 0.5, size=model.store.size)
             for name in ("encoder.layer0.gate", "encoder.layer1.gate"):
                 assert model.store[name] != 0.0
             analytic = grad(model, batch).flat
@@ -290,7 +290,7 @@ class TestFactoredGrad:
         batch = [a_steps[0], b_steps[1], pocket_focal, a_steps[1], b_steps[2]]
         rng = np.random.default_rng(11)
         for _ in range(2):
-            model.store.flat[:] = rng.uniform(-0.5, 0.5, size=model.n_params)
+            model.store.flat[:] = rng.uniform(-0.5, 0.5, size=model.store.size)
             analytic = grad(model, batch).flat
             reference = per_step_grad(model, batch)
             assert np.max(np.abs(analytic - reference)) <= 1e-12 * np.max(np.abs(reference))
@@ -333,7 +333,7 @@ class TestPocketScaleGrad:
         senders = partners(graph, near)
         assert np.any(senders < n) and np.any(senders >= n)
         batch = [*a_steps, replace(a_steps[2], focal=near), *b_steps]
-        model.store.flat[:] = np.random.default_rng(13).uniform(-0.5, 0.5, size=model.n_params)
+        model.store.flat[:] = np.random.default_rng(13).uniform(-0.5, 0.5, size=model.store.size)
         analytic = grad(model, batch).flat
         reference = per_step_grad(model, batch)
         assert np.max(np.abs(analytic - reference)) <= 1e-12 * np.max(np.abs(reference))
@@ -355,8 +355,8 @@ class TestNumericGuards:
         model, steps = self.setup_model()
         finish = model.encoder.pocket_backward
 
-        def poisoned(pocket_cache, grads):
-            finish(pocket_cache, grads)
+        def poisoned(pocket, grads):
+            finish(pocket, grads)
             grads.flat[0] = np.inf
 
         monkeypatch.setattr(model.encoder, "pocket_backward", poisoned)
@@ -381,7 +381,7 @@ class TestRigidInvariance:
         cfg = tiny_model_config(VOCAB)
         rng = np.random.default_rng(0)
         model = Model.initialized(cfg, rng)
-        model.store.flat[:] = rng.uniform(-0.4, 0.4, size=model.n_params)
+        model.store.flat[:] = rng.uniform(-0.4, 0.4, size=model.store.size)
         entry = toy_complex(VOCAB)
         base = nll_loss(model, sequentialize(entry, np.random.default_rng(9), cfg))
         for k in range(10):
