@@ -49,23 +49,33 @@ output, and :meth:`Encoder.encode_with_cache`, given a focal, forms just those
 at every depth, without the last layer's output.  Every message adds into the
 mean alike, so the mean needs only each atom's summed outgoing messages (on
 the pocket edges, a per-pocket sum), and the focal row only the edges into
-the focal.  The readout's adjoint is the same on every row but the focal's,
-and layer 0's pocket rows start from the same embeddings at every step; so
-:meth:`Encoder.backward` adds each step's share of the pocket edges' adjoint
-into sums of (n, H) or (E, H) rows held by the pocket's encoding, and
-:meth:`Encoder.pocket_backward` pushes them through the pocket edges once for
-all the steps.  No per-step array then has the pocket's edge count as a size
-but a middle layer's pair-block pass.  The sums are reassociated, so the
-readout and gradients can move in the last ulp against a full encoding.
-Every scatter goes through :func:`scatter_add`, which adds in the same order
-as a row-wise ``np.add.at``.
+the focal.  Every scatter goes through :func:`scatter_add`, which adds in
+the same order as a row-wise ``np.add.at``.
 
-Caches: a step's cache keeps only its own edges' RBF features and the
-indices of the edges into its focal, nothing with the pocket's atom or edge
-count as a size, so that a trainer can hold every step's cache at once;
-:meth:`Encoder.backward` re-runs the step's edge MLP and layers from them,
-bit for bit.  A pocket's encoding keeps its edges' RBF features but not the
-edge MLP's hidden activations, which :meth:`Encoder.pocket_backward`
+Step union: training encodes a batch's steps as one disjoint union, a
+:class:`StepUnion`.  With at most two layers a step's rows are its placed
+atoms plus only the pocket atoms it changes or reads: the pocket ends of its
+own edges, its focal and the focal's partners.  Every other pocket atom keeps
+its row of the pocket alone at the last layer's input (the embeddings with
+one layer, ``PocketEncoding.aggregate`` with two), so it adds the same term
+into every such step's mean, and :meth:`Encoder.encode_union` adds the
+pocket's sum of those terms and, on a step's own pocket rows, the difference
+from them.  Backward, the readout's adjoint is the mean's share ``c`` on
+every row of a step plus the focal's, so such an atom's adjoint is ``c``
+times a row of the pocket alone; over the steps, a per-pocket sum of ``c``.
+:meth:`Encoder.backward` runs the union once and adds each pocket's share
+into sums of (n, H) or (E, H) rows held by its encoding, and
+:meth:`Encoder.pocket_backward` pushes them through the pocket edges once for
+all the steps.  Deeper encoders keep every pocket row of every step, and
+their middle layers run the pocket's pair block per step.  The sums are
+reassociated, so the readout and gradients can move in the last ulp against
+a full encoding.
+
+Memory: the union's layout holds index arrays only, and between the forward
+and backward passes only the union edges' RBF features and the (U, H) inputs
+of the layers after the first are kept; the backward pass recomputes the edge
+MLP and the embeddings.  A pocket's encoding keeps its edges' RBF features but not
+the edge MLP's hidden activations, which :meth:`Encoder.pocket_backward`
 recomputes.
 """
 
@@ -211,7 +221,7 @@ class PocketEncoding:
     g0: np.ndarray = field(init=False)  # d(loss)/d(layer 0's output), pocket rows
     dh0: np.ndarray = field(init=False)  # d(loss)/d(embeddings) less layer 0's pocket block
     last: np.ndarray = field(init=False)  # gamma * x * the readout's mean adjoint
-    # per step, the pocket edges into the focal and their d(loss)/d(m)
+    # per backward pass, the pocket edges into its steps' focals and their d(loss)/d(m)
     focal: list = field(init=False, default_factory=list)
     # layer -> d(loss)/d(m) per edge of a layer that ran the pocket block
     dm: dict = field(init=False, default_factory=dict)
@@ -247,6 +257,126 @@ def scatter_add(out: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
         raise ValueError("scatter_add needs a C-contiguous output")
     flat = np.add.outer(index * rows.shape[-1], np.arange(rows.shape[-1]))
     np.add.at(out.reshape(-1), flat.ravel(), rows.reshape(-1))
+
+
+class StepUnion:
+    """The disjoint union of a batch's steps, as index arrays derived from
+    their graphs alone, so that one layout serves every gradient evaluation
+    of the same batch.  ``steps`` are ``(graph, pocket, focal)`` triples,
+    each ``graph`` extending the pocket graph ``pocket``.
+
+    With at most two layers a step's rows are its placed atoms plus only the
+    pocket atoms it changes or reads: the pocket ends of its own edges, its
+    focal and the focal's partners.  Every other pocket atom keeps its row
+    of the pocket alone, which :meth:`Encoder.encode_union` and
+    :meth:`Encoder.backward` read from the pocket's encoding.  Deeper
+    encoders keep every pocket row of every step, so that their middle
+    layers run each step's pocket pair block (``pocket_edges``).
+
+    The rows come as every step's placed atoms, then every step's pocket
+    rows; the edges as every step's own edges, those after its pocket's.
+    Both keep each step's graph order, so that every row adds its terms in
+    the same order as in the step's own graph.  The pockets' atoms and
+    edges are also indexed stacked, in ``pockets`` order.
+    """
+
+    def __init__(self, steps: Sequence[tuple[ContextGraph, ContextGraph, int]], n_layers: int):
+        if not steps:
+            raise ValueError("empty batch")
+        self.factored = n_layers <= 2
+        graphs, focals = [graph for graph, _, _ in steps], np.array([focal for *_, focal in steps])
+        for graph, focal in zip(graphs, focals):
+            _check_focal(focal, graph.n_atoms)
+        pockets: dict[int, ContextGraph] = {}
+        for _, pocket, _ in steps:
+            pockets.setdefault(id(pocket), pocket)
+        index = {key: k for k, key in enumerate(pockets)}
+        self.pockets = list(pockets.values())
+        self.pocket_of = np.array([index[id(pocket)] for _, pocket, _ in steps])
+        self.n_steps = len(steps)
+        self.atom_offsets = np.cumsum([0] + [p.n_atoms for p in self.pockets])
+        self.edge_offsets = np.cumsum([0] + [p.n_edges for p in self.pockets])
+        self.stack_pocket = np.repeat(np.arange(len(self.pockets)), np.diff(self.atom_offsets))
+        self.stack_weights = np.concatenate([p.bfactor_weights for p in self.pockets])
+
+        # every step's atoms and own edges (those after its pocket's), numbered
+        # on from the previous step's
+        sizes = np.array([graph.n_atoms for graph in graphs])
+        n_pocket = np.diff(self.atom_offsets)[self.pocket_of]
+        start = np.diff(self.edge_offsets)[self.pocket_of]
+        atom_step = np.repeat(np.arange(self.n_steps), sizes)
+        first = np.cumsum(sizes) - sizes
+        atom = np.arange(len(atom_step)) - first[atom_step]  # index in its step's graph
+        own = [graph.edges[:, s:] for graph, s in zip(graphs, start)]
+        edge_step = np.repeat(np.arange(self.n_steps), [e.shape[1] for e in own])
+        src, dst = np.concatenate(own, axis=1) + first[edge_step]
+        focal = first + focals
+        # the edges into each focal in encode_with_cache's order: a pocket
+        # focal's pocket edges first (no other focal has any), then own edges
+        ids, partners = _edges_into(focal[edge_step], src, dst)
+        parts = [(ids, partners, edge_step[ids], np.ones(len(ids), dtype=bool))]
+        for s in (focals < n_pocket).nonzero()[0]:
+            pocket = steps[s][1]
+            ids, ends = _edges_into(focals[s], pocket.edge_src, pocket.edge_dst)
+            parts.append((ids, first[s] + ends, np.full(len(ids), s), np.zeros_like(ids, bool)))
+        ids, partners, in_step, is_own = (np.concatenate(column) for column in zip(*parts))
+        order = np.lexsort((is_own, in_step))  # stable: per step, pocket edges first
+        ids, partners, in_step, is_own = ids[order], partners[order], in_step[order], is_own[order]
+        in_pocket = atom < n_pocket[atom_step]
+        if self.factored:  # a pocket atom ends the step's own edges as their src
+            kept = np.zeros(len(atom_step), dtype=bool)
+            kept[src] = kept[partners] = kept[focal] = True
+            kept &= in_pocket
+        else:
+            kept = in_pocket
+
+        # rows: every step's placed atoms, then every step's kept pocket atoms
+        atoms = np.concatenate([(~in_pocket).nonzero()[0], kept.nonzero()[0]])
+        row = np.full(len(atom_step), -1)  # each graph atom's union row
+        row[atoms] = np.arange(len(atoms))
+        self.n_atoms, self.n_placed = len(atoms), int((~in_pocket).sum())
+        self.origins = np.concatenate([graph.origins for graph in graphs])[atoms]
+        self.elements = np.concatenate([graph.elements for graph in graphs])[atoms]
+        self.bfactor_weights = np.concatenate([graph.bfactor_weights for graph in graphs])[atoms]
+        self.row_step = atom_step[atoms]
+        kept_atoms = atoms[self.n_placed :]
+        kept_pocket = self.pocket_of[atom_step[kept_atoms]]
+        self.pocket_rows = self.atom_offsets[kept_pocket] + atom[kept_atoms]
+        self.sizes = sizes.astype(float)
+        # edges: each step's own, as (2, E) union rows
+        self.edges = np.array([row[src], row[dst]])
+        self.edge_dist = np.concatenate([graph.edge_dist[s:] for graph, s in zip(graphs, start)])
+        self.n_edges = len(self.edge_dist)
+        # without factoring, each step's pocket pair block, on its pocket rows
+        blocks = [] if self.factored else range(self.n_steps)
+        self.pocket_edges = np.concatenate(
+            [np.zeros((2, 0), dtype=int)] + [row[first[s] + steps[s][1].edges] for s in blocks],
+            axis=1,
+        )
+        self.pocket_edge_ids = np.concatenate(
+            [np.zeros(0, dtype=int)]
+            + [self.edge_offsets[self.pocket_of[s]] + np.arange(start[s]) for s in blocks]
+        )
+        # readout: each step's focal row and the edges into it, pocket edges first
+        self.focal = row[focal]
+        self.in_src, self.in_step = row[partners], in_step
+        self.into, self.into_at = ids[is_own], is_own.nonzero()[0]  # own edges are union edges
+        # per pocket, (index among the in-edges, pocket edge) of its focal edges
+        at = (~is_own).nonzero()[0]
+        pocket = self.pocket_of[in_step[at]]
+        self.pocket_in = [(at[pocket == k], ids[at[pocket == k]]) for k in range(len(self.pockets))]
+
+
+@dataclass(eq=False)
+class UnionPass:
+    """The values of :meth:`Encoder.encode_union` that :meth:`Encoder.backward`
+    reads, which it drops layer by layer.  The backward pass recomputes the
+    edge MLP and the input embeddings rather than keep them across the
+    flows."""
+
+    pockets: list[PocketEncoding]  # the encodings of the union's pockets
+    edge_feat: np.ndarray  # (E, n_rbf) the union edges' RBF features
+    inputs: list[np.ndarray]  # the (U, H) input rows of every layer after the first
 
 
 @dataclass(frozen=True)
@@ -340,14 +470,15 @@ class Encoder:
         m += self.store[f"encoder.layer{layer}.b2"]
         return t, m
 
-    def _gamma(self, graph: ContextGraph, layer: int) -> np.ndarray | None:
-        """Per-atom B-factor gate factors, applied to the messages each atom
-        sends, or None with gating off."""
+    def _gamma(self, weights: np.ndarray, layer: int) -> np.ndarray | None:
+        """Per-atom B-factor gate factors for the atoms of B-factor weights
+        ``weights``, applied to the messages each atom sends, or None with
+        gating off."""
         if not self.cfg.bfactor_gating:
             return None
         # ligand atoms have weight 0, so their messages keep the factor 1
         gate = float(self.store[f"encoder.layer{layer}.gate"])
-        return 1.0 + gate * graph.bfactor_weights
+        return 1.0 + gate * weights
 
     def message_layer(
         self,
@@ -374,7 +505,7 @@ class Encoder:
         if m is None:
             _, m = self._edge_mlp(layer, self.edge_features(graph, slice(start, None)))
         h_next = h.copy()
-        gamma = self._gamma(graph, layer)
+        gamma = self._gamma(graph.bfactor_weights, layer)
         if layer == 0:
             h_next[: pocket.graph.n_atoms] = pocket.aggregate
         else:
@@ -399,60 +530,114 @@ class Encoder:
     def encode_with_cache(
         self, graph: ContextGraph, pocket: PocketEncoding | None = None, focal: int | None = None
     ):
-        """Embed atoms then run all message layers, keeping what backward
-        re-runs them from.
+        """Embed atoms then run all message layers.
 
         ``graph`` extends ``pocket.graph`` (see :meth:`encode_pocket`; by
         default the empty prefix).  Returns the embeddings or, given a
         ``focal`` atom, their :func:`aggregate_readout`, formed without the
-        last layer's output (see :meth:`_readout_terms`).  The cache holds the
-        edge features of the edges after the pocket's own and the edges into
-        the focal; :meth:`backward` recomputes every activation from them.
+        last layer's output (see the module docstring), together with every
+        layer's input embeddings.
         """
         pocket = pocket or self.empty_pocket
-        edge_feat = self.edge_features(graph, slice(pocket.graph.n_edges, None))
-        cache = {"edge_feat": edge_feat, "pocket": pocket, "focal": focal}
-        mlp, h_in = self._layer_inputs(graph, cache)
-        x, m = h_in[-1], mlp[-1][1]
+        start, last = pocket.graph.n_edges, self.cfg.n_layers - 1
+        edge_feat = self.edge_features(graph, slice(start, None))
+        m = [self._edge_mlp(layer, edge_feat)[1] for layer in range(last + 1)]
+        h_in = [self.initial_embeddings(graph)]
+        for layer in range(last):
+            h_in.append(self.message_layer(h_in[-1], graph, layer, m[layer], pocket))
+        x = h_in[-1]
         if focal is None:
-            return self.message_layer(x, graph, len(mlp) - 1, m, pocket), cache
+            return self.message_layer(x, graph, last, m[last], pocket), h_in
         _check_focal(focal, graph.n_atoms)
         # the edges into the focal, those with dst == focal then those with
         # src == focal, are in list order (pocket edges first) and in
         # increasing partner order (see the module docstring)
-        src, dst, start = graph.edge_src, graph.edge_dst, pocket.graph.n_edges
+        src, dst = graph.edge_src, graph.edge_dst
         (to_f,), (from_f,) = (dst == focal).nonzero(), (src == focal).nonzero()
         edges, in_src = np.concatenate([to_f, from_f]), np.concatenate([src[to_f], dst[from_f]])
         k = np.searchsorted(edges, start)
-        cache["readout"] = (edges[k:] - start, edges[:k], in_src)  # into, in_pocket, in_src
-        gx, out_m, in_m = self._readout_terms(x, graph, m, cache)
+        gamma = self._gamma(graph.bfactor_weights, last)
+        gx = x if gamma is None else x * gamma[:, None]
+        # each atom's outgoing m summed: every message adds into the mean alike
+        out_m = np.zeros(x.shape)
+        out_m[: pocket.graph.n_atoms] = pocket.out_messages
+        _out_sums(out_m, graph.edges[:, start:], m[last])
+        in_m = np.concatenate([pocket.messages[last][edges[:k]], m[last][edges[k:] - start]])
         row = x[focal] + (gx[in_src] * in_m).sum(axis=0)
         mean = (x + gx * out_m).mean(axis=0)
-        return np.concatenate([row, mean]), cache
+        return np.concatenate([row, mean]), h_in
 
-    def _layer_inputs(self, graph: ContextGraph, cache: dict) -> tuple[list, list]:
-        """Every layer's edge-MLP values ``(t, m)`` and every layer's input
-        embeddings, from a cache of :meth:`encode_with_cache`."""
-        pocket = cache["pocket"]
-        mlp = [self._edge_mlp(layer, cache["edge_feat"]) for layer in range(self.cfg.n_layers)]
-        h_in = [self.initial_embeddings(graph)]
-        for layer, (_, m) in enumerate(mlp[:-1]):
-            h_in.append(self.message_layer(h_in[-1], graph, layer, m, pocket))
-        return mlp, h_in
+    def encode_union(
+        self, union: StepUnion, pockets: list[PocketEncoding]
+    ) -> tuple[np.ndarray, UnionPass]:
+        """Every step's conditioner, (S, 2H): row s equals the readout of
+        :meth:`encode_with_cache` on step s, up to the reassociation of its
+        mean.  ``pockets`` are the encodings of ``union.pockets``.
 
-    def _readout_terms(self, x: np.ndarray, graph: ContextGraph, m: np.ndarray, cache: dict):
-        """From the last layer's input ``x`` and the edge-MLP outputs ``m`` of
-        the edges after the pocket's, what its readout needs: ``gamma * x``,
-        each atom's outgoing ``m`` summed (every message adds into the mean
-        alike) and the ``m`` of the edges into the focal."""
-        pocket, (into, in_pocket, _) = cache["pocket"], cache["readout"]
-        layer = self.cfg.n_layers - 1
-        gamma = self._gamma(graph, layer)
+        A pocket atom outside a step's rows has the row of the pocket alone
+        at the last layer's input and among its outgoing messages, so its
+        term of the mean is the same at every such step: the mean adds the
+        pocket's sum of those terms and, on the step's own pocket rows, the
+        difference from them.
+        """
+        last, width = self.cfg.n_layers - 1, self.cfg.embed_width
+        placed = union.n_placed
+        edge_feat = self.edge_features(union)
+        x, inputs = self.initial_embeddings(union), []
+        for layer in range(last):
+            gamma = self._gamma(union.bfactor_weights, layer)
+            out = x.copy()
+            if layer == 0:
+                out[placed:] = np.concatenate([p.aggregate for p in pockets])[union.pocket_rows]
+            else:
+                block_m = np.concatenate([p.messages[layer] for p in pockets])
+                self._pass(out, x, union.pocket_edges, block_m[union.pocket_edge_ids], gamma)
+            self._pass(out, x, union.edges, self._edge_mlp(layer, edge_feat)[1], gamma)
+            x = out
+            inputs.append(x)
+        gamma = self._gamma(union.bfactor_weights, last)
         gx = x if gamma is None else x * gamma[:, None]
-        out_m = np.zeros(x.shape)
-        out_m[: len(pocket.out_messages)] = pocket.out_messages
-        _out_sums(out_m, graph.edges[:, pocket.graph.n_edges :], m)
-        return gx, out_m, np.concatenate([pocket.messages[layer][in_pocket], m[into]])
+        terms, in_m = self._union_terms(union, pockets, self._edge_mlp(last, edge_feat)[1])
+        row = np.zeros((union.n_steps, width))
+        scatter_add(row, union.in_step, gx[union.in_src] * in_m)
+        terms *= gx  # each row's term of the mean, x + gamma * x * out_m
+        terms += x
+        mean = np.zeros((union.n_steps, width))
+        if union.factored:
+            x0, out0, gamma0 = self._pocket_only(union, pockets)
+            alone = (x0 if gamma0 is None else x0 * gamma0[:, None]) * out0
+            alone += x0
+            terms[placed:] -= alone[union.pocket_rows]
+            per_pocket = np.zeros((len(pockets), width))
+            scatter_add(per_pocket, union.stack_pocket, alone)
+            mean += per_pocket[union.pocket_of]
+        scatter_add(mean, union.row_step, terms)
+        mean /= union.sizes[:, None]
+        return np.hstack([x[union.focal] + row, mean]), UnionPass(pockets, edge_feat, inputs)
+
+    def _union_terms(
+        self, union: StepUnion, pockets: list[PocketEncoding], m: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Given the last layer's ``m`` on the union edges, each row's outgoing
+        ``m`` summed and the ``m`` of the edges into each step's focal."""
+        last, placed = self.cfg.n_layers - 1, union.n_placed
+        out_m = np.zeros((union.n_atoms, self.cfg.embed_width))
+        out_m[placed:] = np.concatenate([p.out_messages for p in pockets])[union.pocket_rows]
+        scatter_add(out_m, union.edges[1], m)  # as _out_sums, one end at a time
+        scatter_add(out_m, union.edges[0], m)
+        in_m = np.empty((len(union.in_src), self.cfg.embed_width))
+        in_m[union.into_at] = m[union.into]
+        for pocket, (at, ids) in zip(pockets, union.pocket_in):
+            in_m[at] = pocket.messages[last][ids]
+        return out_m, in_m
+
+    def _pocket_only(self, union: StepUnion, pockets: list[PocketEncoding]):
+        """The stacked pocket atoms' rows in the pocket alone: the last
+        layer's input, the outgoing message sums and the gate factors."""
+        last = self.cfg.n_layers - 1
+        x0 = np.concatenate([p.aggregate if last else p.h0 for p in pockets])
+        out0 = np.concatenate([p.out_messages for p in pockets])
+        return x0, out0, self._gamma(union.stack_weights, last)
 
     def encode_pocket(self, graph: ContextGraph) -> PocketEncoding:
         """Encode a pocket-only graph once for reuse by every context built on
@@ -464,46 +649,109 @@ class Encoder:
         messages = [self._edge_mlp(layer, edge_feat)[1] for layer in range(self.cfg.n_layers)]
         h0 = self.initial_embeddings(graph)
         aggregate = h0.copy()
-        self._pass(aggregate, h0, block, messages[0], self._gamma(graph, 0))
+        self._pass(aggregate, h0, block, messages[0], self._gamma(graph.bfactor_weights, 0))
         out_messages = np.zeros(h0.shape)
         _out_sums(out_messages, block, messages[-1])
         return PocketEncoding(graph, messages, aggregate, out_messages, edge_feat, h0)
 
     # -- backward --------------------------------------------------------
 
-    def backward(self, graph: ContextGraph, cache: dict, dh: np.ndarray, grads: ParamStore) -> None:
-        """Accumulate d(loss)/d(params) into ``grads`` given ``dh``, the
-        adjoint of what :meth:`encode_with_cache` returned: the embeddings, or
-        the readout when it was given a focal.
+    def backward(
+        self, union: StepUnion, cache: UnionPass, dcond: np.ndarray, grads: ParamStore
+    ) -> None:
+        """Accumulate d(loss)/d(params) into ``grads`` given ``dcond``, the
+        adjoint of the conditioners of :meth:`encode_union`.
 
-        The pocket edges' share is left out: it is added into the sums of
-        ``cache["pocket"]``, and :meth:`pocket_backward` finishes it once for
-        every step that shares the pocket.
+        The readout's adjoint is the mean's share ``c`` on every row of a step
+        plus ``df`` on its focal's, so a pocket atom outside a step's rows
+        has the adjoint ``c`` times a row of the pocket alone; summed over the
+        steps, that is a per-pocket sum of ``c`` times that row.  The pocket
+        edges' share is left out: it is added into the sums of each pocket's
+        encoding, and :meth:`pocket_backward` finishes it once per pocket.
         """
-        pocket = cache["pocket"]
-        n, start = pocket.graph.n_atoms, pocket.graph.n_edges
-        mlp, h_in = self._layer_inputs(graph, cache)
-        g, top = dh, self.cfg.n_layers
-        block = graph.edges[:, start:]  # the edges after the pocket's
-        if "readout" in cache:
-            g = self._readout_backward(graph, cache, h_in[-1], mlp[-1], dh, grads)
-            top -= 1
-        for layer in reversed(range(top)):
-            h, dx = h_in[layer], g.copy()  # the residual path
-            if n and layer == 0:  # layer 0's pocket block runs in pocket_backward
-                pocket.g0 += g[:n]
-            elif n:
-                sums, m = pocket.dm, pocket.messages[layer]
-                dm = self._pass_backward(graph, layer, pocket.graph.edges, h, g, m, dx, grads)
-                sums[layer] = sums[layer] + dm if layer in sums else dm
-            t, m = mlp[layer]
-            dm = self._pass_backward(graph, layer, block, h, g, m, dx, grads)
-            self._mlp_backward(layer, cache["edge_feat"], t, dm, grads)
-            g = dx
-        if n:
-            pocket.dh0 += g[:n]
-        table = graph.origins[n:] * self.vocab_size + graph.elements[n:]
-        scatter_add(grads["encoder.embed"], table, g[n:])
+        last, width = self.cfg.n_layers - 1, self.cfg.embed_width
+        pockets, edge_feat, inputs = cache.pockets, cache.edge_feat, cache.inputs
+        placed, in_src = union.n_placed, union.in_src
+        df, c = dcond[:, :width], dcond[:, width:] / union.sizes[:, None]
+        x = inputs.pop() if last else self.initial_embeddings(union)
+        gamma = self._gamma(union.bfactor_weights, last)
+        gx = x if gamma is None else x * gamma[:, None]
+        # the last layer's edge MLP: every message adds into its step's mean
+        # from both ends, and the edges into a focal into its row
+        df_rows = gx[in_src] * df[union.in_step]
+        last_rows = gx * c[union.row_step]
+        dm = _last_layer_dm(last_rows, union.edges, union.into, df_rows[union.into_at])
+        # the pocket atoms outside a step's rows: the sums over the steps
+        # that leave each atom out of ``last`` and of d(loss)/d(x)
+        gate = f"encoder.layer{last}.gate"
+        if union.factored:
+            x0, out0, gamma0 = self._pocket_only(union, pockets)
+            per_pocket = np.zeros((len(pockets), width))
+            scatter_add(per_pocket, union.pocket_of, c)
+            c_out = per_pocket[union.stack_pocket]
+            scatter_add(c_out, union.pocket_rows, -c[union.row_step[placed:]])
+            outside = out0 * c_out
+            if gamma0 is None:
+                last_sum = x0 * c_out
+            else:
+                grads[gate][...] += union.stack_weights @ (x0 * outside).sum(axis=1)
+                last_sum = x0 * gamma0[:, None] * c_out
+                outside *= gamma0[:, None]
+            outside += c_out
+            del x0, out0, c_out
+        else:
+            last_sum, outside = (np.zeros((len(union.stack_pocket), width)) for _ in range(2))
+        scatter_add(last_sum, union.pocket_rows, last_rows[placed:])
+        for k, (pocket, (at, ids)) in enumerate(zip(pockets, union.pocket_in)):
+            pocket.last += last_sum[union.atom_offsets[k] : union.atom_offsets[k + 1]]
+            pocket.focal.append((ids, df_rows[at]))
+        del last_rows, df_rows, last_sum
+        self._mlp_backward(last, edge_feat, self._hidden(last, edge_feat), dm, grads)
+        del dm
+        # d(loss)/d(x)
+        dx, in_m = self._union_terms(union, pockets, self._edge_mlp(last, edge_feat)[1])
+        dx *= c[union.row_step]
+        in_m *= df[union.in_step]
+        if gamma is not None:
+            w = union.bfactor_weights
+            grads[gate][...] += (
+                w @ (x * dx).sum(axis=1) + w[in_src] @ (x[in_src] * in_m).sum(axis=1)
+            )
+            dx *= gamma[:, None]
+            in_m *= gamma[in_src, None]
+        dx += c[union.row_step]
+        dx[union.focal] += df
+        dx[in_src] += in_m  # one edge per partner into each focal: no repeated rows
+        del x, gx, in_m
+        g, g0, dm_sums = dx, None, {}
+        for layer in reversed(range(last)):
+            h = inputs.pop() if layer else self.initial_embeddings(union)
+            if layer == 0:  # layer 0's pocket block runs in pocket_backward
+                g0 = outside.copy()
+                scatter_add(g0, union.pocket_rows, g[placed:])
+                dh = g  # the residual path; the one pass below reads g before it adds
+            else:
+                dh = g.copy()
+                block = np.concatenate([p.messages[layer] for p in pockets])[union.pocket_edge_ids]
+                dm = self._pass_backward(union, layer, union.pocket_edges, h, g, block, dh, grads)
+                dm_sums[layer] = np.zeros((union.edge_offsets[-1], width))
+                scatter_add(dm_sums[layer], union.pocket_edge_ids, dm)
+            m = self._edge_mlp(layer, edge_feat)[1]
+            dm = self._pass_backward(union, layer, union.edges, h, g, m, dh, grads)
+            del h, m
+            self._mlp_backward(layer, edge_feat, self._hidden(layer, edge_feat), dm, grads)
+            g = dh
+        scatter_add(outside, union.pocket_rows, g[placed:])
+        table = union.origins[:placed] * self.vocab_size + union.elements[:placed]
+        scatter_add(grads["encoder.embed"], table, g[:placed])
+        for k, pocket in enumerate(pockets):
+            rows = slice(union.atom_offsets[k], union.atom_offsets[k + 1])
+            pocket.dh0 += outside[rows]
+            if g0 is not None:
+                pocket.g0 += g0[rows]
+            pocket_edges = slice(union.edge_offsets[k], union.edge_offsets[k + 1])
+            for layer, dm in dm_sums.items():
+                pocket.dm[layer] = pocket.dm.get(layer, 0.0) + dm[pocket_edges]
 
     def _pass_backward(
         self, graph: ContextGraph, layer: int, block: np.ndarray, h, g, m, dh, grads: ParamStore
@@ -520,56 +768,22 @@ class Encoder:
         """
         send, recv = block, block[::-1]
         dmsg = g[send]  # d(loss)/d(message) of each reverse edge recv -> send
-        gamma = self._gamma(graph, layer)
+        gamma = self._gamma(graph.bfactor_weights, layer)
         if gamma is not None:
             pre = h[recv]
             pre *= m
             dgamma = (dmsg * pre).sum(axis=-1)
             grads[f"encoder.layer{layer}.gate"][...] += np.sum(dgamma * graph.bfactor_weights[recv])
             dmsg *= gamma[recv, None]
-        dm = h[recv]
-        dm *= dmsg
+        dm, other = h[recv[0]], h[recv[1]]
+        dm *= dmsg[0]
+        other *= dmsg[1]
+        dm += other
+        del other
         dmsg *= m
-        scatter_add(dh, recv, dmsg)
-        return dm[0] + dm[1]
-
-    def _readout_backward(
-        self, graph: ContextGraph, cache: dict, x, mlp, dcond, grads: ParamStore
-    ) -> np.ndarray:
-        """Back through the readout of :meth:`encode_with_cache` given the
-        last layer's input ``x``, its edge-MLP values ``(t, m)`` and
-        d(loss)/d(readout): the adjoint of the last layer's output is the
-        mean's share ``c`` on every row plus ``df`` on the focal's.  Adds the
-        last layer's gradients but for the pocket edges' MLP, whose share
-        goes into the pocket's sums, and returns d(loss)/d(x)."""
-        layer = self.cfg.n_layers - 1
-        pocket = cache["pocket"]
-        n, start = pocket.graph.n_atoms, pocket.graph.n_edges
-        into, in_pocket, in_src = cache["readout"]
-        gx, out_m, in_m = self._readout_terms(x, graph, mlp[1], cache)
-        width = self.cfg.embed_width
-        df, c = dcond[:width], dcond[width:] / graph.n_atoms
-        df_rows = gx[in_src] * df  # d(loss)/d(m) on the edges into the focal, less c
-        last, k = gx * c, len(in_pocket)
-        dm = _last_layer_dm(last, graph.edges[:, start:], into, df_rows[k:])
-        self._mlp_backward(layer, cache["edge_feat"], mlp[0], dm, grads)
-        if n:
-            pocket.last += last[:n]
-            pocket.focal.append((in_pocket, df_rows[:k]))
-        dx = out_m * c
-        df_m = in_m * df
-        gamma = self._gamma(graph, layer)
-        if gamma is not None:
-            w = graph.bfactor_weights
-            grads[f"encoder.layer{layer}.gate"][...] += (
-                w @ (x * dx).sum(axis=1) + w[in_src] @ (x[in_src] * df_m).sum(axis=1)
-            )
-            dx *= gamma[:, None]
-            df_m *= gamma[in_src, None]
-        dx += c
-        dx[cache["focal"]] += df
-        dx[in_src] += df_m  # one edge per partner into the focal: no repeated rows
-        return dx
+        scatter_add(dh, recv[0], dmsg[0])  # one direction at a time, in block order
+        scatter_add(dh, recv[1], dmsg[1])
+        return dm
 
     def pocket_backward(self, pocket: PocketEncoding, grads: ParamStore) -> None:
         """Finish the pocket edges' share of the gradient, once for every step
@@ -615,6 +829,15 @@ class Encoder:
         da *= np.subtract(1.0, t, out=t)
         grads[f"{p}.w1"][...] += edge_feat.T @ da
         grads[f"{p}.b1"][...] += da.sum(axis=0)
+
+
+def _edges_into(focal, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The edges of the list ``(src, dst)`` into ``focal`` (one atom, or one
+    per edge) as :meth:`Encoder.encode_with_cache` orders them, those with
+    dst == focal, then those with src == focal, each in list order; and
+    their other ends."""
+    (to_f,), (from_f,) = (dst == focal).nonzero(), (src == focal).nonzero()
+    return np.concatenate([to_f, from_f]), np.concatenate([src[to_f], dst[from_f]])
 
 
 def _check_focal(focal: int, n_atoms: int) -> None:

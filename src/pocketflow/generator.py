@@ -21,6 +21,7 @@ molecule grows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,8 +47,8 @@ class GenConfig:
             raise ValueError("clash_retries must be >= 0")
         if not 0 < self.clash_factor < 1:
             raise ValueError("clash_factor must lie in (0, 1)")
-        if self.bond_tolerance < 0:
-            raise ValueError("bond_tolerance must be >= 0")
+        if not (math.isfinite(self.bond_tolerance) and self.bond_tolerance >= 0):
+            raise ValueError("bond_tolerance must be finite and >= 0")
 
 
 @dataclass

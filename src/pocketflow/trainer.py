@@ -16,29 +16,31 @@ each step's loss together with the gradient of their mean.
 Every step of a trajectory extends the same pocket graph, so one pass encodes
 each pocket of the batch once, into one
 :class:`~pocketflow.encoder.PocketEncoding` (:meth:`Encoder.encode_pocket`),
-then runs each step through the encoder's factored readout: with the default
-two layers a step's forward and backward work covers its ligand edges and
-(n, H) rows of the pocket, not the pocket's own edges.  Every edge, pocket or
-ligand, is stored once, and its two directions share one edge-MLP row and one
-row of its backward pass.  Each flow then runs once, forward and backward,
-over the (N, C) conditioners of all N steps.  Last, pocket by pocket,
-:meth:`Encoder.backward` takes each step's conditioner adjoint and adds the
-step's share of the pocket edges' adjoint into the sums of its pocket's
-encoding, and :meth:`Encoder.pocket_backward` pushes them through the pocket
-edges once.  Between the passes a step's encoder cache holds only its own edge
-features and focal edges, and backward recomputes the rest.  Sums are
-reassociated against encoding every step on its own full graph and against one
-flow pass per step, so the per-step losses and the gradient can move in the
-last ulp.
+then all the steps at once, as one disjoint union
+(:class:`~pocketflow.encoder.StepUnion`, :meth:`Encoder.encode_union`).  With
+the default two layers a step's rows in the union are its placed atoms plus
+only the pocket atoms it changes or reads, and every other pocket row enters
+through per-pocket sums.  Every edge, pocket or ligand, is stored once, and
+its two directions share one edge-MLP row and one row of its backward pass.
+Each flow then runs once, forward and backward, over the (N, C) conditioners
+of all N steps.  Last, :meth:`Encoder.backward` runs the union's backward
+pass once and adds each pocket's share into the sums of its encoding, and
+:meth:`Encoder.pocket_backward` pushes them through each pocket's edges once.
+The union's layout derives from the steps' graphs alone: :func:`train` builds
+it once for the full batch, and once per batch for mini-batches.  Sums are
+reassociated against encoding every step on its own full graph and against
+one flow pass per step, so the per-step losses and the gradient can move in
+the last ulp.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import ContextGraph, build_graph, extend_graph
+from .encoder import ContextGraph, StepUnion, build_graph, extend_graph
 from .geometry import distance_matrix
 from .model import Model, ModelConfig
 from .params import ParamStore
@@ -89,8 +91,8 @@ class TrainConfig:
         if self.batch_size < 0:
             raise ValueError("batch_size must be >= 0")
         # rate 0 is allowed: it freezes the parameters, useful for smoke tests
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError("learning_rate must be finite and >= 0")
         if not 0.0 < self.dequant_alpha <= 0.5:
             raise ValueError("dequant_alpha must lie in (0, 0.5]")
 
@@ -138,25 +140,28 @@ def sequentialize(
     return steps
 
 
-def _loss_and_grad(model: Model, steps: list[TrajectoryStep]) -> tuple[np.ndarray, ParamStore]:
+def _union(model: Model, steps: list[TrajectoryStep]) -> StepUnion:
+    triples = [(step.graph, step.pocket, step.focal) for step in steps]
+    return StepUnion(triples, model.cfg.encoder_layers)
+
+
+def _loss_and_grad(
+    model: Model, steps: list[TrajectoryStep], union: StepUnion | None = None
+) -> tuple[np.ndarray, ParamStore]:
     """Each step's NLL, in step order, and the exact gradient of their mean.
 
-    Every pocket and every step is encoded first, each flow then runs once
-    over all the steps' conditioners, and the encoder's backward passes run
-    pocket by pocket, each pocket's encoding freed once its ``pocket_backward``
-    has run."""
+    ``union`` is the layout of ``steps``, built here when not given.  Every
+    pocket is encoded first, then the union of the steps; each flow runs once
+    over all the steps' conditioners; the union's backward pass adds into
+    the pockets' sums.  The pockets' ``pocket_backward`` passes run after the
+    union's values are freed, each pocket's encoding freed once its pass has
+    run."""
     if not steps:
         raise ValueError("empty batch")
     encoder, width = model.encoder, 2 * model.cfg.embed_width
-    groups: dict[int, list[int]] = {}
-    for i, step in enumerate(steps):
-        groups.setdefault(id(step.pocket), []).append(i)
-    cond, caches, pockets = np.empty((len(steps), width)), [None] * len(steps), {}
-    for key, members in groups.items():
-        pockets[key] = encoder.encode_pocket(steps[members[0]].pocket)
-        for i in members:
-            step = steps[i]
-            cond[i], caches[i] = encoder.encode_with_cache(step.graph, pockets[key], step.focal)
+    union = union or _union(model, steps)
+    pockets = [encoder.encode_pocket(graph) for graph in union.pockets]
+    cond, cache = encoder.encode_union(union, pockets)
     types = np.array([step.target_type for step in steps])
     offsets = np.array([step.target_offset for step in steps])
     element = np.eye(len(model.cfg.vocab))[types.argmax(axis=1)]
@@ -168,11 +173,11 @@ def _loss_and_grad(model: Model, steps: list[TrajectoryStep]) -> tuple[np.ndarra
     if bad.size:
         raise NumericError(f"non-finite loss {float(bad[0])!r}")
     dcond += dcoord[:, :width]
-    for key, members in groups.items():
-        for i in members:
-            encoder.backward(steps[i].graph, caches[i], dcond[i], grads)
-            caches[i] = None
-        encoder.pocket_backward(pockets.pop(key), grads)
+    del cond, dcoord  # only dcond reaches the encoder's backward passes
+    encoder.backward(union, cache, dcond, grads)
+    del cache  # the union's values, before the pocket passes
+    while pockets:
+        encoder.pocket_backward(pockets.pop(0), grads)
     grads.flat /= len(steps)
     if not np.all(np.isfinite(grads.flat)):
         raise NumericError("non-finite gradient")
@@ -244,12 +249,13 @@ def train(
     history: list[float] = []
     n = len(steps)
     size = cfg.batch_size if 0 < cfg.batch_size < n else n
+    full = _union(model, steps) if size == n else None  # the one full-batch layout
     values = np.empty(n)  # this epoch's per-step losses, indexed by step
     for epoch in range(cfg.epochs):
         order = rng.permutation(n) if size < n else np.arange(n)
         for start in range(0, n, size):
             batch = order[start : start + size]
-            values[batch], grads = _loss_and_grad(model, [steps[i] for i in batch])
+            values[batch], grads = _loss_and_grad(model, [steps[i] for i in batch], full)
             model.store.flat -= cfg.learning_rate * grads.flat
         loss = _ordered_mean(values)
         history.append(loss)

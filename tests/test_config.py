@@ -158,6 +158,10 @@ class TestValidation:
             (GenConfig, {"clash_retries": -1}),
             (TrainConfig, {"epochs": -1}),
             (TrainConfig, {"batch_size": -1}),
+            (GenConfig, {"bond_tolerance": float("nan")}),
+            (GenConfig, {"bond_tolerance": float("inf")}),
+            (TrainConfig, {"learning_rate": float("nan")}),
+            (TrainConfig, {"learning_rate": float("inf")}),
         ],
     )
     def test_module_configs_reject_out_of_range(self, cls, kwargs):

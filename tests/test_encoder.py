@@ -10,6 +10,7 @@ from pocketflow.encoder import (
     ContextGraph,
     Encoder,
     EncoderConfig,
+    StepUnion,
     aggregate_readout,
     build_graph,
     extend_graph,
@@ -337,7 +338,7 @@ CAVITY_LIGAND = [
 class TestFactoredReadout:
     """Given a focal, ``encode_with_cache`` never forms the last layer over
     the pocket's own edges; its readout must still equal that of a full
-    encoding."""
+    encoding, and so must every row of the union of those steps."""
 
     @pytest.mark.parametrize("n_layers", [1, 2, 3])
     @pytest.mark.parametrize("gating", [False, True])
@@ -352,21 +353,36 @@ class TestFactoredReadout:
             pocket, ligand = shell_pocket(400, seed=0), CAVITY_LIGAND
         n = len(pocket)
         encoding = enc.encode_pocket(build_graph(pocket, cutoff=6.0))
+        # a second pocket, whose steps the union interleaves with the first's
+        other = enc.encode_pocket(build_graph(shell_pocket(60, seed=1), cutoff=6.0))
+        steps, readouts = [], []
         pocket_focal_met_both = False
         for t in range(len(ligand) + 1):
             placed = ligand[:t]
             graph = extend_graph(encoding.graph, placed, 6.0)
             h = enc.encode(build_graph(pocket, placed, cutoff=6.0))
             anchor = placed[0].position if placed else pocket.centroid()
-            near = int(np.argmin(np.linalg.norm(pocket.positions - anchor, axis=1)))
-            for focal in (near, graph.n_atoms - 1):
+            distance = np.linalg.norm(pocket.positions - anchor, axis=1)
+            near, far = int(np.argmin(distance)), int(np.argmax(distance))
+            for focal in (near, far, graph.n_atoms - 1):
                 want = aggregate_readout(h, focal)
                 got, _ = enc.encode_with_cache(graph, encoding, focal)
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+                steps.append((graph, encoding.graph, focal))
+                readouts.append(want)
             # a pocket focal that receives both pocket and ligand messages
             senders = partners(graph, near)
             pocket_focal_met_both |= bool(np.any(senders < n) and np.any(senders >= n))
+            other_graph = extend_graph(other.graph, CAVITY_LIGAND[:t], 6.0)
+            steps.append((other_graph, other.graph, other_graph.n_atoms - 1))
+            readouts.append(enc.encode_with_cache(other_graph, other, other_graph.n_atoms - 1)[0])
         assert pocket_focal_met_both
+        # step 0's focal is a pocket atom that no ligand edge touches
+        assert steps[0][0].n_edges == steps[0][1].n_edges and steps[0][2] < n
+        union = StepUnion(steps, n_layers)
+        cond, _ = enc.encode_union(union, [enc.encode_pocket(g) for g in union.pockets])
+        want = np.array(readouts)
+        assert np.max(np.abs(cond - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def partners(graph, atom):
@@ -383,24 +399,32 @@ def pocket_graph(pocket_name):
     return build_graph(pocket_atoms(pocket_name), cutoff=6.0)
 
 
-def full_path_grads(enc, pocket, placed, focal, dcond):
-    """Parameter gradient of ``dcond . readout`` through a full encoding."""
-    graph = build_graph(pocket, placed, cutoff=6.0)
+def union_grads(enc, steps, dcond):
+    """The conditioners of the union of ``steps``, (graph, pocket graph,
+    focal) triples, and the parameter gradient of ``sum(dcond * cond)``
+    through the union's backward pass and ``pocket_backward``."""
+    union = StepUnion(steps, enc.cfg.n_layers)
+    pockets = [enc.encode_pocket(graph) for graph in union.pockets]
+    cond, cache = enc.encode_union(union, pockets)
     grads = ParamStore(enc.store.shapes)
-    h, cache = enc.encode_with_cache(graph)
-    enc.backward(graph, cache, readout_backward(dcond, graph.n_atoms, focal), grads)
-    return grads.flat
+    enc.backward(union, cache, dcond, grads)
+    for pocket in pockets:
+        enc.pocket_backward(pocket, grads)
+    return cond, grads.flat
+
+
+def full_path_grads(enc, pocket, placed, focal, dcond):
+    """Parameter gradient of ``dcond . readout`` through a full encoding, on
+    the empty prefix: every atom a row of its own, no pocket sums."""
+    graph = build_graph(pocket, placed, cutoff=6.0)
+    return union_grads(enc, [(graph, enc.empty_pocket.graph, focal)], dcond[None])[1]
 
 
 def prefix_grads(enc, pocket, placed, focal, dcond):
     """The same gradient through the pocket prefix and ``pocket_backward``."""
-    encoding = enc.encode_pocket(build_graph(pocket, cutoff=6.0))
-    graph = extend_graph(encoding.graph, placed, 6.0)
-    grads = ParamStore(enc.store.shapes)
-    _, cache = enc.encode_with_cache(graph, encoding, focal)
-    enc.backward(graph, cache, dcond, grads)
-    enc.pocket_backward(encoding, grads)
-    return grads.flat
+    pocket_only = build_graph(pocket, cutoff=6.0)
+    graph = extend_graph(pocket_only, placed, 6.0)
+    return union_grads(enc, [(graph, pocket_only, focal)], dcond[None])[1]
 
 
 def array_shapes(value) -> list[tuple[int, ...]]:
@@ -440,40 +464,48 @@ class TestPocketPairs:
         assert [m.shape for m in encoding.messages] == [(n_pairs, 6)] * 3
         assert all(5 not in shape for shape in array_shapes(vars(encoding)))
 
-    def test_step_cache_has_no_pocket_sized_array(self):
-        """A step's cache keeps its own edge features and the edges into its
-        focal, nothing with the pocket's atom or edge count as a size; its
-        backward pass still gives the full path's gradient."""
+    def test_union_rows_are_the_rows_a_step_changes_or_reads(self):
+        """With two layers, the union of a batch's steps keeps, per step, its
+        placed atoms and only the pocket atoms that its own edges touch or
+        its readout reads (the focal and the focal's partners): on the
+        400-atom and the toy pocket, far fewer rows than a copy of the
+        pocket per step.  Its gradient still equals the full path's."""
         enc = make_encoder(randomize=True)
-        pocket = shell_pocket(400, seed=0)
-        encoding = enc.encode_pocket(build_graph(pocket, cutoff=6.0))
-        n, n_edges = encoding.graph.n_atoms, encoding.graph.n_edges
-        placed = CAVITY_LIGAND[:2]
-        graph = extend_graph(encoding.graph, placed, 6.0)
-        focal = graph.n_atoms - 1
-        _, cache = enc.encode_with_cache(graph, encoding, focal)
-        assert cache["pocket"] is encoding
-        shapes = array_shapes({key: value for key, value in cache.items() if key != "pocket"})
-        assert cache["edge_feat"].shape == (graph.n_edges - n_edges, len(BANK))
-        sizes = {n, n_edges, graph.n_atoms, graph.n_edges}
-        assert all(not sizes & set(shape) for shape in shapes)
-        dcond = np.random.default_rng(6).standard_normal(12)
-        grads = ParamStore(enc.store.shapes)
-        enc.backward(graph, cache, dcond, grads)
-        enc.pocket_backward(encoding, grads)
-        want = full_path_grads(enc, pocket, placed, focal, dcond)
-        assert np.max(np.abs(grads.flat - want)) <= 1e-12 * np.max(np.abs(want))
+        toy = toy_complex(VOCAB)
+        steps, paths, bound, copied = [], [], 0, 0
+        cases = ((shell_pocket(400, seed=0), CAVITY_LIGAND), (toy.pocket, toy.ligand.atoms))
+        for pocket, ligand in cases:
+            pocket_only = build_graph(pocket, cutoff=6.0)
+            n = pocket_only.n_atoms
+            near = int(np.argmin(np.linalg.norm(pocket.positions - ligand[0].position, axis=1)))
+            for t in range(len(ligand)):
+                graph = extend_graph(pocket_only, ligand[:t], 6.0)
+                focal = graph.n_atoms - 1 if t else near
+                own = graph.edge_src[pocket_only.n_edges :]
+                read = {*own.tolist(), focal, *partners(graph, focal).tolist()}
+                bound += t + sum(1 for atom in read if atom < n)
+                copied += graph.n_atoms
+                steps.append((graph, pocket_only, focal))
+                paths.append((pocket, ligand[:t], focal))
+        union = StepUnion(steps, 2)
+        assert union.n_atoms <= bound < copied / 4
+        dcond = np.random.default_rng(6).standard_normal((len(steps), 12))
+        _, got = union_grads(enc, steps, dcond)
+        want = sum(full_path_grads(enc, *path, row) for path, row in zip(paths, dcond))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_middle_layer_adjoint_is_summed_per_pair(self):
-        """With three layers, a step's backward pass adds the middle layer's
-        pocket d(loss)/d(m) into the pocket's cache as one row per pair."""
+        """With three layers, the union's backward pass adds the middle
+        layer's pocket d(loss)/d(m) into the pocket's encoding as one row per
+        pair."""
         enc = make_encoder(EncoderConfig(embed_width=6, hidden_width=5, n_layers=3), randomize=True)
         graph = pocket_graph("shell400")
         encoding = enc.encode_pocket(graph)
         step = extend_graph(graph, CAVITY_LIGAND[:2], 6.0)
-        _, cache = enc.encode_with_cache(step, encoding, step.n_atoms - 1)
-        dcond = np.random.default_rng(3).standard_normal(12)
-        enc.backward(step, cache, dcond, ParamStore(enc.store.shapes))
+        union = StepUnion([(step, graph, step.n_atoms - 1)] * 2, 3)
+        _, cache = enc.encode_union(union, [encoding])
+        dcond = np.random.default_rng(3).standard_normal((2, 12))
+        enc.backward(union, cache, dcond, ParamStore(enc.store.shapes))
         shapes = {layer: dm.shape for layer, dm in encoding.dm.items()}
         assert shapes == {1: (graph.n_edges, 6)}
 
@@ -564,8 +596,9 @@ class TestPocketBackwardPasses:
         focal = graph.n_atoms - 1
         dcond = np.random.default_rng(4).standard_normal(12)
         grads = ParamStore(enc.store.shapes)
-        _, cache = enc.encode_with_cache(graph, encoding, focal)
-        enc.backward(graph, cache, dcond, grads)
+        union = StepUnion([(graph, encoding.graph, focal)], n_layers)
+        _, cache = enc.encode_union(union, [encoding])
+        enc.backward(union, cache, dcond[None], grads)
         calls, real = [], enc._pass_backward
 
         def counting(*args):
