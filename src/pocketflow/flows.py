@@ -137,6 +137,12 @@ class FlowStack:
         np.cumprod(s, axis=0, out=amps[1:])
         return w, raw, s, means, amps
 
+    def gaussian(self, cond: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The stack at one conditioner as its Gaussian x = A * z + M; returns
+        (A, M), each (D,), so that ``forward(z, cond)`` is ``A * z + M``."""
+        _, _, _, means, amps = self._affine(np.asarray(cond, dtype=float)[None])
+        return amps[-1, :, 0], means[-1, :, 0]
+
     # -- transforms ---------------------------------------------------------
 
     def forward(self, z: np.ndarray, cond: np.ndarray) -> tuple[np.ndarray, float]:

@@ -9,14 +9,13 @@ Rejected placements are resampled a bounded number of times.  Generation stops
 when no focal atom with open valence remains, the atom budget is reached, or
 resampling is exhausted.
 
-The pocket is encoded once per molecule (:class:`GenerationState` keeps its
-:class:`~pocketflow.encoder.PocketEncoding`) and each step only adds the
+The pocket is encoded once per (model parameters, pocket), by
+:meth:`~pocketflow.model.Model.pocket_encoding`, and each step only adds the
 placed atoms' edges.  :func:`step` forms the conditioner once, with
 :meth:`~pocketflow.encoder.Encoder.encode_with_cache` given the focal, as in
-training, and hands it to :func:`generate_type` and :func:`generate_coord` on
-every attempt.  It equals the readout of a full re-encode of the context up to
-the last ulp, on the condition that the model parameters stay fixed while one
-molecule grows.
+training; it equals the readout of a full re-encode up to the last ulp.  From
+it, :func:`step` forms the type flow's Gaussian (A, M) once and the coordinate
+flow's once per element drawn; every attempt samples x = A * z + M.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chem import DEFAULT_BOND_TOLERANCE, DEFAULT_CLASH_FACTOR, Atom, Bond, Molecule, Pocket
-from .encoder import ContextGraph, PocketEncoding, build_graph, extend_graph
+from .encoder import ContextGraph, PocketEncoding, extend_graph
 from .geometry import distance_matrix
 from .model import Model
 
@@ -55,8 +54,9 @@ class GenConfig:
 class GenerationState:
     """Pocket plus the molecule grown so far, with open-valence bookkeeping.
 
-    ``encoding`` caches the pocket's share of the context encoding; it is
-    built on first use and assumes one model with fixed parameters.
+    ``encoding`` holds the pocket's share of the context encoding, taken from
+    the model's memo on first use; it assumes one model whose parameters stay
+    fixed while the molecule grows.
     """
 
     pocket: Pocket
@@ -71,10 +71,9 @@ class GenerationState:
 
     def context(self, model: Model) -> tuple[ContextGraph, PocketEncoding]:
         """The current context graph plus the pocket encoding it extends."""
-        cutoff = model.cfg.graph_cutoff
         if self.encoding is None:
-            self.encoding = model.encoder.encode_pocket(build_graph(self.pocket, cutoff=cutoff))
-        return extend_graph(self.encoding.graph, self.placed, cutoff), self.encoding
+            self.encoding = model.pocket_encoding(self.pocket)
+        return extend_graph(self.encoding.graph, self.placed, model.cfg.graph_cutoff), self.encoding
 
     def molecule(self) -> Molecule:
         return Molecule(list(self.placed), list(self.bonds))
@@ -102,16 +101,18 @@ def select_focal(state: GenerationState) -> int | None:
 def generate_type(
     model: Model,
     state: GenerationState,
-    cond: np.ndarray,
+    gaussian: tuple[np.ndarray, np.ndarray],
     rng: np.random.Generator,
     valence_constrained: bool = True,
 ) -> int:
-    """Sample an element index through the type flow, argmax-decoded.
+    """Sample an element index from the type flow's Gaussian (A, M) at the
+    step's conditioner, argmax-decoded.
 
     Under ``valence_constrained``, single-valence elements are masked while
     exactly one open valence slot remains among the placed atoms.
     """
-    x, _ = model.type_flow.sample(cond, rng)
+    a, m = gaussian
+    x = a * rng.standard_normal(a.size) + m
     single = model.cfg.vocab.max_valences == 1
     open_slots = sum(max(v, 0) for v in state.open_valences)
     if valence_constrained and open_slots == 1 and not single.all():
@@ -120,16 +121,15 @@ def generate_type(
 
 
 def generate_coord(
-    model: Model,
     origin: np.ndarray,
-    element: int,
+    gaussian: tuple[np.ndarray, np.ndarray],
     rng: np.random.Generator,
-    cond: np.ndarray,
 ) -> np.ndarray:
-    """Sample the new atom position as a flow offset from ``origin``, the
-    focal atom's position."""
-    offset, _ = model.coord_flow.sample(np.concatenate([cond, model.one_hot(element)]), rng)
-    return origin + offset
+    """Sample the new atom position as an offset from ``origin``, the focal
+    atom's position, drawn from the coordinate flow's Gaussian (A, M) at the
+    step's conditioner and the drawn element."""
+    a, m = gaussian
+    return origin + (a * rng.standard_normal(a.size) + m)
 
 
 def step(
@@ -164,10 +164,15 @@ def step(
     vocab = model.cfg.vocab
     graph, pocket = state.context(model)
     cond, _ = model.encoder.encode_with_cache(graph, pocket, focal)
+    type_gaussian = model.type_flow.gaussian(cond)
+    coord_gaussians = {}  # element -> the coordinate flow's (A, M)
     n, t = len(state.pocket), state.t
     for _ in range(1 + cfg.clash_retries):
-        element = generate_type(model, state, cond, rng, cfg.valence_constrained)
-        position = generate_coord(model, graph.positions[focal], element, rng, cond)
+        element = generate_type(model, state, type_gaussian, rng, cfg.valence_constrained)
+        if element not in coord_gaussians:
+            coord_cond = np.concatenate([cond, model.one_hot(element)])
+            coord_gaussians[element] = model.coord_flow.gaussian(coord_cond)
+        position = generate_coord(graph.positions[focal], coord_gaussians[element], rng)
         d = distance_matrix(graph.positions, position[None])[:, 0]
         rsum = vocab.radii[graph.elements] + vocab.radii[element]
         if np.any(d < cfg.clash_factor * rsum):

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .chem import ElementKind, Vocabulary
-from .encoder import DEFAULT_GRAPH_CUTOFF, Encoder, EncoderConfig
+from .chem import ElementKind, Pocket, Vocabulary
+from .encoder import DEFAULT_GRAPH_CUTOFF, Encoder, EncoderConfig, PocketEncoding, build_graph
 from .flows import DEFAULT_SCALE_FLOOR, FlowStack
 from .geometry import RbfBank
 from .params import CheckpointError, ParamStore, load_checkpoint, save_checkpoint
@@ -95,6 +95,22 @@ class Model:
             cond_width + v,
             cfg.scale_floor,
         )
+        self._pocket_memo: tuple = ((None,) * 4, None)  # (copies of the key, the encoding)
+
+    def pocket_encoding(self, pocket: Pocket) -> PocketEncoding:
+        """The encoding of ``pocket``'s graph under the current parameters.
+
+        One entry is kept, the last pocket encoded.  It is reused while the
+        pocket's positions, elements and B-factors and every parameter equal
+        their copies taken when it was built; contents are compared, since
+        parameters are written in place.  Generation only reads it; training
+        encodes its own pockets, because ``Encoder.backward`` adds into them.
+        """
+        key = (pocket.positions, pocket.elements, pocket.bfactors, self.store.flat)
+        if not all(map(np.array_equal, key, self._pocket_memo[0])):
+            graph = build_graph(pocket, cutoff=self.cfg.graph_cutoff)
+            self._pocket_memo = tuple(a.copy() for a in key), self.encoder.encode_pocket(graph)
+        return self._pocket_memo[1]
 
     @classmethod
     def initialized(cls, cfg: ModelConfig, rng: np.random.Generator) -> "Model":

@@ -1,12 +1,15 @@
 """Focal selection, rigged-flow sampling, stepping, and full generation."""
 
 import dataclasses
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pocketflow import generator
+import pocketflow
+from pocketflow import cli, generator
 from pocketflow.chem import (
     Atom,
     Molecule,
@@ -27,9 +30,12 @@ from pocketflow.generator import (
     step,
 )
 from pocketflow.model import Model, ModelConfig
+from pocketflow.molio import molecule_to_records
+from pocketflow.pdb import serialize_pdb
 from pocketflow.synthetic import toy_complex
 
 VOCAB = Vocabulary.default()
+REPO = Path(__file__).resolve().parents[1]
 C, O, N = VOCAB.index("C"), VOCAB.index("O"), VOCAB.index("N")
 
 
@@ -64,6 +70,11 @@ def condition(model, state, focal):
     graph, pocket = state.context(model)
     cond, _ = model.encoder.encode_with_cache(graph, pocket, focal)
     return cond, graph.positions[focal]
+
+
+def coord_gaussian(model, cond, element):
+    """The coordinate flow's (A, M) that ``step`` forms for ``element``."""
+    return model.coord_flow.gaussian(np.concatenate([cond, model.one_hot(element)]))
 
 
 def pocket_with_centroid_at_origin():
@@ -127,16 +138,18 @@ class TestGenerateType:
         entry = toy_complex(VOCAB)
         state = GenerationState(pocket=entry.pocket)
         cond, _ = condition(model, state, select_focal(state))
+        gaussian = model.type_flow.gaussian(cond)
         rng = np.random.default_rng(0)
-        draws = {generate_type(model, state, cond, rng) for _ in range(50)}
+        draws = {generate_type(model, state, gaussian, rng) for _ in range(50)}
         assert draws == {C}
 
     def test_deterministic_per_seed(self):
         model = small_model()
         state = GenerationState(pocket=toy_complex(VOCAB).pocket)
         cond, _ = condition(model, state, select_focal(state))
-        a = [generate_type(model, state, cond, np.random.default_rng(7)) for _ in range(3)]
-        b = [generate_type(model, state, cond, np.random.default_rng(7)) for _ in range(3)]
+        gaussian = model.type_flow.gaussian(cond)
+        a = [generate_type(model, state, gaussian, np.random.default_rng(7)) for _ in range(3)]
+        b = [generate_type(model, state, gaussian, np.random.default_rng(7)) for _ in range(3)]
         assert a == b
 
     def test_valence_mask_blocks_monovalent_when_one_slot_left(self):
@@ -148,10 +161,13 @@ class TestGenerateType:
             pocket=pocket, placed=[Atom(O, (3.0, 0, 0))], bonds=[], open_valences=[1]
         )
         cond, _ = condition(model, open_one, 2)
+        gaussian = model.type_flow.gaussian(cond)
         rng = np.random.default_rng(1)
-        masked = generate_type(model, open_one, cond, rng, valence_constrained=True)
+        masked = generate_type(model, open_one, gaussian, rng, valence_constrained=True)
         assert VOCAB[masked].max_valence > 1
-        unmasked = generate_type(model, open_one, cond, np.random.default_rng(1), valence_constrained=False)
+        unmasked = generate_type(
+            model, open_one, gaussian, np.random.default_rng(1), valence_constrained=False
+        )
         assert unmasked == VOCAB.index("F")
 
 
@@ -162,7 +178,7 @@ class TestGenerateCoord:
         state = GenerationState(pocket=entry.pocket)
         focal = select_focal(state)
         cond, origin = condition(model, state, focal)
-        out = generate_coord(model, origin, C, ZeroRng(), cond)
+        out = generate_coord(origin, coord_gaussian(model, cond, C), ZeroRng())
         assert np.allclose(out, entry.pocket.atoms[focal].position, atol=1e-10)
 
     def test_zero_latent_lands_on_placed_focal(self):
@@ -173,7 +189,7 @@ class TestGenerateCoord:
         )
         focal = len(state.pocket) + 1
         cond, origin = condition(model, state, focal)
-        out = generate_coord(model, origin, C, ZeroRng(), cond)
+        out = generate_coord(origin, coord_gaussian(model, cond, C), ZeroRng())
         assert np.allclose(out, placed[1].position, atol=1e-10)
 
     def test_shift_only_flow_offsets_by_unit_x(self):
@@ -183,7 +199,7 @@ class TestGenerateCoord:
         state = GenerationState(pocket=entry.pocket)
         focal = select_focal(state)
         cond, origin = condition(model, state, focal)
-        out = generate_coord(model, origin, C, ZeroRng(), cond)
+        out = generate_coord(origin, coord_gaussian(model, cond, C), ZeroRng())
         expected = entry.pocket.atoms[focal].position + np.array([1.0, 0.0, 0.0])
         assert np.allclose(out, expected, atol=1e-10)
 
@@ -191,8 +207,8 @@ class TestGenerateCoord:
         model = small_model(randomize_encoder=True)
         state = GenerationState(pocket=toy_complex(VOCAB).pocket)
         cond, origin = condition(model, state, select_focal(state))
-        a = generate_coord(model, origin, C, np.random.default_rng(3), cond)
-        b = generate_coord(model, origin, C, np.random.default_rng(3), cond)
+        a = generate_coord(origin, coord_gaussian(model, cond, C), np.random.default_rng(3))
+        b = generate_coord(origin, coord_gaussian(model, cond, C), np.random.default_rng(3))
         assert np.array_equal(a, b)
 
 
@@ -381,6 +397,109 @@ class TestPocketCache:
         assert state.t >= 4, f"only {state.t} atoms placed"
 
 
+
+def cold_copy(model):
+    """A model with the same parameters and an empty pocket memo."""
+    return Model(model.cfg, model.store.copy())
+
+
+def same_molecule(a, b):
+    return (
+        a.bonds == b.bonds
+        and np.array_equal(a.elements, b.elements)
+        and np.array_equal(a.positions, b.positions)
+    )
+
+
+def count_encodes(monkeypatch, model):
+    """Count the model's pocket encodes from now on."""
+    calls = []
+    real = model.encoder.encode_pocket
+
+    def counting(graph):
+        calls.append(graph.n_atoms)
+        return real(graph)
+
+    monkeypatch.setattr(model.encoder, "encode_pocket", counting)
+    return calls
+
+
+class TestPocketMemo:
+    """``Model.pocket_encoding`` keeps one pocket's encoding across molecules;
+    every molecule must equal the one a model with a cold memo grows."""
+
+    def test_alternating_pockets_equal_a_cold_model(self, monkeypatch):
+        model = small_model(randomize_encoder=True)
+        toy, big = toy_complex(VOCAB).pocket, random_pocket()
+        encodes = count_encodes(monkeypatch, model)
+        cfg = GenConfig(max_atoms=6)
+        for seed, pocket in enumerate([toy, toy, big, big, toy, big]):
+            warm = generate_ligand(model, pocket, cfg, np.random.default_rng(seed))
+            cold = generate_ligand(cold_copy(model), pocket, cfg, np.random.default_rng(seed))
+            assert same_molecule(warm, cold)
+        assert encodes == [len(toy), len(big), len(toy), len(big)]
+
+    def test_parameter_write_reencodes(self, monkeypatch):
+        model = small_model(randomize_encoder=True)
+        pocket = toy_complex(VOCAB).pocket
+        encodes = count_encodes(monkeypatch, model)
+        cfg = GenConfig(max_atoms=6)
+        generate_ligand(model, pocket, cfg, np.random.default_rng(0))
+        for n, k in enumerate([0, model.store.size // 2, model.store.size - 1], start=2):
+            model.store.flat[k] += 1e-3
+            warm = generate_ligand(model, pocket, cfg, np.random.default_rng(n))
+            cold = generate_ligand(cold_copy(model), pocket, cfg, np.random.default_rng(n))
+            assert same_molecule(warm, cold)
+            assert len(encodes) == n
+
+    def test_equal_content_pocket_reuses_the_entry(self, monkeypatch):
+        model = small_model(randomize_encoder=True)
+        pocket = toy_complex(VOCAB).pocket
+        twin = Pocket(list(pocket.atoms), pocket.bfactors.copy())
+        encoding = model.pocket_encoding(pocket)
+        encodes = count_encodes(monkeypatch, model)
+        assert model.pocket_encoding(twin) is encoding and encodes == []
+
+    def test_bfactor_change_reencodes_under_gating(self, monkeypatch):
+        model = Model.initialized(ModelConfig(vocab=VOCAB, bfactor_gating=True), np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        for name, shape in model.store.shapes.items():
+            if name.startswith("encoder."):
+                model.store[name][...] = rng.uniform(-0.3, 0.3, size=shape)
+        pocket = toy_complex(VOCAB).pocket
+        bfactors = pocket.bfactors.copy()
+        bfactors[np.argsort(bfactors)[len(bfactors) // 2]] += 1.0  # neither the min nor the max
+        shifted = Pocket(list(pocket.atoms), bfactors)
+        encodes = count_encodes(monkeypatch, model)
+        cfg = GenConfig(max_atoms=6)
+        for seed, target in enumerate([pocket, shifted]):
+            warm = generate_ligand(model, target, cfg, np.random.default_rng(seed))
+            cold = generate_ligand(cold_copy(model), target, cfg, np.random.default_rng(seed))
+            assert same_molecule(warm, cold)
+        assert len(encodes) == 2
+        assert not np.array_equal(
+            model.pocket_encoding(pocket).aggregate, model.pocket_encoding(shifted).aggregate
+        )
+
+    def test_cli_builds_the_pocket_graph_once_per_run(self, monkeypatch, tmp_path):
+        real = pocketflow.encoder.build_graph
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("pocketflow") and getattr(module, "build_graph", None) is real:
+                monkeypatch.setattr(module, "build_graph", counting)
+        pocket_pdb = tmp_path / "pocket.pdb"
+        pocket_pdb.write_text(serialize_pdb(molecule_to_records(toy_complex(VOCAB).pocket, VOCAB, "ALA")))
+        argv = ["generate", str(REPO / "perfbench" / "gen_model.ckpt"), str(pocket_pdb),
+                "--count", "5", "--seed", "3", "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert len(list((tmp_path / "out").glob("*.xyz"))) == 5
+        assert len(calls) == 1
+
 def rejection_reason(pocket, placed, atom, cfg):
     """Why ``step`` must reject ``atom``, from whole-molecule rules: a clash
     with any context atom, or bonds (as :func:`infer_bonds` infers them over
@@ -410,13 +529,18 @@ class TestStepBookkeeping:
         model = small_model()
         pocket = toy_complex(VOCAB).pocket if pocket_name == "toy" else random_pocket()
         cfg = GenConfig(valence_constrained=valence_constrained)
-        tried = []
+        drawn, tried = [], []
         rejects = Counter()
-        real_step, real_coord = generator.step, generator.generate_coord
+        real_step, real_type = generator.step, generator.generate_type
+        real_coord = generator.generate_coord
 
-        def recording_coord(model, origin, element, rng, cond):
-            position = real_coord(model, origin, element, rng, cond)
-            tried.append(Atom(element, position))
+        def recording_type(*args):
+            drawn.append(real_type(*args))
+            return drawn[-1]
+
+        def recording_coord(origin, gaussian, rng):
+            position = real_coord(origin, gaussian, rng)
+            tried.append(Atom(drawn[-1], position))
             return position
 
         def checked_step(model, state, rng, cfg):
@@ -439,6 +563,7 @@ class TestStepBookkeeping:
             assert state.open_valences == [open_valence(mol, i, VOCAB) for i in range(state.t)]
             return finished
 
+        monkeypatch.setattr(generator, "generate_type", recording_type)
         monkeypatch.setattr(generator, "generate_coord", recording_coord)
         monkeypatch.setattr(generator, "step", checked_step)
         for seed in range(10):
