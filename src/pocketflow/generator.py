@@ -153,7 +153,8 @@ def step(
       ``bond_tolerance``, the window of ``infer_bonds``;
     - each partner's open valence drops by one and the candidate's is its
       capacity less its partner count; under valence-constrained sampling
-      the attempt is rejected when their total is negative.  Only an
+      the attempt is rejected when any one of them is negative, or when the
+      focal is a placed atom that the candidate does not bond to.  Only an
       accepted attempt merges its bonds into ``state.bonds``.
     """
     if state.t >= cfg.max_atoms:
@@ -180,7 +181,8 @@ def step(
         partners = np.flatnonzero(d[n:] <= rsum[n:] + cfg.bond_tolerance)
         open_valences = np.array([*state.open_valences, vocab.max_valences[element] - len(partners)])
         open_valences[partners] -= 1
-        if cfg.valence_constrained and open_valences.sum() < 0:
+        unbonded_focal = focal >= n and focal - n not in partners
+        if cfg.valence_constrained and (open_valences.min() < 0 or unbonded_focal):
             continue
         state.placed = state.placed + [Atom(element, position)]
         state.bonds = sorted(state.bonds + [(int(i), t, 1) for i in partners])

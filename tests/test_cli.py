@@ -28,28 +28,28 @@ REPO = Path(__file__).resolve().parents[1]
 # across commits, not only across BLAS thread counts
 GENERATED_SHA256 = {
     "toy": {
-        "mol_000.pdb": "7d38db01399d394f9af6b77233e694007b86805985975566482444addadf3377",
-        "mol_000.xyz": "c7e62e9293d26c0c5586407473e02b34724620ad37c0614df08778df44429d05",
-        "mol_001.pdb": "5e7630b7a67d3f1f06d32ef7a5c7b91196b4dfe3e29104689fc9ae9144bce053",
-        "mol_001.xyz": "71f071b1a2951cf6f3372e299adc138e571177c608198bf06eac383487c290e2",
-        "mol_002.pdb": "b5bd4cb7624e9a64fb8e36437a70c20105835a69a9635aa76d811e47af3a15db",
-        "mol_002.xyz": "81406efe664d4c9d24a66a5ac175804357ddddecf8d65670467e3fbfbb5e960d",
-        "mol_003.pdb": "325deb72ea6d1ea86117f2ae8ab05207a9ce9459c69e0b8c6eed7c17f47b180b",
-        "mol_003.xyz": "9bcee7f2f481360261936290217682b9272e2b31c9ecad87d9f3994c69bbdbef",
-        "mol_004.pdb": "db4ea142e28a96ed2810e0863b6d2566b30e57875b888ab4ad877a64d7faf055",
-        "mol_004.xyz": "206af18ba34dc53b2eb9f6b0fd3300c905fc38ce8a84b24ce7af7f1c1a835957",
+        "mol_000.pdb": "e070172241a200611231f5fffa65f0c4bea24ec462908386a79cb43dd21ea2ac",
+        "mol_000.xyz": "eb2ef6df97fea919eec0baa1033026b86cc5974553f8ef7499faef28181c8051",
+        "mol_001.pdb": "d9734bffbf143d54d81ae3bf86bd3fbe2eca6d796f4e54c8fae9d5b1bac1970e",
+        "mol_001.xyz": "a5549337f73a18061f41ac0bbc0e12ff52824a24e930a7daed63afc83568dd06",
+        "mol_002.pdb": "99f96f54b5ab7aa8598a7a52567d602863ab893bfa36e57c682024e845f1546b",
+        "mol_002.xyz": "50b394a4e3f622102b8f8141c416fd2fd87629871dccfabc403f76ad5942e07c",
+        "mol_003.pdb": "47eae4e23c3b334283f90fe4988659a59a3eaaca84d18a3fe473db657e7fb047",
+        "mol_003.xyz": "a2f98490476e5beb290b10dfbe00a05c5bad624345c8c352e648f2dd330c6827",
+        "mol_004.pdb": "293c3973c7698f6008b9672a4445c6ec8cfbc9ee1a7065063c7db86a3e4fff5f",
+        "mol_004.xyz": "a5b5ab5059f63f9fcc6fb3b546324c01338057dfe5a8632b3c0a980ccd3625bd",
     },
     "random400": {
-        "mol_000.pdb": "a23d7561e4155136aeb20324600661108c133a57eb9348336ca6e4588005d3ab",
-        "mol_000.xyz": "b702ab0fd9172f3d4e3c2b0f3024a5afd57c6c194c2f4fd6d9dac613d270623d",
-        "mol_001.pdb": "a178471005ca8867921cf59b4c70fbd5ac74537589d156a039ed6828d59da021",
-        "mol_001.xyz": "713666c5204e9b8e97f4bb8c6e852a54fb7d44ac84097295c3ecb412eee81928",
-        "mol_002.pdb": "e94ef9969b970d109460d17e306136529a4a3b5c790b655bb3fae32fbe4bc80c",
-        "mol_002.xyz": "24bd581888f16754db3786e62e6c23269da7ade45f77cacc82da4fcf8ad997de",
-        "mol_003.pdb": "83d94f8ea2ca9f6c0f5428bd6bd8f6df2d00ceef6a705aa706eada9ac6c6b4db",
-        "mol_003.xyz": "159930804caa7ce2c6501eb951dedd44505b88d6241bce89d28f85ea901737bb",
-        "mol_004.pdb": "bd4bd1c0a0897029a47d2797bb10d79411e6f2e5cd30ea75c2cc3d1b5fa5ef83",
-        "mol_004.xyz": "6a0f2509aad0205c189f62274b6d8eccf3eb950310291429ba2e1f4588b4dc4c",
+        "mol_000.pdb": "766316398e8e12d4ab2002d70a952b15ed9cf25d4ab865812cc1442632c4694b",
+        "mol_000.xyz": "0868ccdb51e23dc21b3072a9ab4bbc7b8f23842718187e366da9e2e352080f0a",
+        "mol_001.pdb": "5dd937c6b064980300ea09212a48098847b4bc4085713176c9889bb034c88b19",
+        "mol_001.xyz": "9944d8167b90588f98a5d789040e6da3a567cec9c8ff4a410c8371f2c78ce713",
+        "mol_002.pdb": "d6f5eab2bdb73f0295a06f42ac43e739b68ee8aea746cdb2df7c0b63275b00b4",
+        "mol_002.xyz": "5affc70cc1f320a0e44a67fd64385dc545a92143ac3ac023eea2b5f503497413",
+        "mol_003.pdb": "0962adc809a61503cab7d59ce081eee5d645226f44347adcc31814d4b7233e58",
+        "mol_003.xyz": "d55970fcfd9edf193795dae80c99a7ad1aebb14cf3386ed644f2157a645004ff",
+        "mol_004.pdb": "395d2176ee700c834c5815c6c243cb37f1d0b90c5aad30b405b2674c1ee45ddf",
+        "mol_004.xyz": "e88212418ea131436abbfb5f032149ac04d151491237a815bf70f20f0259303d",
     },
 }
 

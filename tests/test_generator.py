@@ -500,20 +500,25 @@ class TestPocketMemo:
         assert len(list((tmp_path / "out").glob("*.xyz"))) == 5
         assert len(calls) == 1
 
-def rejection_reason(pocket, placed, atom, cfg):
-    """Why ``step`` must reject ``atom``, from whole-molecule rules: a clash
-    with any context atom, or bonds (as :func:`infer_bonds` infers them over
-    the whole candidate) beyond the placed set's total capacity."""
+def rejection_reason(pocket, placed, atom, cfg, focal):
+    """Why ``step`` must reject ``atom`` grown from context atom ``focal``,
+    from whole-molecule rules: a clash with any context atom; or, under
+    valence-constrained sampling, with bonds as :func:`infer_bonds` infers
+    them over the whole candidate, some atom bonded beyond its capacity, or
+    a placed focal that the candidate does not bond to."""
     context = [*pocket.atoms, *placed]
     d = np.array([np.linalg.norm(a.position - atom.position) for a in context])
     rsum = VOCAB.radii[[a.element for a in context]] + VOCAB.radii[atom.element]
     if np.any(d < cfg.clash_factor * rsum):
         return "clash"
-    candidate = [*placed, atom]
-    capacity = sum(int(VOCAB.max_valences[a.element]) for a in candidate)
-    bonds = infer_bonds(candidate, VOCAB, cfg.bond_tolerance, cfg.clash_factor)
-    if cfg.valence_constrained and capacity < 2 * len(bonds):
+    if not cfg.valence_constrained:
+        return None
+    atoms = [*placed, atom]
+    candidate = Molecule(atoms, infer_bonds(atoms, VOCAB, cfg.bond_tolerance, cfg.clash_factor))
+    if any(open_valence(candidate, i, VOCAB) < 0 for i in range(len(candidate))):
         return "valence"
+    if focal >= len(pocket) and (focal - len(pocket), len(placed), 1) not in candidate.bonds:
+        return "focal"
     return None
 
 
@@ -546,18 +551,19 @@ class TestStepBookkeeping:
         def checked_step(model, state, rng, cfg):
             tried.clear()
             before = list(state.placed)
+            focal = select_focal(state)
             finished = real_step(model, state, rng, cfg)
             accepted = state.placed[len(before) :]
             assert state.placed[: len(before)] == before and len(accepted) <= 1
             rejected = tried[:-1] if accepted else tried
             for atom in rejected:
-                reason = rejection_reason(pocket, before, atom, cfg)
+                reason = rejection_reason(pocket, before, atom, cfg, focal)
                 assert reason is not None
                 rejects[reason] += 1
             if accepted:
                 assert accepted[0].element == tried[-1].element
                 assert np.array_equal(accepted[0].position, tried[-1].position)
-                assert rejection_reason(pocket, before, accepted[0], cfg) is None
+                assert rejection_reason(pocket, before, accepted[0], cfg, focal) is None
             assert state.bonds == infer_bonds(state.placed, VOCAB, cfg.bond_tolerance, cfg.clash_factor)
             mol = state.molecule()
             assert state.open_valences == [open_valence(mol, i, VOCAB) for i in range(state.t)]
@@ -570,22 +576,58 @@ class TestStepBookkeeping:
             generate_ligand(model, pocket, cfg, np.random.default_rng(seed))
         assert rejects["clash"] > 0
         assert (rejects["valence"] > 0) == valence_constrained
+        assert (rejects["focal"] > 0) == valence_constrained
 
     @pytest.mark.parametrize("gap, bonded", [(0.0, True), (1e-9, False)])
     def test_bond_window_is_closed(self, monkeypatch, gap, bonded):
         # a candidate exactly at the radius sum plus the tolerance bonds, as
-        # in infer_bonds; one just beyond it does not
+        # in infer_bonds; one just beyond it does not, so it leaves its placed
+        # focal unbonded, which only unconstrained sampling accepts
         tolerance = 2.0 - 2 * VOCAB.radii[C]
         assert 2 * VOCAB.radii[C] + tolerance == 2.0
-        state = GenerationState(
-            pocket=pocket_with_centroid_at_origin(),
-            placed=[Atom(C, (5.0, 0, 0))],
-            bonds=[],
-            open_valences=[4],
-        )
         monkeypatch.setattr(generator, "generate_type", lambda *args: C)
         monkeypatch.setattr(generator, "generate_coord", lambda *args: np.array([7.0 + gap, 0, 0]))
-        step(small_model(), state, np.random.default_rng(0), GenConfig(bond_tolerance=tolerance))
-        assert state.bonds == ([(0, 1, 1)] if bonded else [])
-        assert state.bonds == infer_bonds(state.placed, VOCAB, tolerance)
-        assert state.open_valences == ([3, 3] if bonded else [4, 4])
+        for constrained in (False, True):
+            state = GenerationState(
+                pocket=pocket_with_centroid_at_origin(),
+                placed=[Atom(C, (5.0, 0, 0))],
+                bonds=[],
+                open_valences=[4],
+            )
+            cfg = GenConfig(bond_tolerance=tolerance, valence_constrained=constrained)
+            step(small_model(), state, np.random.default_rng(0), cfg)
+            assert state.bonds == ([(0, 1, 1)] if bonded else [])
+            assert state.bonds == infer_bonds(state.placed, VOCAB, tolerance)
+            if bonded:
+                assert state.open_valences == [3, 3]
+            else:
+                assert state.open_valences == ([4] if constrained else [4, 4])
+
+
+class TestValenceConstrained:
+    @pytest.mark.parametrize("pocket_name", ["toy", "random400"])
+    def test_no_atom_over_capacity_and_every_atom_bonded_to_its_focal(self, pocket_name):
+        model = small_model(randomize_encoder=True)
+        pocket = toy_complex(VOCAB).pocket if pocket_name == "toy" else random_pocket()
+        n = len(pocket)
+        cfg = GenConfig(valence_constrained=True)
+        sizes = []
+        for seed in range(12):
+            state = GenerationState(pocket=pocket)
+            rng = np.random.default_rng(seed)
+            focals = []
+            while True:
+                focal, t = select_focal(state), state.t
+                finished = step(model, state, rng, cfg)
+                if state.t > t:
+                    focals.append(focal)
+                if finished:
+                    break
+            mol = state.molecule()
+            assert focals[0] < n  # the first atom grows from the pocket
+            for t, focal in enumerate(focals[1:], start=1):
+                assert focal >= n and (focal - n, t, 1) in mol.bonds
+            assert all(open_valence(mol, i, VOCAB) >= 0 for i in range(len(mol)))
+            assert check_validity(mol, VOCAB).valid
+            sizes.append(len(mol))
+        assert max(sizes) >= 3, sizes
