@@ -31,6 +31,7 @@ import numpy as np
 from .params import ParamStore, sigmoid, softplus, softplus_inverse
 
 DEFAULT_SCALE_FLOOR = 1e-4
+Gaussian = tuple[np.ndarray, np.ndarray]  # (A, M) of x = A * z + M
 
 
 def base_log_prob(z: np.ndarray) -> float:
@@ -137,7 +138,7 @@ class FlowStack:
         np.cumprod(s, axis=0, out=amps[1:])
         return w, raw, s, means, amps
 
-    def gaussian(self, cond: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def gaussian(self, cond: np.ndarray) -> Gaussian:
         """The stack at one conditioner as its Gaussian x = A * z + M; returns
         (A, M), each (D,), so that ``forward(z, cond)`` is ``A * z + M``."""
         _, _, _, means, amps = self._affine(np.asarray(cond, dtype=float)[None])

@@ -27,6 +27,7 @@ import numpy as np
 
 from .chem import DEFAULT_BOND_TOLERANCE, DEFAULT_CLASH_FACTOR, Atom, Bond, Molecule, Pocket
 from .encoder import ContextGraph, PocketEncoding, extend_graph
+from .flows import Gaussian
 from .geometry import distance_matrix
 from .model import Model
 
@@ -101,7 +102,7 @@ def select_focal(state: GenerationState) -> int | None:
 def generate_type(
     model: Model,
     state: GenerationState,
-    gaussian: tuple[np.ndarray, np.ndarray],
+    gaussian: Gaussian,
     rng: np.random.Generator,
     valence_constrained: bool = True,
 ) -> int:
@@ -120,11 +121,7 @@ def generate_type(
     return int(np.argmax(x))
 
 
-def generate_coord(
-    origin: np.ndarray,
-    gaussian: tuple[np.ndarray, np.ndarray],
-    rng: np.random.Generator,
-) -> np.ndarray:
+def generate_coord(origin: np.ndarray, gaussian: Gaussian, rng: np.random.Generator) -> np.ndarray:
     """Sample the new atom position as an offset from ``origin``, the focal
     atom's position, drawn from the coordinate flow's Gaussian (A, M) at the
     step's conditioner and the drawn element."""
@@ -153,9 +150,8 @@ def step(
       ``bond_tolerance``, the window of ``infer_bonds``;
     - each partner's open valence drops by one and the candidate's is its
       capacity less its partner count; under valence-constrained sampling
-      the attempt is rejected when any one of them is negative, or when the
-      focal is a placed atom that the candidate does not bond to.  Only an
-      accepted attempt merges its bonds into ``state.bonds``.
+      the attempt is rejected when any is negative or a placed focal is not
+      a partner.  Only an accepted attempt merges its bonds into ``state.bonds``.
     """
     if state.t >= cfg.max_atoms:
         return True

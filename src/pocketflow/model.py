@@ -100,11 +100,10 @@ class Model:
     def pocket_encoding(self, pocket: Pocket) -> PocketEncoding:
         """The encoding of ``pocket``'s graph under the current parameters.
 
-        One entry is kept, the last pocket encoded.  It is reused while the
-        pocket's positions, elements and B-factors and every parameter equal
-        their copies taken when it was built; contents are compared, since
-        parameters are written in place.  Generation only reads it; training
-        encodes its own pockets, because ``Encoder.backward`` adds into them.
+        One entry is kept, reused while the pocket's positions, elements and
+        B-factors and every parameter equal its copies of them (parameters are
+        written in place, so contents are compared).  Training encodes its own
+        pockets, since ``Encoder.backward`` adds into them.
         """
         key = (pocket.positions, pocket.elements, pocket.bfactors, self.store.flat)
         if not all(map(np.array_equal, key, self._pocket_memo[0])):
