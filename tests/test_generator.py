@@ -500,6 +500,7 @@ class TestPocketMemo:
         assert len(list((tmp_path / "out").glob("*.xyz"))) == 5
         assert len(calls) == 1
 
+
 def rejection_reason(pocket, placed, atom, cfg, focal):
     """Why ``step`` must reject ``atom`` grown from context atom ``focal``,
     from whole-molecule rules: a clash with any context atom; or, under
