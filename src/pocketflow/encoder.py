@@ -53,23 +53,24 @@ the focal.  Every scatter goes through :func:`scatter_add`, which adds in
 the same order as a row-wise ``np.add.at``.
 
 Step union: training encodes a batch's steps as one disjoint union, a
-:class:`StepUnion`.  With at most two layers a step's rows are its placed
-atoms plus only the pocket atoms it changes or reads: the pocket ends of its
-own edges, its focal and the focal's partners.  Every other pocket atom keeps
-its row of the pocket alone at the last layer's input (the embeddings with
-one layer, ``PocketEncoding.aggregate`` with two), so it adds the same term
-into every such step's mean, and :meth:`Encoder.encode_union` adds the
-pocket's sum of those terms and, on a step's own pocket rows, the difference
-from them.  Backward, the readout's adjoint is the mean's share ``c`` on
-every row of a step plus the focal's, so such an atom's adjoint is ``c``
-times a row of the pocket alone; over the steps, a per-pocket sum of ``c``.
+:class:`StepUnion`.  A step's rows are its placed atoms plus only the pocket
+atoms it changes or reads: the pocket ends of its own edges, its focal and
+the focal's partners.  Every other pocket atom keeps its row of the pocket
+alone at the last layer's input (the embeddings with one layer,
+``PocketEncoding.aggregate`` with two), so it adds the same term into every
+such step's mean, and :meth:`Encoder.encode_union` adds the pocket's sum of
+those terms and, on a step's own pocket rows, the difference from them.
+Backward, the readout's adjoint is the mean's share ``c`` on every row of a
+step plus the focal's, so such an atom's adjoint is ``c`` times a row of the
+pocket alone; over the steps, a per-pocket sum of ``c``.
 :meth:`Encoder.backward` runs the union once and adds each pocket's share
-into sums of (n, H) or (E, H) rows held by its encoding, and
+into sums of (n, H) rows held by its encoding, and
 :meth:`Encoder.pocket_backward` pushes them through the pocket edges once for
-all the steps.  Deeper encoders keep every pocket row of every step, and
-their middle layers run the pocket's pair block per step.  The sums are
-reassociated, so the readout and gradients can move in the last ulp against
-a full encoding.
+all the steps.  An encoder deeper than two layers, whose placed atoms reach
+pocket rows two edges away by the last layer's input, trains on the empty
+prefix: every atom of a step is a row of its own, and there are no pocket
+sums.  The sums are reassociated, so the readout and gradients can move in
+the last ulp against a full encoding.
 
 Memory: the union's layout holds index arrays only, and between the forward
 and backward passes only the union edges' RBF features and the (U, H) inputs
@@ -125,6 +126,10 @@ class ContextGraph:
         self.edge_src, self.edge_dst = self.edges  # views: each list is stored once
         if (self.edge_src >= self.edge_dst).any():
             raise ValueError("each edge must be stored once, as (src, dst) with src < dst")
+
+
+_NONE = np.zeros(0, dtype=int)
+_EMPTY = ContextGraph(_NONE, _NONE, np.zeros((0, 3)), _NONE, _NONE, np.zeros(0), np.zeros(0))
 
 
 def _upper_pairs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -223,8 +228,6 @@ class PocketEncoding:
     last: np.ndarray = field(init=False)  # gamma * x * the readout's mean adjoint
     # per backward pass, the pocket edges into its steps' focals and their d(loss)/d(m)
     focal: list = field(init=False, default_factory=list)
-    # layer -> d(loss)/d(m) per edge of a layer that ran the pocket block
-    dm: dict = field(init=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         self.g0, self.dh0, self.last = (np.zeros(self.h0.shape) for _ in range(3))
@@ -265,25 +268,25 @@ class StepUnion:
     of the same batch.  ``steps`` are ``(graph, pocket, focal)`` triples,
     each ``graph`` extending the pocket graph ``pocket``.
 
-    With at most two layers a step's rows are its placed atoms plus only the
-    pocket atoms it changes or reads: the pocket ends of its own edges, its
-    focal and the focal's partners.  Every other pocket atom keeps its row
-    of the pocket alone, which :meth:`Encoder.encode_union` and
-    :meth:`Encoder.backward` read from the pocket's encoding.  Deeper
-    encoders keep every pocket row of every step, so that their middle
-    layers run each step's pocket pair block (``pocket_edges``).
+    A step's rows are its placed atoms plus only the pocket atoms it changes
+    or reads: the pocket ends of its own edges, its focal and the focal's
+    partners.  Every other pocket atom keeps its row of the pocket alone,
+    which :meth:`Encoder.encode_union` and :meth:`Encoder.backward` read from
+    the pocket's encoding.  With more than two layers every step extends the
+    empty prefix instead of its pocket, so ``pockets`` is that one graph.
 
     The rows come as every step's placed atoms, then every step's pocket
     rows; the edges as every step's own edges, those after its pocket's.
     Both keep each step's graph order, so that every row adds its terms in
-    the same order as in the step's own graph.  The pockets' atoms and
-    edges are also indexed stacked, in ``pockets`` order.
+    the same order as in the step's own graph.  The pockets' atoms are also
+    indexed stacked, in ``pockets`` order.
     """
 
     def __init__(self, steps: Sequence[tuple[ContextGraph, ContextGraph, int]], n_layers: int):
         if not steps:
             raise ValueError("empty batch")
-        self.factored = n_layers <= 2
+        if n_layers > 2:
+            steps = [(graph, _EMPTY, focal) for graph, _, focal in steps]
         graphs, focals = [graph for graph, _, _ in steps], np.array([focal for *_, focal in steps])
         for graph, focal in zip(graphs, focals):
             _check_focal(focal, graph.n_atoms)
@@ -295,7 +298,6 @@ class StepUnion:
         self.pocket_of = np.array([index[id(pocket)] for _, pocket, _ in steps])
         self.n_steps = len(steps)
         self.atom_offsets = np.cumsum([0] + [p.n_atoms for p in self.pockets])
-        self.edge_offsets = np.cumsum([0] + [p.n_edges for p in self.pockets])
         self.stack_pocket = np.repeat(np.arange(len(self.pockets)), np.diff(self.atom_offsets))
         self.stack_weights = np.concatenate([p.bfactor_weights for p in self.pockets])
 
@@ -303,7 +305,7 @@ class StepUnion:
         # on from the previous step's
         sizes = np.array([graph.n_atoms for graph in graphs])
         n_pocket = np.diff(self.atom_offsets)[self.pocket_of]
-        start = np.diff(self.edge_offsets)[self.pocket_of]
+        start = np.array([pocket.n_edges for _, pocket, _ in steps])
         atom_step = np.repeat(np.arange(self.n_steps), sizes)
         first = np.cumsum(sizes) - sizes
         atom = np.arange(len(atom_step)) - first[atom_step]  # index in its step's graph
@@ -323,12 +325,9 @@ class StepUnion:
         order = np.lexsort((is_own, in_step))  # stable: per step, pocket edges first
         ids, partners, in_step, is_own = ids[order], partners[order], in_step[order], is_own[order]
         in_pocket = atom < n_pocket[atom_step]
-        if self.factored:  # a pocket atom ends the step's own edges as their src
-            kept = np.zeros(len(atom_step), dtype=bool)
-            kept[src] = kept[partners] = kept[focal] = True
-            kept &= in_pocket
-        else:
-            kept = in_pocket
+        kept = np.zeros(len(atom_step), dtype=bool)  # a pocket atom ends its own edges as src
+        kept[src] = kept[partners] = kept[focal] = True
+        kept &= in_pocket
 
         # rows: every step's placed atoms, then every step's kept pocket atoms
         atoms = np.concatenate([(~in_pocket).nonzero()[0], kept.nonzero()[0]])
@@ -347,16 +346,6 @@ class StepUnion:
         self.edges = np.array([row[src], row[dst]])
         self.edge_dist = np.concatenate([graph.edge_dist[s:] for graph, s in zip(graphs, start)])
         self.n_edges = len(self.edge_dist)
-        # without factoring, each step's pocket pair block, on its pocket rows
-        blocks = [] if self.factored else range(self.n_steps)
-        self.pocket_edges = np.concatenate(
-            [np.zeros((2, 0), dtype=int)] + [row[first[s] + steps[s][1].edges] for s in blocks],
-            axis=1,
-        )
-        self.pocket_edge_ids = np.concatenate(
-            [np.zeros(0, dtype=int)]
-            + [self.edge_offsets[self.pocket_of[s]] + np.arange(start[s]) for s in blocks]
-        )
         # readout: each step's focal row and the edges into it, pocket edges first
         self.focal = row[focal]
         self.in_src, self.in_step = row[partners], in_step
@@ -405,10 +394,7 @@ class Encoder:
         self.vocab_size = vocab_size
         self.bank = bank
         self.store = store
-        none = np.zeros(0, dtype=int)
-        self.empty_pocket = self.encode_pocket(
-            ContextGraph(none, none, np.zeros((0, 3)), none, none, np.zeros(0), np.zeros(0))
-        )
+        self.empty_pocket = self.encode_pocket(_EMPTY)
 
     @staticmethod
     def sections(cfg: EncoderConfig, vocab_size: int, n_rbf: int) -> dict[str, tuple[int, ...]]:
@@ -524,37 +510,31 @@ class Encoder:
         scatter_add(out, block[::-1], rows)
 
     def encode(self, graph: ContextGraph, pocket: PocketEncoding | None = None) -> np.ndarray:
-        h, _ = self.encode_with_cache(graph, pocket)
-        return h
+        return self.encode_with_cache(graph, pocket)
 
     def encode_with_cache(
         self, graph: ContextGraph, pocket: PocketEncoding | None = None, focal: int | None = None
-    ):
+    ) -> np.ndarray:
         """Embed atoms then run all message layers.
 
         ``graph`` extends ``pocket.graph`` (see :meth:`encode_pocket`; by
         default the empty prefix).  Returns the embeddings or, given a
         ``focal`` atom, their :func:`aggregate_readout`, formed without the
-        last layer's output (see the module docstring), together with every
-        layer's input embeddings.
+        last layer's output (see the module docstring).
         """
         pocket = pocket or self.empty_pocket
         start, last = pocket.graph.n_edges, self.cfg.n_layers - 1
         edge_feat = self.edge_features(graph, slice(start, None))
         m = [self._edge_mlp(layer, edge_feat)[1] for layer in range(last + 1)]
-        h_in = [self.initial_embeddings(graph)]
+        x = self.initial_embeddings(graph)
         for layer in range(last):
-            h_in.append(self.message_layer(h_in[-1], graph, layer, m[layer], pocket))
-        x = h_in[-1]
+            x = self.message_layer(x, graph, layer, m[layer], pocket)
         if focal is None:
-            return self.message_layer(x, graph, last, m[last], pocket), h_in
+            return self.message_layer(x, graph, last, m[last], pocket)
         _check_focal(focal, graph.n_atoms)
-        # the edges into the focal, those with dst == focal then those with
-        # src == focal, are in list order (pocket edges first) and in
-        # increasing partner order (see the module docstring)
-        src, dst = graph.edge_src, graph.edge_dst
-        (to_f,), (from_f,) = (dst == focal).nonzero(), (src == focal).nonzero()
-        edges, in_src = np.concatenate([to_f, from_f]), np.concatenate([src[to_f], dst[from_f]])
+        # the edges into the focal are in list order (pocket edges first) and
+        # in increasing partner order (see the module docstring)
+        edges, in_src = _edges_into(focal, graph.edge_src, graph.edge_dst)
         k = np.searchsorted(edges, start)
         gamma = self._gamma(graph.bfactor_weights, last)
         gx = x if gamma is None else x * gamma[:, None]
@@ -565,14 +545,15 @@ class Encoder:
         in_m = np.concatenate([pocket.messages[last][edges[:k]], m[last][edges[k:] - start]])
         row = x[focal] + (gx[in_src] * in_m).sum(axis=0)
         mean = (x + gx * out_m).mean(axis=0)
-        return np.concatenate([row, mean]), h_in
+        return np.concatenate([row, mean])
 
     def encode_union(
         self, union: StepUnion, pockets: list[PocketEncoding]
     ) -> tuple[np.ndarray, UnionPass]:
         """Every step's conditioner, (S, 2H): row s equals the readout of
         :meth:`encode_with_cache` on step s, up to the reassociation of its
-        mean.  ``pockets`` are the encodings of ``union.pockets``.
+        mean.  ``pockets`` are the encodings of ``union.pockets``, in order;
+        any other list raises ``ValueError``.
 
         A pocket atom outside a step's rows has the row of the pocket alone
         at the last layer's input and among its outgoing messages, so its
@@ -580,18 +561,17 @@ class Encoder:
         pocket's sum of those terms and, on the step's own pocket rows, the
         difference from them.
         """
+        if [id(p.graph) for p in pockets] != [id(graph) for graph in union.pockets]:
+            raise ValueError("pockets must be the encodings of union.pockets")
         last, width = self.cfg.n_layers - 1, self.cfg.embed_width
         placed = union.n_placed
         edge_feat = self.edge_features(union)
         x, inputs = self.initial_embeddings(union), []
         for layer in range(last):
-            gamma = self._gamma(union.bfactor_weights, layer)
             out = x.copy()
             if layer == 0:
                 out[placed:] = np.concatenate([p.aggregate for p in pockets])[union.pocket_rows]
-            else:
-                block_m = np.concatenate([p.messages[layer] for p in pockets])
-                self._pass(out, x, union.pocket_edges, block_m[union.pocket_edge_ids], gamma)
+            gamma = self._gamma(union.bfactor_weights, layer)
             self._pass(out, x, union.edges, self._edge_mlp(layer, edge_feat)[1], gamma)
             x = out
             inputs.append(x)
@@ -602,15 +582,13 @@ class Encoder:
         scatter_add(row, union.in_step, gx[union.in_src] * in_m)
         terms *= gx  # each row's term of the mean, x + gamma * x * out_m
         terms += x
-        mean = np.zeros((union.n_steps, width))
-        if union.factored:
-            x0, out0, gamma0 = self._pocket_only(union, pockets)
-            alone = (x0 if gamma0 is None else x0 * gamma0[:, None]) * out0
-            alone += x0
-            terms[placed:] -= alone[union.pocket_rows]
-            per_pocket = np.zeros((len(pockets), width))
-            scatter_add(per_pocket, union.stack_pocket, alone)
-            mean += per_pocket[union.pocket_of]
+        x0, out0, gamma0 = self._pocket_only(union, pockets)
+        alone = (x0 if gamma0 is None else x0 * gamma0[:, None]) * out0
+        alone += x0
+        terms[placed:] -= alone[union.pocket_rows]
+        per_pocket = np.zeros((len(pockets), width))
+        scatter_add(per_pocket, union.stack_pocket, alone)
+        mean = per_pocket[union.pocket_of]
         scatter_add(mean, union.row_step, terms)
         mean /= union.sizes[:, None]
         return np.hstack([x[union.focal] + row, mean]), UnionPass(pockets, edge_feat, inputs)
@@ -684,23 +662,20 @@ class Encoder:
         # the pocket atoms outside a step's rows: the sums over the steps
         # that leave each atom out of ``last`` and of d(loss)/d(x)
         gate = f"encoder.layer{last}.gate"
-        if union.factored:
-            x0, out0, gamma0 = self._pocket_only(union, pockets)
-            per_pocket = np.zeros((len(pockets), width))
-            scatter_add(per_pocket, union.pocket_of, c)
-            c_out = per_pocket[union.stack_pocket]
-            scatter_add(c_out, union.pocket_rows, -c[union.row_step[placed:]])
-            outside = out0 * c_out
-            if gamma0 is None:
-                last_sum = x0 * c_out
-            else:
-                grads[gate][...] += union.stack_weights @ (x0 * outside).sum(axis=1)
-                last_sum = x0 * gamma0[:, None] * c_out
-                outside *= gamma0[:, None]
-            outside += c_out
-            del x0, out0, c_out
+        x0, out0, gamma0 = self._pocket_only(union, pockets)
+        per_pocket = np.zeros((len(pockets), width))
+        scatter_add(per_pocket, union.pocket_of, c)
+        c_out = per_pocket[union.stack_pocket]
+        scatter_add(c_out, union.pocket_rows, -c[union.row_step[placed:]])
+        outside = out0 * c_out
+        if gamma0 is None:
+            last_sum = x0 * c_out
         else:
-            last_sum, outside = (np.zeros((len(union.stack_pocket), width)) for _ in range(2))
+            grads[gate][...] += union.stack_weights @ (x0 * outside).sum(axis=1)
+            last_sum = x0 * gamma0[:, None] * c_out
+            outside *= gamma0[:, None]
+        outside += c_out
+        del x0, out0, c_out
         scatter_add(last_sum, union.pocket_rows, last_rows[placed:])
         for k, (pocket, (at, ids)) in enumerate(zip(pockets, union.pocket_in)):
             pocket.last += last_sum[union.atom_offsets[k] : union.atom_offsets[k + 1]]
@@ -723,24 +698,17 @@ class Encoder:
         dx[union.focal] += df
         dx[in_src] += in_m  # one edge per partner into each focal: no repeated rows
         del x, gx, in_m
-        g, g0, dm_sums = dx, None, {}
+        g, g0 = dx, None
         for layer in reversed(range(last)):
             h = inputs.pop() if layer else self.initial_embeddings(union)
             if layer == 0:  # layer 0's pocket block runs in pocket_backward
                 g0 = outside.copy()
                 scatter_add(g0, union.pocket_rows, g[placed:])
-                dh = g  # the residual path; the one pass below reads g before it adds
-            else:
-                dh = g.copy()
-                block = np.concatenate([p.messages[layer] for p in pockets])[union.pocket_edge_ids]
-                dm = self._pass_backward(union, layer, union.pocket_edges, h, g, block, dh, grads)
-                dm_sums[layer] = np.zeros((union.edge_offsets[-1], width))
-                scatter_add(dm_sums[layer], union.pocket_edge_ids, dm)
             m = self._edge_mlp(layer, edge_feat)[1]
-            dm = self._pass_backward(union, layer, union.edges, h, g, m, dh, grads)
+            # the residual path: g takes the messages' share in place, read before it adds
+            dm = self._pass_backward(union, layer, union.edges, h, g, m, g, grads)
             del h, m
             self._mlp_backward(layer, edge_feat, self._hidden(layer, edge_feat), dm, grads)
-            g = dh
         scatter_add(outside, union.pocket_rows, g[placed:])
         table = union.origins[:placed] * self.vocab_size + union.elements[:placed]
         scatter_add(grads["encoder.embed"], table, g[:placed])
@@ -749,9 +717,6 @@ class Encoder:
             pocket.dh0 += outside[rows]
             if g0 is not None:
                 pocket.g0 += g0[rows]
-            pocket_edges = slice(union.edge_offsets[k], union.edge_offsets[k + 1])
-            for layer, dm in dm_sums.items():
-                pocket.dm[layer] = pocket.dm.get(layer, 0.0) + dm[pocket_edges]
 
     def _pass_backward(
         self, graph: ContextGraph, layer: int, block: np.ndarray, h, g, m, dh, grads: ParamStore
@@ -798,10 +763,12 @@ class Encoder:
           it is skipped when ``g0`` is all zero, as when layer 0 is also the
           last layer;
         - the last layer, given a focal: :func:`_last_layer_dm` of the summed
-          ``last`` and the rows of the edges into each focal;
-        - any other layer: the edges' d(loss)/d(m) that ``backward`` summed.
+          ``last`` and the rows of the edges into each focal.
+
+        A deeper encoder's only pocket is the empty prefix (see
+        :class:`StepUnion`).
         """
-        graph, dm, sent = pocket.graph, dict(pocket.dm), np.zeros(pocket.h0.shape)
+        graph, dm, sent = pocket.graph, {}, np.zeros(pocket.h0.shape)
         block, feat = graph.edges, pocket.edge_feat
         if pocket.g0.any():
             m = pocket.messages[0]
@@ -810,9 +777,8 @@ class Encoder:
         scatter_add(grads["encoder.embed"], graph.origins * self.vocab_size + graph.elements, sent)
         if pocket.focal:
             last = self.cfg.n_layers - 1
-            edges, rows = zip(*pocket.focal)
-            d = _last_layer_dm(pocket.last, block, np.concatenate(edges), np.concatenate(rows))
-            dm[last] = dm[last] + d if last in dm else d
+            edges, rows = (np.concatenate(part) for part in zip(*pocket.focal))
+            dm[last] = _last_layer_dm(pocket.last, block, edges, rows)
         for layer, d in dm.items():
             self._mlp_backward(layer, feat, self._hidden(layer, feat), d, grads)
 

@@ -18,7 +18,7 @@ log|det J| = sum_i sum_d log s_id, the inverse is z = (x - M) / A, and
 log p(x) = log N(z) - log|det J|.
 
 Every pass runs on rows: N events against N conditioning vectors share one
-conditioner matmul, and the per-vector calls are the case N = 1.
+conditioner matmul; the per-vector calls take the case N = 1 alone.
 """
 
 from __future__ import annotations
@@ -105,9 +105,9 @@ class FlowStack:
 
     # -- the closed form ------------------------------------------------------
 
-    def _rows(self, v: np.ndarray, cond: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _rows(self, v: np.ndarray, cond: np.ndarray, one: bool = False):
         """``v`` and ``cond`` as (N, D) and (N, C) rows; a single (D,) event
-        with a (C,) conditioner is the case N = 1."""
+        with a (C,) conditioner is the case N = 1, the only one ``one`` takes."""
         v, cond = np.asarray(v, dtype=float), np.asarray(cond, dtype=float)
         if v.ndim == cond.ndim == 1:
             v, cond = v[None], cond[None]
@@ -115,6 +115,8 @@ class FlowStack:
             raise ValueError(f"event shape {v.shape} != (N, {self.event_dim})")
         if cond.shape != (len(v), self.cond_dim):
             raise ValueError(f"conditioning shape {cond.shape} != ({len(v)}, {self.cond_dim})")
+        if one and len(v) != 1:
+            raise ValueError(f"a per-vector call takes one event, not {len(v)} rows")
         return v, cond
 
     def _affine(self, cond: np.ndarray):
@@ -148,13 +150,13 @@ class FlowStack:
 
     def forward(self, z: np.ndarray, cond: np.ndarray) -> tuple[np.ndarray, float]:
         """Latent -> data; returns (x, log|det J|)."""
-        z, cond = self._rows(z, cond)
+        z, cond = self._rows(z, cond, one=True)
         _, _, s, means, amps = self._affine(cond)
         return amps[-1, :, 0] * z[0] + means[-1, :, 0], float(np.log(s).sum())
 
     def inverse(self, x: np.ndarray, cond: np.ndarray) -> tuple[np.ndarray, float]:
         """Data -> latent; returns (z, log|det J^-1|) = (z, -forward logdet)."""
-        x, cond = self._rows(x, cond)
+        x, cond = self._rows(x, cond, one=True)
         _, _, s, means, amps = self._affine(cond)
         return (x[0] - means[-1, :, 0]) / amps[-1, :, 0], -float(np.log(s).sum())
 

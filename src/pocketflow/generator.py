@@ -160,7 +160,7 @@ def step(
         return True
     vocab = model.cfg.vocab
     graph, pocket = state.context(model)
-    cond, _ = model.encoder.encode_with_cache(graph, pocket, focal)
+    cond = model.encoder.encode_with_cache(graph, pocket, focal)
     type_gaussian = model.type_flow.gaussian(cond)
     coord_gaussians = {}  # element -> the coordinate flow's (A, M)
     n, t = len(state.pocket), state.t

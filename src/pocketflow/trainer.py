@@ -18,12 +18,13 @@ each pocket of the batch once, into one
 :class:`~pocketflow.encoder.PocketEncoding` (:meth:`Encoder.encode_pocket`),
 then all the steps at once, as one disjoint union
 (:class:`~pocketflow.encoder.StepUnion`, :meth:`Encoder.encode_union`).  With
-the default two layers a step's rows in the union are its placed atoms plus
-only the pocket atoms it changes or reads, and every other pocket row enters
-through per-pocket sums.  Every edge, pocket or ligand, is stored once, and
-its two directions share one edge-MLP row and one row of its backward pass.
-Each flow then runs once, forward and backward, over the (N, C) conditioners
-of all N steps.  Last, :meth:`Encoder.backward` runs the union's backward
+one or the default two layers a step's rows in the union are its placed
+atoms plus only the pocket atoms it changes or reads, and every other pocket
+row enters through per-pocket sums; a deeper encoder's steps extend the
+empty prefix, every atom a row of its own.  Every edge, pocket or ligand,
+is stored once, and its two directions share one edge-MLP row and one row of
+its backward pass.  Each flow then runs once, forward and backward, over the
+(N, C) conditioners of all N steps.  Last, :meth:`Encoder.backward` runs the union's backward
 pass once and adds each pocket's share into the sums of its encoding, and
 :meth:`Encoder.pocket_backward` pushes them through each pocket's edges once.
 The union's layout derives from the steps' graphs alone: :func:`train` builds

@@ -366,7 +366,7 @@ class TestFactoredReadout:
             near, far = int(np.argmin(distance)), int(np.argmax(distance))
             for focal in (near, far, graph.n_atoms - 1):
                 want = aggregate_readout(h, focal)
-                got, _ = enc.encode_with_cache(graph, encoding, focal)
+                got = enc.encode_with_cache(graph, encoding, focal)
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
                 steps.append((graph, encoding.graph, focal))
                 readouts.append(want)
@@ -375,7 +375,7 @@ class TestFactoredReadout:
             pocket_focal_met_both |= bool(np.any(senders < n) and np.any(senders >= n))
             other_graph = extend_graph(other.graph, CAVITY_LIGAND[:t], 6.0)
             steps.append((other_graph, other.graph, other_graph.n_atoms - 1))
-            readouts.append(enc.encode_with_cache(other_graph, other, other_graph.n_atoms - 1)[0])
+            readouts.append(enc.encode_with_cache(other_graph, other, other_graph.n_atoms - 1))
         assert pocket_focal_met_both
         # step 0's focal is a pocket atom that no ligand edge touches
         assert steps[0][0].n_edges == steps[0][1].n_edges and steps[0][2] < n
@@ -494,20 +494,21 @@ class TestPocketPairs:
         want = sum(full_path_grads(enc, *path, row) for path, row in zip(paths, dcond))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_middle_layer_adjoint_is_summed_per_pair(self):
-        """With three layers, the union's backward pass adds the middle
-        layer's pocket d(loss)/d(m) into the pocket's encoding as one row per
-        pair."""
+    def test_deep_union_extends_the_empty_prefix(self):
+        """With three layers every step of a union extends the empty prefix,
+        so the union's one pocket is the empty graph, and handing it a real
+        pocket's encoding raises ``ValueError``."""
         enc = make_encoder(EncoderConfig(embed_width=6, hidden_width=5, n_layers=3), randomize=True)
-        graph = pocket_graph("shell400")
+        graph = pocket_graph("toy")
         encoding = enc.encode_pocket(graph)
         step = extend_graph(graph, CAVITY_LIGAND[:2], 6.0)
         union = StepUnion([(step, graph, step.n_atoms - 1)] * 2, 3)
-        _, cache = enc.encode_union(union, [encoding])
-        dcond = np.random.default_rng(3).standard_normal((2, 12))
-        enc.backward(union, cache, dcond, ParamStore(enc.store.shapes))
-        shapes = {layer: dm.shape for layer, dm in encoding.dm.items()}
-        assert shapes == {1: (graph.n_edges, 6)}
+        assert [p is enc.empty_pocket.graph for p in union.pockets] == [True]
+        assert union.n_atoms == 2 * step.n_atoms
+        with pytest.raises(ValueError, match="union.pockets"):
+            enc.encode_union(union, [encoding])
+        with pytest.raises(ValueError, match="union.pockets"):
+            enc.encode_union(union, [])
 
     @pytest.mark.parametrize("pocket_name", ["toy", "shell400"])
     def test_directed_sums_are_bit_equal_to_a_directed_pass(self, pocket_name):
@@ -560,8 +561,8 @@ class TestPocketPairs:
         graph = build_graph(shell_pocket(30, seed=1), CAVITY_LIGAND, cutoff=6.0)
         assert np.array_equal(enc.encode(graph, enc.empty_pocket), enc.encode(graph))
         assert np.array_equal(
-            enc.encode_with_cache(graph, enc.empty_pocket, 3)[0],
-            enc.encode_with_cache(graph, None, 3)[0],
+            enc.encode_with_cache(graph, enc.empty_pocket, 3),
+            enc.encode_with_cache(graph, None, 3),
         )
 
     @pytest.mark.parametrize("pocket_name", ["toy", "shell400"])

@@ -79,6 +79,11 @@ class TestForward:
             stack.forward(np.zeros(5), COND)
         with pytest.raises(ValueError):
             stack.forward(np.zeros(3), np.zeros(7))
+        # the per-vector calls take one event: rows are nll_backward's
+        rows, cond_rows = np.zeros((3, 3)), np.zeros((3, 4))
+        for call in (stack.forward, stack.inverse, stack.log_prob, stack.nll):
+            with pytest.raises(ValueError, match="one event"):
+                call(rows, cond_rows)
 
 
 class TestInverse:

@@ -68,7 +68,7 @@ def condition(model, state, focal):
     """The conditioner that ``step`` forms for ``focal``, and the focal's
     position."""
     graph, pocket = state.context(model)
-    cond, _ = model.encoder.encode_with_cache(graph, pocket, focal)
+    cond = model.encoder.encode_with_cache(graph, pocket, focal)
     return cond, graph.positions[focal]
 
 

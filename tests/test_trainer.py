@@ -540,3 +540,55 @@ class TestPinnedMiniBatchHistory:
         result = train(dataset, cfg, TrainConfig(epochs=10, batch_size=4, seed=0))
         got = np.array(result.history)
         assert np.max(np.abs(got - PINNED_MINIBATCH_HISTORY) / PINNED_MINIBATCH_HISTORY) <= 1e-12
+
+
+# recorded while a deep union still kept every pocket row of every step and
+# ran the middle layer's pocket block per step: the histories of
+# ``TestPinnedDeepHistory``'s runs, to be held to 1e-12 relative
+PINNED_DEEP_HISTORY = {
+    0: [
+        13.646900175442994,
+        13.633682787692202,
+        13.620488560263366,
+        13.607317191651445,
+        13.594168385291582,
+        13.581041849455026,
+        13.567937297147601,
+        13.554854446010893,
+        13.541793018225858,
+        13.528752740418875,
+    ],
+    4: [
+        13.634100578197193,
+        13.594781406351203,
+        13.555139067153974,
+        13.516153685697526,
+        13.477600555159666,
+        13.439389794837759,
+        13.400106006238309,
+        13.362242117450656,
+        13.32344237567167,
+        13.285382532287668,
+    ],
+}
+
+
+class TestPinnedDeepHistory:
+    @pytest.mark.parametrize("batch_size", [0, 4])
+    def test_three_layer_history_matches_recorded_values(self, batch_size):
+        """A three-layer encoder with B-factor gating, which trains on the
+        empty prefix, over 12 steps for 10 epochs, full batch and in batches
+        of 4."""
+        cfg = ModelConfig(
+            vocab=VOCAB,
+            embed_width=6,
+            hidden_width=5,
+            encoder_layers=3,
+            bfactor_gating=True,
+            type_flow_layers=2,
+            coord_flow_layers=2,
+        )
+        dataset = toy_dataset(VOCAB, n_copies=4)
+        result = train(dataset, cfg, TrainConfig(epochs=10, batch_size=batch_size, seed=0))
+        want = np.array(PINNED_DEEP_HISTORY[batch_size])
+        assert np.max(np.abs(np.array(result.history) - want) / want) <= 1e-12
