@@ -213,18 +213,22 @@ class Pocket:
     bfactors: np.ndarray
     positions: np.ndarray = field(init=False, repr=False)
     elements: np.ndarray = field(init=False, repr=False)
+    _centroid: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.bfactors = np.asarray(self.bfactors, dtype=float)
         if self.bfactors.shape != (len(self.atoms),):
             raise ValueError("bfactors length must equal atom count")
         self.positions, self.elements = _atom_arrays(self.atoms)
+        self._centroid = self.positions.mean(axis=0) if self.atoms else np.full(3, np.nan)
+        self._centroid.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.atoms)
 
     def centroid(self) -> np.ndarray:
-        return self.positions.mean(axis=0)
+        """The mean atom position, stored once: ``positions`` is read-only."""
+        return self._centroid
 
 
 @dataclass(frozen=True)

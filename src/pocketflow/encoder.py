@@ -23,10 +23,22 @@ outputs, the first layer's pocket rows and the last layer's outgoing message
 sums) plus the sums that its steps' backward passes add into, or else the
 encoder's empty prefix, the encoding of an empty graph.
 :meth:`Encoder.encode_pocket` computes it once, and :func:`extend_graph`
-adds placed atoms at O(L*(n+L)) cost; encoding the extended graph equals a
-full re-encode bit for bit while the encoder parameters stay fixed.
-Generation shares one prefix across the steps that grow a molecule, training
-across the steps of a trajectory within a gradient evaluation.
+adds placed atoms at O(L*(n+L)) cost.  Training shares one prefix across the
+steps of a trajectory within a gradient evaluation.
+
+Context encoding: the encoder has one forward path, in two pieces.  A
+:class:`ContextEncoding` starts as a prefix and keeps what later atoms only
+add to: :meth:`Encoder.extend` grows it to a graph that extends its own,
+forming the new edges' edge-MLP rows at every layer, appending the new
+atoms' rows and adding the new edges' layer-0 messages and last-layer
+outgoing ``m`` into their ends' rows; :meth:`Encoder.readout` runs the
+layers in between and reads out.  :meth:`Encoder.encode_with_cache` extends
+a prefix to its graph at once; generation extends one molecule's encoding by
+each accepted atom.  Both equal a full re-encode bit for bit while the
+encoder parameters stay fixed: a placed atom is always the highest index,
+so every atom still adds its terms in increasing partner order (see below),
+and every edge's MLP row is formed as in a batch of two or more edges
+(:func:`_matmul_rows`).
 
 Pair blocks: a graph stores each undirected edge once, as (i, j) with
 i < j, and a message weight depends on its edge's distance alone, so both
@@ -36,21 +48,23 @@ MLP and its backward pass run once per edge.  Every message is formed by
 on a pair block, a run of edges sent as ``[i; j]`` and received as
 ``[j; i]``: every i -> j, then every j -> i.  An atom v thus meets the
 edges (u, v) first, then (v, w).  A graph's edges come as the pocket's
-pairs, then pocket-ligand, then ligand-ligand, each run in lexicographic
-order, so v adds its terms in increasing partner order, whichever blocks
-the edges are split into; the per-atom sums of a prefix encoding equal a
-full encoding's bit for bit.  Backward, each edge runs as its reverse,
+pairs, then per :func:`extend_graph` call the old-new pairs, then the
+new-new pairs, each run in lexicographic order, and a later call's atoms
+have higher indices, so v adds its terms in increasing partner order,
+whichever calls placed the atoms and whichever blocks the edges are split
+into; the per-atom sums of a prefix encoding equal a full encoding's bit
+for bit.  Backward, each edge runs as its reverse,
 which has the same row: the adjoint goes into the forward pass's receivers,
 in the same order, and an edge's d(loss)/d(m) is the sum of its two rows.
 
 Factored readout: generation and training need only the conditioner
 :func:`aggregate_readout`, the focal row and the mean of the last layer's
-output, and :meth:`Encoder.encode_with_cache`, given a focal, forms just those
-at every depth, without the last layer's output.  Every message adds into the
-mean alike, so the mean needs only each atom's summed outgoing messages (on
-the pocket edges, a per-pocket sum), and the focal row only the edges into
-the focal.  Every scatter goes through :func:`scatter_add`, which adds in
-the same order as a row-wise ``np.add.at``.
+output, and :meth:`Encoder.readout`, given a focal, forms just those at every
+depth, without the last layer's output.  Every message adds into the mean
+alike, so the mean needs only each atom's summed outgoing messages, which a
+:class:`ContextEncoding` keeps, and the focal row only the edges into the
+focal.  Every scatter goes through :func:`scatter_add`, which adds in the
+same order as a row-wise ``np.add.at``.
 
 Step union: training encodes a batch's steps as one disjoint union, a
 :class:`StepUnion`.  A step's rows are its placed atoms plus only the pocket
@@ -233,6 +247,26 @@ class PocketEncoding:
         self.g0, self.dh0, self.last = (np.zeros(self.h0.shape) for _ in range(3))
 
 
+@dataclass(eq=False)
+class ContextEncoding:
+    """A context graph's forward-pass values that placed atoms only add to,
+    on a pocket prefix: :meth:`Encoder.extend` grows it, and
+    :meth:`Encoder.readout` runs the rest of the forward pass.  Its arrays
+    are replaced, never written in place, so it starts on the prefix's own."""
+
+    pocket: PocketEncoding
+    graph: ContextGraph  # extends pocket.graph
+    messages: list[np.ndarray]  # per layer, m of the edges after the pocket's (E', H)
+    x: np.ndarray  # (N, H) layer 0's output, or its input with one layer
+    out_messages: np.ndarray  # (N, H) the last layer's m summed per atom over its edges
+
+    @classmethod
+    def of(cls, pocket: PocketEncoding) -> "ContextEncoding":
+        """The encoding of ``pocket``'s graph alone, to extend."""
+        x = pocket.aggregate if len(pocket.messages) > 1 else pocket.h0
+        return cls(pocket, pocket.graph, [m[:0] for m in pocket.messages], x, pocket.out_messages)
+
+
 def _out_sums(out: np.ndarray, block: np.ndarray, m: np.ndarray) -> None:
     """Add each edge's ``m`` into both its ends' rows of ``out``, the dst ends
     first, so that each atom adds its terms in increasing partner order."""
@@ -313,7 +347,7 @@ class StepUnion:
         edge_step = np.repeat(np.arange(self.n_steps), [e.shape[1] for e in own])
         src, dst = np.concatenate(own, axis=1) + first[edge_step]
         focal = first + focals
-        # the edges into each focal in encode_with_cache's order: a pocket
+        # the edges into each focal in readout's order: a pocket
         # focal's pocket edges first (no other focal has any), then own edges
         ids, partners = _edges_into(focal[edge_step], src, dst)
         parts = [(ids, partners, edge_step[ids], np.ones(len(ids), dtype=bool))]
@@ -445,14 +479,14 @@ class Encoder:
     def _hidden(self, layer: int, edge_feat: np.ndarray) -> np.ndarray:
         """The edge MLP's hidden activations t per edge, formed in place."""
         p = f"encoder.layer{layer}"
-        t = edge_feat @ self.store[f"{p}.w1"]
+        t = _matmul_rows(edge_feat, self.store[f"{p}.w1"])
         t += self.store[f"{p}.b1"]
         return np.tanh(t, out=t)
 
     def _edge_mlp(self, layer: int, edge_feat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The edge MLP's hidden activations t and its output m per edge."""
         t = self._hidden(layer, edge_feat)
-        m = t @ self.store[f"encoder.layer{layer}.w2"]
+        m = _matmul_rows(t, self.store[f"encoder.layer{layer}.w2"])
         m += self.store[f"encoder.layer{layer}.b2"]
         return t, m
 
@@ -515,19 +549,40 @@ class Encoder:
     def encode_with_cache(
         self, graph: ContextGraph, pocket: PocketEncoding | None = None, focal: int | None = None
     ) -> np.ndarray:
-        """Embed atoms then run all message layers.
-
-        ``graph`` extends ``pocket.graph`` (see :meth:`encode_pocket`; by
-        default the empty prefix).  Returns the embeddings or, given a
-        ``focal`` atom, their :func:`aggregate_readout`, formed without the
-        last layer's output (see the module docstring).
+        """Embed atoms then run all message layers: :meth:`extend` the
+        encoding of ``pocket.graph`` (see :meth:`encode_pocket`; by default
+        the empty prefix) to ``graph``, then :meth:`readout`.
         """
-        pocket = pocket or self.empty_pocket
-        start, last = pocket.graph.n_edges, self.cfg.n_layers - 1
+        context = ContextEncoding.of(pocket or self.empty_pocket)
+        self.extend(context, graph)
+        return self.readout(context, focal)
+
+    def extend(self, context: ContextEncoding, graph: ContextGraph) -> None:
+        """Extend ``context`` to ``graph``, which extends ``context.graph``:
+        form the new edges' edge-MLP rows at every layer, append the new
+        atoms' rows, and add the new edges' layer-0 messages (with more than
+        one layer) and last-layer ``m`` into their ends' rows."""
+        n, start = context.graph.n_atoms, context.graph.n_edges
+        block = graph.edges[:, start:]
         edge_feat = self.edge_features(graph, slice(start, None))
-        m = [self._edge_mlp(layer, edge_feat)[1] for layer in range(last + 1)]
-        x = self.initial_embeddings(graph)
-        for layer in range(last):
+        m = [self._edge_mlp(layer, edge_feat)[1] for layer in range(self.cfg.n_layers)]
+        h0 = self.initial_embeddings(graph)
+        x = np.concatenate([context.x, h0[n:]])
+        if self.cfg.n_layers > 1:
+            self._pass(x, h0, block, m[0], self._gamma(graph.bfactor_weights, 0))
+        out_m = np.concatenate([context.out_messages, np.zeros((graph.n_atoms - n, x.shape[1]))])
+        _out_sums(out_m, block, m[-1])
+        context.messages = [np.concatenate(pair) for pair in zip(context.messages, m)]
+        context.graph, context.x, context.out_messages = graph, x, out_m
+
+    def readout(self, context: ContextEncoding, focal: int | None = None) -> np.ndarray:
+        """The embeddings of ``context`` or, given a ``focal`` atom, their
+        :func:`aggregate_readout`, formed without the last layer's output
+        (see the module docstring)."""
+        pocket, graph, m = context.pocket, context.graph, context.messages
+        start, last = pocket.graph.n_edges, self.cfg.n_layers - 1
+        x = context.x
+        for layer in range(1, last):
             x = self.message_layer(x, graph, layer, m[layer], pocket)
         if focal is None:
             return self.message_layer(x, graph, last, m[last], pocket)
@@ -538,13 +593,10 @@ class Encoder:
         k = np.searchsorted(edges, start)
         gamma = self._gamma(graph.bfactor_weights, last)
         gx = x if gamma is None else x * gamma[:, None]
-        # each atom's outgoing m summed: every message adds into the mean alike
-        out_m = np.zeros(x.shape)
-        out_m[: pocket.graph.n_atoms] = pocket.out_messages
-        _out_sums(out_m, graph.edges[:, start:], m[last])
         in_m = np.concatenate([pocket.messages[last][edges[:k]], m[last][edges[k:] - start]])
         row = x[focal] + (gx[in_src] * in_m).sum(axis=0)
-        mean = (x + gx * out_m).mean(axis=0)
+        # every message adds into the mean alike, through its sender's outgoing sum
+        mean = (x + gx * context.out_messages).mean(axis=0)
         return np.concatenate([row, mean])
 
     def encode_union(
@@ -797,9 +849,18 @@ class Encoder:
         grads[f"{p}.b1"][...] += da.sum(axis=0)
 
 
+def _matmul_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``a @ w``, a single row formed as in a batch of two: numpy hands a
+    one-row product to gemv, whose rounding can differ from gemm's, and gemm
+    forms each row alike whatever the batch."""
+    if len(a) != 1:
+        return a @ w
+    return (np.concatenate([a, a]) @ w)[:1]
+
+
 def _edges_into(focal, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The edges of the list ``(src, dst)`` into ``focal`` (one atom, or one
-    per edge) as :meth:`Encoder.encode_with_cache` orders them, those with
+    per edge) as :meth:`Encoder.readout` orders them, those with
     dst == focal, then those with src == focal, each in list order; and
     their other ends."""
     (to_f,), (from_f,) = (dst == focal).nonzero(), (src == focal).nonzero()

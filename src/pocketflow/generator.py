@@ -10,12 +10,15 @@ when no focal atom with open valence remains, the atom budget is reached, or
 resampling is exhausted.
 
 The pocket is encoded once per (model parameters, pocket), by
-:meth:`~pocketflow.model.Model.pocket_encoding`, and each step only adds the
-placed atoms' edges.  :func:`step` forms the conditioner once, with
-:meth:`~pocketflow.encoder.Encoder.encode_with_cache` given the focal, as in
-training; it equals the readout of a full re-encode up to the last ulp.  From
-it, :func:`step` forms the type flow's Gaussian (A, M) once and the coordinate
-flow's once per element drawn; every attempt samples x = A * z + M.
+:meth:`~pocketflow.model.Model.pocket_encoding`, and each
+:class:`GenerationState` keeps its molecule's encoding on it, a
+:class:`~pocketflow.encoder.ContextEncoding` that it extends by each accepted
+atom's edges once.  :func:`step` reads the conditioner out of it once, with
+:meth:`~pocketflow.encoder.Encoder.readout` given the focal; it equals
+:meth:`~pocketflow.encoder.Encoder.encode_with_cache` on the whole context bit
+for bit.  From it, :func:`step` forms the type flow's Gaussian (A, M) once and
+the coordinate flow's once per element drawn; every attempt samples
+x = A * z + M.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chem import DEFAULT_BOND_TOLERANCE, DEFAULT_CLASH_FACTOR, Atom, Bond, Molecule, Pocket
-from .encoder import ContextGraph, PocketEncoding, extend_graph
+from .encoder import ContextEncoding, ContextGraph, PocketEncoding, extend_graph
 from .flows import Gaussian
 from .geometry import distance_matrix
 from .model import Model
@@ -55,8 +58,9 @@ class GenConfig:
 class GenerationState:
     """Pocket plus the molecule grown so far, with open-valence bookkeeping.
 
-    ``encoding`` holds the pocket's share of the context encoding, taken from
-    the model's memo on first use; it assumes one model whose parameters stay
+    ``encoding`` is the context's encoding under one model, started from the
+    model's pocket memo on first use and extended by each atom placed since,
+    one at a time.  ``placed`` only grows, and the model's parameters stay
     fixed while the molecule grows.
     """
 
@@ -64,17 +68,25 @@ class GenerationState:
     placed: list[Atom] = field(default_factory=list)
     bonds: list[Bond] = field(default_factory=list)
     open_valences: list[int] = field(default_factory=list)
-    encoding: PocketEncoding | None = field(default=None, repr=False)
+    encoding: ContextEncoding | None = field(default=None, repr=False)
 
     @property
     def t(self) -> int:
         return len(self.placed)
 
+    def encoded(self, model: Model) -> ContextEncoding:
+        """The context's encoding, extended by the atoms placed since the last call."""
+        if self.encoding is None:
+            self.encoding = ContextEncoding.of(model.pocket_encoding(self.pocket))
+        encoding, cutoff = self.encoding, model.cfg.graph_cutoff
+        for atom in self.placed[encoding.graph.n_atoms - len(self.pocket) :]:
+            model.encoder.extend(encoding, extend_graph(encoding.graph, [atom], cutoff))
+        return encoding
+
     def context(self, model: Model) -> tuple[ContextGraph, PocketEncoding]:
         """The current context graph plus the pocket encoding it extends."""
-        if self.encoding is None:
-            self.encoding = model.pocket_encoding(self.pocket)
-        return extend_graph(self.encoding.graph, self.placed, model.cfg.graph_cutoff), self.encoding
+        encoding = self.encoded(model)
+        return encoding.graph, encoding.pocket
 
     def molecule(self) -> Molecule:
         return Molecule(list(self.placed), list(self.bonds))
@@ -159,11 +171,13 @@ def step(
     if focal is None:
         return True
     vocab = model.cfg.vocab
-    graph, pocket = state.context(model)
-    cond = model.encoder.encode_with_cache(graph, pocket, focal)
+    encoding = state.encoded(model)
+    graph = encoding.graph
+    cond = model.encoder.readout(encoding, focal)
     type_gaussian = model.type_flow.gaussian(cond)
     coord_gaussians = {}  # element -> the coordinate flow's (A, M)
     n, t = len(state.pocket), state.t
+    radii = vocab.radii[graph.elements]
     for _ in range(1 + cfg.clash_retries):
         element = generate_type(model, state, type_gaussian, rng, cfg.valence_constrained)
         if element not in coord_gaussians:
@@ -171,7 +185,7 @@ def step(
             coord_gaussians[element] = model.coord_flow.gaussian(coord_cond)
         position = generate_coord(graph.positions[focal], coord_gaussians[element], rng)
         d = distance_matrix(graph.positions, position[None])[:, 0]
-        rsum = vocab.radii[graph.elements] + vocab.radii[element]
+        rsum = radii + vocab.radii[element]
         if np.any(d < cfg.clash_factor * rsum):
             continue
         partners = np.flatnonzero(d[n:] <= rsum[n:] + cfg.bond_tolerance)

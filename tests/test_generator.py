@@ -19,7 +19,7 @@ from pocketflow.chem import (
     infer_bonds,
     open_valence,
 )
-from pocketflow.encoder import build_graph
+from pocketflow.encoder import build_graph, extend_graph
 from pocketflow.generator import (
     GenConfig,
     GenerationState,
@@ -395,6 +395,83 @@ class TestPocketCache:
                 break
             finished = step(model, state, rng, gen_cfg)
         assert state.t >= 4, f"only {state.t} atoms placed"
+
+
+def random_encoder_model(layers, gating):
+    """A model whose encoder parameters are all random and nonzero."""
+    cfg = ModelConfig(vocab=VOCAB, encoder_layers=layers, bfactor_gating=gating)
+    model = Model.initialized(cfg, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    for name, shape in model.store.shapes.items():
+        if name.startswith("encoder."):
+            model.store[name][...] = rng.uniform(-0.3, 0.3, size=shape)
+    return model
+
+
+class TestKeptEncoding:
+    """A state extends its encoding by each accepted atom; every readout of
+    it must equal ``encode_with_cache`` on the whole context."""
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("gating", [False, True])
+    @pytest.mark.parametrize("pocket_name", ["toy", "random400"])
+    def test_kept_conditioner_equals_a_full_encode(self, layers, gating, pocket_name):
+        model = random_encoder_model(layers, gating)
+        pocket = toy_complex(VOCAB).pocket if pocket_name == "toy" else random_pocket()
+        prefix = model.pocket_encoding(pocket)
+        state, n = GenerationState(pocket=pocket), len(pocket)
+        pocket_focal = select_focal(state)
+        rng, cfg = np.random.default_rng(3), GenConfig(max_atoms=8)
+        finished = False
+        while not finished:
+            kept = state.encoded(model)
+            graph = extend_graph(prefix.graph, state.placed, model.cfg.graph_cutoff)
+            focals = {pocket_focal, n + state.t - 1 if state.t else pocket_focal}
+            for focal in focals:
+                got = model.encoder.readout(kept, focal)
+                assert np.array_equal(got, model.encoder.encode_with_cache(graph, prefix, focal))
+            assert np.array_equal(model.encoder.readout(kept), model.encoder.encode(graph, prefix))
+            finished = step(model, state, rng, cfg)
+        assert state.t >= 4, f"only {state.t} atoms placed"
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_atom_with_one_edge(self, layers):
+        # an atom 5 A out from the pocket's last atom has that one edge, the
+        # next one 5 A further out one edge to it: a one-row edge MLP, which
+        # numpy would hand to gemv, must equal its row in a larger batch
+        model = random_encoder_model(layers, gating=False)
+        state = GenerationState(
+            pocket=pocket_with_centroid_at_origin(),
+            placed=[Atom(C, (7.0, 0, 0)), Atom(C, (12.0, 0, 0))],
+        )
+        kept = state.encoded(model)
+        assert len(kept.messages[0]) == 2
+        full = build_graph(state.pocket, state.placed)
+        for focal in range(kept.graph.n_atoms):
+            got = model.encoder.readout(kept, focal)
+            assert np.array_equal(got, model.encoder.encode_with_cache(full, None, focal))
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("pocket_name", ["toy", "random400"])
+    def test_state_built_with_placed_atoms_catches_up(self, layers, pocket_name):
+        model = random_encoder_model(layers, gating=True)
+        pocket = toy_complex(VOCAB).pocket if pocket_name == "toy" else random_pocket()
+        grown, rng, cfg = GenerationState(pocket=pocket), np.random.default_rng(3), GenConfig()
+        while grown.t < 4:
+            assert not step(model, grown, rng, cfg)
+        built = GenerationState(
+            pocket, list(grown.placed), list(grown.bonds), list(grown.open_valences)
+        )
+        kept, caught_up = grown.encoded(model), built.encoded(model)
+        assert np.array_equal(kept.graph.edges, caught_up.graph.edges)
+        for a, b in [(kept.x, caught_up.x), (kept.out_messages, caught_up.out_messages)]:
+            assert np.array_equal(a, b)
+        assert all(map(np.array_equal, kept.messages, caught_up.messages))
+        for state in (grown, built):
+            step(model, state, np.random.default_rng(5), cfg)
+        assert grown.t == built.t == 5
+        assert same_molecule(grown.molecule(), built.molecule())
+        assert grown.open_valences == built.open_valences
 
 
 
