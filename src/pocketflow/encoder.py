@@ -20,11 +20,12 @@ used by the trainer.
 Pocket prefix: every context graph extends a :class:`PocketEncoding`, the
 forward-pass values that only the pocket determines (its edges' edge-MLP
 outputs, the first layer's pocket rows and the last layer's outgoing message
-sums) plus the sums that its steps' backward passes add into, or else the
-encoder's empty prefix, the encoding of an empty graph.
-:meth:`Encoder.encode_pocket` computes it once, and :func:`extend_graph`
-adds placed atoms at O(L*(n+L)) cost.  Training shares one prefix across the
-steps of a trajectory within a gradient evaluation.
+sums), or else the encoder's empty prefix, the encoding of an empty graph.
+A pocket's encoding is its :class:`ContextEncoding` on the empty prefix:
+:meth:`Encoder.encode_pocket` extends the empty prefix to the pocket graph
+once, and nothing writes into it after.  :func:`extend_graph` adds placed
+atoms at O(L*(n+L)) cost.  Training shares one prefix across the steps of a
+trajectory within a gradient evaluation.
 
 Context encoding: the encoder has one forward path, in two pieces.  A
 :class:`ContextEncoding` starts as a prefix and keeps what later atoms only
@@ -70,28 +71,28 @@ Step union: training encodes a batch's steps as one disjoint union, a
 :class:`StepUnion`.  A step's rows are its placed atoms plus only the pocket
 atoms it changes or reads: the pocket ends of its own edges, its focal and
 the focal's partners.  Every other pocket atom keeps its row of the pocket
-alone at the last layer's input (the embeddings with one layer,
-``PocketEncoding.aggregate`` with two), so it adds the same term into every
+alone at the last layer's input (``PocketEncoding.x``: the embeddings with
+one layer, layer 0's output with two), so it adds the same term into every
 such step's mean, and :meth:`Encoder.encode_union` adds the pocket's sum of
 those terms and, on a step's own pocket rows, the difference from them.
 Backward, the readout's adjoint is the mean's share ``c`` on every row of a
 step plus the focal's, so such an atom's adjoint is ``c`` times a row of the
 pocket alone; over the steps, a per-pocket sum of ``c``.
-:meth:`Encoder.backward` runs the union once and adds each pocket's share
-into sums of (n, H) rows held by its encoding, and
-:meth:`Encoder.pocket_backward` pushes them through the pocket edges once for
-all the steps.  An encoder deeper than two layers, whose placed atoms reach
-pocket rows two edges away by the last layer's input, trains on the empty
-prefix: every atom of a step is a row of its own, and there are no pocket
-sums.  The sums are reassociated, so the readout and gradients can move in
-the last ulp against a full encoding.
+:meth:`Encoder.backward` runs the union once, sums each pocket's share into
+(n, H) locals of the call, and then pushes them through the pocket's edges
+once for all the steps.  An encoder deeper than two layers, whose placed
+atoms reach pocket rows two edges away by the last layer's input, trains on
+the empty prefix: every atom of a step is a row of its own, and there are no
+pocket sums.  The sums are reassociated, so the readout and gradients can
+move in the last ulp against a full encoding.
 
 Memory: the union's layout holds index arrays only, and between the forward
 and backward passes only the union edges' RBF features and the (U, H) inputs
 of the layers after the first are kept; the backward pass recomputes the edge
-MLP and the embeddings.  A pocket's encoding keeps its edges' RBF features but not
-the edge MLP's hidden activations, which :meth:`Encoder.pocket_backward`
-recomputes.
+MLP and the embeddings.  The union's values are dropped before the pocket
+edges' passes, and each pocket's encoding once its pass has run.  A pocket's
+encoding keeps its edges' RBF features but not the edge MLP's hidden
+activations, which its edges' backward pass recomputes.
 """
 
 from __future__ import annotations
@@ -218,43 +219,18 @@ def extend_graph(
 
 
 @dataclass(eq=False)
-class PocketEncoding:
-    """A pocket prefix: the part of the forward pass that only the pocket
-    determines, valid only while the encoder parameters stay fixed, and the
-    sums into which :meth:`Encoder.backward` adds each step's share of the
-    pocket edges' adjoint, which :meth:`Encoder.pocket_backward` finishes.
-
-    ``messages`` has one row per pocket edge.  ``aggregate`` and
-    ``out_messages`` are per-atom sums, each atom's terms in increasing
-    partner order, so that a context encoded on this prefix equals its full
-    encoding bit for bit.
-    """
-
-    graph: ContextGraph  # the pocket alone
-    messages: list[np.ndarray]  # per layer, the edge-MLP output m per edge (E, H)
-    aggregate: np.ndarray  # layer 0's output on pocket rows, before ligand messages
-    out_messages: np.ndarray  # (n, H) the last layer's m summed per atom over its edges
-    edge_feat: np.ndarray  # (E, n_rbf); pocket_backward recomputes t from it
-    h0: np.ndarray  # (n, H) layer 0's input embeddings
-    # sums over the steps on this pocket, added by ``Encoder.backward``
-    g0: np.ndarray = field(init=False)  # d(loss)/d(layer 0's output), pocket rows
-    dh0: np.ndarray = field(init=False)  # d(loss)/d(embeddings) less layer 0's pocket block
-    last: np.ndarray = field(init=False)  # gamma * x * the readout's mean adjoint
-    # per backward pass, the pocket edges into its steps' focals and their d(loss)/d(m)
-    focal: list = field(init=False, default_factory=list)
-
-    def __post_init__(self) -> None:
-        self.g0, self.dh0, self.last = (np.zeros(self.h0.shape) for _ in range(3))
-
-
-@dataclass(eq=False)
 class ContextEncoding:
     """A context graph's forward-pass values that placed atoms only add to,
     on a pocket prefix: :meth:`Encoder.extend` grows it, and
     :meth:`Encoder.readout` runs the rest of the forward pass.  Its arrays
-    are replaced, never written in place, so it starts on the prefix's own."""
+    are replaced, never written in place, so it starts on the prefix's own.
 
-    pocket: PocketEncoding
+    ``x`` and ``out_messages`` are per-atom sums, each atom's terms in
+    increasing partner order, so that it equals a full encoding of its graph
+    bit for bit.
+    """
+
+    pocket: PocketEncoding  # the prefix it extends
     graph: ContextGraph  # extends pocket.graph
     messages: list[np.ndarray]  # per layer, m of the edges after the pocket's (E', H)
     x: np.ndarray  # (N, H) layer 0's output, or its input with one layer
@@ -263,8 +239,21 @@ class ContextEncoding:
     @classmethod
     def of(cls, pocket: PocketEncoding) -> "ContextEncoding":
         """The encoding of ``pocket``'s graph alone, to extend."""
-        x = pocket.aggregate if len(pocket.messages) > 1 else pocket.h0
-        return cls(pocket, pocket.graph, [m[:0] for m in pocket.messages], x, pocket.out_messages)
+        messages = [m[:0] for m in pocket.messages]
+        return cls(pocket, pocket.graph, messages, pocket.x, pocket.out_messages)
+
+
+@dataclass(eq=False)
+class PocketEncoding(ContextEncoding):
+    """A pocket prefix: the encoding of a pocket-only graph on the encoder's
+    empty prefix, so ``messages`` has one row per pocket edge, plus what the
+    pocket edges' backward pass reads.  :meth:`Encoder.encode_pocket` builds
+    it, and nothing writes into it after; it is valid only while the encoder
+    parameters stay fixed.  The empty prefix is its own prefix.
+    """
+
+    edge_feat: np.ndarray  # (E, n_rbf); the backward pass recomputes t from it
+    h0: np.ndarray  # (n, H) layer 0's input embeddings
 
 
 def _out_sums(out: np.ndarray, block: np.ndarray, m: np.ndarray) -> None:
@@ -393,12 +382,12 @@ class StepUnion:
 @dataclass(eq=False)
 class UnionPass:
     """The values of :meth:`Encoder.encode_union` that :meth:`Encoder.backward`
-    reads, which it drops layer by layer.  The backward pass recomputes the
+    reads, which it drops as it goes.  The backward pass recomputes the
     edge MLP and the input embeddings rather than keep them across the
     flows."""
 
     pockets: list[PocketEncoding]  # the encodings of the union's pockets
-    edge_feat: np.ndarray  # (E, n_rbf) the union edges' RBF features
+    edge_feat: np.ndarray | None  # (E, n_rbf) the union edges' RBF features
     inputs: list[np.ndarray]  # the (U, H) input rows of every layer after the first
 
 
@@ -428,7 +417,10 @@ class Encoder:
         self.vocab_size = vocab_size
         self.bank = bank
         self.store = store
-        self.empty_pocket = self.encode_pocket(_EMPTY)
+        none = np.zeros((0, cfg.embed_width))
+        messages, edge_feat = [none] * cfg.n_layers, np.zeros((0, len(bank)))
+        self.empty_pocket = PocketEncoding(None, _EMPTY, messages, none, none, edge_feat, none)
+        self.empty_pocket.pocket = self.empty_pocket
 
     @staticmethod
     def sections(cfg: EncoderConfig, vocab_size: int, n_rbf: int) -> dict[str, tuple[int, ...]]:
@@ -512,8 +504,8 @@ class Encoder:
         ``pocket.graph`` (by default the empty prefix).
 
         ``m`` holds the edge-MLP outputs of the edges after the pocket's own,
-        computed here when not given.  The pocket edges run as one pair block
-        but at layer 0, whose sum on the pocket rows is read from ``pocket``.
+        computed here when not given.  The pocket edges run first, as one pair
+        block of ``pocket.messages``.
         """
         if h.shape != (graph.n_atoms, self.cfg.embed_width):
             raise ValueError(
@@ -526,10 +518,7 @@ class Encoder:
             _, m = self._edge_mlp(layer, self.edge_features(graph, slice(start, None)))
         h_next = h.copy()
         gamma = self._gamma(graph.bfactor_weights, layer)
-        if layer == 0:
-            h_next[: pocket.graph.n_atoms] = pocket.aggregate
-        else:
-            self._pass(h_next, h, pocket.graph.edges, pocket.messages[layer], gamma)
+        self._pass(h_next, h, pocket.graph.edges, pocket.messages[layer], gamma)
         self._pass(h_next, h, graph.edges[:, start:], m, gamma)
         return h_next
 
@@ -557,11 +546,14 @@ class Encoder:
         self.extend(context, graph)
         return self.readout(context, focal)
 
-    def extend(self, context: ContextEncoding, graph: ContextGraph) -> None:
+    def extend(
+        self, context: ContextEncoding, graph: ContextGraph
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Extend ``context`` to ``graph``, which extends ``context.graph``:
         form the new edges' edge-MLP rows at every layer, append the new
         atoms' rows, and add the new edges' layer-0 messages (with more than
-        one layer) and last-layer ``m`` into their ends' rows."""
+        one layer) and last-layer ``m`` into their ends' rows.  Returns the new
+        edges' RBF features and ``graph``'s input embeddings."""
         n, start = context.graph.n_atoms, context.graph.n_edges
         block = graph.edges[:, start:]
         edge_feat = self.edge_features(graph, slice(start, None))
@@ -572,8 +564,10 @@ class Encoder:
             self._pass(x, h0, block, m[0], self._gamma(graph.bfactor_weights, 0))
         out_m = np.concatenate([context.out_messages, np.zeros((graph.n_atoms - n, x.shape[1]))])
         _out_sums(out_m, block, m[-1])
-        context.messages = [np.concatenate(pair) for pair in zip(context.messages, m)]
-        context.graph, context.x, context.out_messages = graph, x, out_m
+        if start > context.pocket.graph.n_edges:  # a first block's rows are kept, not copied
+            m = [np.concatenate(pair) for pair in zip(context.messages, m)]
+        context.graph, context.messages, context.x, context.out_messages = graph, m, x, out_m
+        return edge_feat, h0
 
     def readout(self, context: ContextEncoding, focal: int | None = None) -> np.ndarray:
         """The embeddings of ``context`` or, given a ``focal`` atom, their
@@ -622,7 +616,7 @@ class Encoder:
         for layer in range(last):
             out = x.copy()
             if layer == 0:
-                out[placed:] = np.concatenate([p.aggregate for p in pockets])[union.pocket_rows]
+                out[placed:] = np.concatenate([p.x for p in pockets])[union.pocket_rows]
             gamma = self._gamma(union.bfactor_weights, layer)
             self._pass(out, x, union.edges, self._edge_mlp(layer, edge_feat)[1], gamma)
             x = out
@@ -643,7 +637,7 @@ class Encoder:
         mean = per_pocket[union.pocket_of]
         scatter_add(mean, union.row_step, terms)
         mean /= union.sizes[:, None]
-        return np.hstack([x[union.focal] + row, mean]), UnionPass(pockets, edge_feat, inputs)
+        return np.hstack([x[union.focal] + row, mean]), UnionPass(list(pockets), edge_feat, inputs)
 
     def _union_terms(
         self, union: StepUnion, pockets: list[PocketEncoding], m: np.ndarray
@@ -664,25 +658,16 @@ class Encoder:
     def _pocket_only(self, union: StepUnion, pockets: list[PocketEncoding]):
         """The stacked pocket atoms' rows in the pocket alone: the last
         layer's input, the outgoing message sums and the gate factors."""
-        last = self.cfg.n_layers - 1
-        x0 = np.concatenate([p.aggregate if last else p.h0 for p in pockets])
+        x0 = np.concatenate([p.x for p in pockets])
         out0 = np.concatenate([p.out_messages for p in pockets])
-        return x0, out0, self._gamma(union.stack_weights, last)
+        return x0, out0, self._gamma(union.stack_weights, self.cfg.n_layers - 1)
 
     def encode_pocket(self, graph: ContextGraph) -> PocketEncoding:
         """Encode a pocket-only graph once for reuse by every context built on
-        it with :func:`extend_graph`: every layer's edge MLP, layer 0, and the
-        last layer's outgoing message sums.
-        """
-        block = graph.edges
-        edge_feat = self.edge_features(graph)
-        messages = [self._edge_mlp(layer, edge_feat)[1] for layer in range(self.cfg.n_layers)]
-        h0 = self.initial_embeddings(graph)
-        aggregate = h0.copy()
-        self._pass(aggregate, h0, block, messages[0], self._gamma(graph.bfactor_weights, 0))
-        out_messages = np.zeros(h0.shape)
-        _out_sums(out_messages, block, messages[-1])
-        return PocketEncoding(graph, messages, aggregate, out_messages, edge_feat, h0)
+        it with :func:`extend_graph`: :meth:`extend` the empty prefix to it."""
+        context = ContextEncoding.of(self.empty_pocket)
+        edge_feat, h0 = self.extend(context, graph)
+        return PocketEncoding(**vars(context), edge_feat=edge_feat, h0=h0)
 
     # -- backward --------------------------------------------------------
 
@@ -696,11 +681,12 @@ class Encoder:
         plus ``df`` on its focal's, so a pocket atom outside a step's rows
         has the adjoint ``c`` times a row of the pocket alone; summed over the
         steps, that is a per-pocket sum of ``c`` times that row.  The pocket
-        edges' share is left out: it is added into the sums of each pocket's
-        encoding, and :meth:`pocket_backward` finishes it once per pocket.
+        edges' share is summed over each pocket's steps, and
+        :meth:`_pocket_backward` finishes it once per pocket, after the union.
         """
         last, width = self.cfg.n_layers - 1, self.cfg.embed_width
         pockets, edge_feat, inputs = cache.pockets, cache.edge_feat, cache.inputs
+        cache.edge_feat = None  # freed with the union's values, before the pocket passes
         placed, in_src = union.n_placed, union.in_src
         df, c = dcond[:, :width], dcond[:, width:] / union.sizes[:, None]
         x = inputs.pop() if last else self.initial_embeddings(union)
@@ -729,10 +715,8 @@ class Encoder:
         outside += c_out
         del x0, out0, c_out
         scatter_add(last_sum, union.pocket_rows, last_rows[placed:])
-        for k, (pocket, (at, ids)) in enumerate(zip(pockets, union.pocket_in)):
-            pocket.last += last_sum[union.atom_offsets[k] : union.atom_offsets[k + 1]]
-            pocket.focal.append((ids, df_rows[at]))
-        del last_rows, df_rows, last_sum
+        into = [(ids, df_rows[at]) for at, ids in union.pocket_in]  # each pocket's focal edges
+        del last_rows, df_rows
         self._mlp_backward(last, edge_feat, self._hidden(last, edge_feat), dm, grads)
         del dm
         # d(loss)/d(x)
@@ -753,7 +737,7 @@ class Encoder:
         g, g0 = dx, None
         for layer in reversed(range(last)):
             h = inputs.pop() if layer else self.initial_embeddings(union)
-            if layer == 0:  # layer 0's pocket block runs in pocket_backward
+            if layer == 0:  # layer 0's pocket block runs in _pocket_backward
                 g0 = outside.copy()
                 scatter_add(g0, union.pocket_rows, g[placed:])
             m = self._edge_mlp(layer, edge_feat)[1]
@@ -761,14 +745,16 @@ class Encoder:
             dm = self._pass_backward(union, layer, union.edges, h, g, m, g, grads)
             del h, m
             self._mlp_backward(layer, edge_feat, self._hidden(layer, edge_feat), dm, grads)
+            del dm
         scatter_add(outside, union.pocket_rows, g[placed:])
         table = union.origins[:placed] * self.vocab_size + union.elements[:placed]
         scatter_add(grads["encoder.embed"], table, g[:placed])
-        for k, pocket in enumerate(pockets):
-            rows = slice(union.atom_offsets[k], union.atom_offsets[k + 1])
-            pocket.dh0 += outside[rows]
-            if g0 is not None:
-                pocket.g0 += g0[rows]
+        del dx, g, edge_feat
+        for k, (edges, rows) in enumerate(into):  # dropping each pocket once its pass has run
+            at = slice(union.atom_offsets[k], union.atom_offsets[k + 1])
+            g0_at = None if g0 is None else g0[at]
+            pocket = pockets.pop(0)
+            self._pocket_backward(pocket, g0_at, outside[at], last_sum[at], edges, rows, grads)
 
     def _pass_backward(
         self, graph: ContextGraph, layer: int, block: np.ndarray, h, g, m, dh, grads: ParamStore
@@ -802,35 +788,37 @@ class Encoder:
         scatter_add(dh, recv[1], dmsg[1])
         return dm
 
-    def pocket_backward(self, pocket: PocketEncoding, grads: ParamStore) -> None:
-        """Finish the pocket edges' share of the gradient, once for every step
-        that :meth:`backward` added into the sums of ``pocket``.  Each share is
-        linear in those sums, and the edge MLP's backward pass runs once per
-        layer, on the edges' summed d(loss)/d(m):
+    def _pocket_backward(
+        self, pocket: PocketEncoding, g0, dh0, last, edges, rows, grads: ParamStore
+    ) -> None:
+        """Finish the pocket edges' share of the gradient for every step of
+        one :meth:`backward` pass on ``pocket``, given that pass's sums over
+        those steps: ``g0``, d(loss)/d(layer 0's output) on the pocket rows
+        (None with one layer); ``dh0``, d(loss)/d(embeddings) less layer 0's
+        pocket block; ``last``, gamma * x times the readout's mean adjoint; and
+        the pocket edges ``edges`` into the steps' focals with their ``rows``.
+        Each share is linear in those sums, and the edge MLP's backward pass
+        runs once per layer, on the edges' summed d(loss)/d(m):
 
         - layer 0: the pocket rows' input embeddings ``h0`` are the same at
-          every step, so the pocket block's backward pass on the summed output
-          adjoint ``g0`` yields, for all the steps, the edges' d(loss)/d(m),
-          the messages' share of d(loss)/d(embeddings) and the gate gradient;
-          it is skipped when ``g0`` is all zero, as when layer 0 is also the
-          last layer;
-        - the last layer, given a focal: :func:`_last_layer_dm` of the summed
-          ``last`` and the rows of the edges into each focal.
+          every step, so the pocket block's backward pass on ``g0`` yields,
+          for all the steps, the edges' d(loss)/d(m), the messages' share of
+          d(loss)/d(embeddings) and the gate gradient; it is skipped when
+          ``g0`` is all zero, as in a fresh model, whose flows start
+          independent of the conditioner;
+        - the last layer: :func:`_last_layer_dm` of ``last`` and ``rows``.
 
         A deeper encoder's only pocket is the empty prefix (see
         :class:`StepUnion`).
         """
         graph, dm, sent = pocket.graph, {}, np.zeros(pocket.h0.shape)
         block, feat = graph.edges, pocket.edge_feat
-        if pocket.g0.any():
+        if g0 is not None and g0.any():
             m = pocket.messages[0]
-            dm[0] = self._pass_backward(graph, 0, block, pocket.h0, pocket.g0, m, sent, grads)
-        sent += pocket.dh0
+            dm[0] = self._pass_backward(graph, 0, block, pocket.h0, g0, m, sent, grads)
+        sent += dh0
         scatter_add(grads["encoder.embed"], graph.origins * self.vocab_size + graph.elements, sent)
-        if pocket.focal:
-            last = self.cfg.n_layers - 1
-            edges, rows = (np.concatenate(part) for part in zip(*pocket.focal))
-            dm[last] = _last_layer_dm(pocket.last, block, edges, rows)
+        dm[self.cfg.n_layers - 1] = _last_layer_dm(last, block, edges, rows)
         for layer, d in dm.items():
             self._mlp_backward(layer, feat, self._hidden(layer, feat), d, grads)
 

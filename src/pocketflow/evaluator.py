@@ -177,9 +177,11 @@ def evaluate_set(
         kd, pkd = dg_to_kd(dg, model)
         scores.append(MoleculeScore(mol_id, len(mol), valid, value, dg, kd, pkd))
     n_valid = sum(s.valid for s in scores)
-    mean_pkd = (
-        sum(s.pkd for s in scores if s.valid) / n_valid if n_valid else None
-    )
+    total = 0.0
+    for s in scores:  # in index order: ``sum`` compensates from Python 3.12 on
+        if s.valid:
+            total += s.pkd
+    mean_pkd = total / n_valid if n_valid else None
     return EvalReport(tuple(scores), n_valid / len(scores), mean_pkd)
 
 

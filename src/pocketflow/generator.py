@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chem import DEFAULT_BOND_TOLERANCE, DEFAULT_CLASH_FACTOR, Atom, Bond, Molecule, Pocket
-from .encoder import ContextEncoding, ContextGraph, PocketEncoding, extend_graph
+from .encoder import ContextEncoding, extend_graph
 from .flows import Gaussian
 from .geometry import distance_matrix
 from .model import Model
@@ -82,11 +82,6 @@ class GenerationState:
         for atom in self.placed[encoding.graph.n_atoms - len(self.pocket) :]:
             model.encoder.extend(encoding, extend_graph(encoding.graph, [atom], cutoff))
         return encoding
-
-    def context(self, model: Model) -> tuple[ContextGraph, PocketEncoding]:
-        """The current context graph plus the pocket encoding it extends."""
-        encoding = self.encoded(model)
-        return encoding.graph, encoding.pocket
 
     def molecule(self) -> Molecule:
         return Molecule(list(self.placed), list(self.bonds))

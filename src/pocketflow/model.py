@@ -103,7 +103,7 @@ class Model:
         One entry is kept, reused while the pocket's positions, elements and
         B-factors and every parameter equal its copies of them (parameters are
         written in place, so contents are compared).  Training encodes its own
-        pockets, since ``Encoder.backward`` adds into them.
+        pockets, since its parameters change at every step.
         """
         key = (pocket.positions, pocket.elements, pocket.bfactors, self.store.flat)
         if not all(map(np.array_equal, key, self._pocket_memo[0])):

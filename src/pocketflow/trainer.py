@@ -24,9 +24,9 @@ row enters through per-pocket sums; a deeper encoder's steps extend the
 empty prefix, every atom a row of its own.  Every edge, pocket or ligand,
 is stored once, and its two directions share one edge-MLP row and one row of
 its backward pass.  Each flow then runs once, forward and backward, over the
-(N, C) conditioners of all N steps.  Last, :meth:`Encoder.backward` runs the union's backward
-pass once and adds each pocket's share into the sums of its encoding, and
-:meth:`Encoder.pocket_backward` pushes them through each pocket's edges once.
+(N, C) conditioners of all N steps.  Last, :meth:`Encoder.backward` runs the
+union's backward pass once, sums each pocket's share over its steps, and
+pushes the sums through each pocket's edges once.
 The union's layout derives from the steps' graphs alone: :func:`train` builds
 it once for the full batch, and once per batch for mini-batches.  Sums are
 reassociated against encoding every step on its own full graph and against
@@ -153,16 +153,14 @@ def _loss_and_grad(
 
     ``union`` is the layout of ``steps``, built here when not given.  Every
     pocket is encoded first, then the union of the steps; each flow runs once
-    over all the steps' conditioners; the union's backward pass adds into
-    the pockets' sums.  The pockets' ``pocket_backward`` passes run after the
-    union's values are freed, each pocket's encoding freed once its pass has
-    run."""
+    over all the steps' conditioners; then the encoder's backward pass runs
+    the union, and each pocket's edges once, dropping the union's values
+    first and each pocket's encoding once its pass has run."""
     if not steps:
         raise ValueError("empty batch")
     encoder, width = model.encoder, 2 * model.cfg.embed_width
     union = union or _union(model, steps)
-    pockets = [encoder.encode_pocket(graph) for graph in union.pockets]
-    cond, cache = encoder.encode_union(union, pockets)
+    cond, cache = encoder.encode_union(union, [encoder.encode_pocket(g) for g in union.pockets])
     types = np.array([step.target_type for step in steps])
     offsets = np.array([step.target_offset for step in steps])
     element = np.eye(len(model.cfg.vocab))[types.argmax(axis=1)]
@@ -176,9 +174,6 @@ def _loss_and_grad(
     dcond += dcoord[:, :width]
     del cond, dcoord  # only dcond reaches the encoder's backward passes
     encoder.backward(union, cache, dcond, grads)
-    del cache  # the union's values, before the pocket passes
-    while pockets:
-        encoder.pocket_backward(pockets.pop(0), grads)
     grads.flat /= len(steps)
     if not np.all(np.isfinite(grads.flat)):
         raise NumericError("non-finite gradient")

@@ -361,6 +361,7 @@ class TestFactoredReadout:
             placed = ligand[:t]
             graph = extend_graph(encoding.graph, placed, 6.0)
             h = enc.encode(build_graph(pocket, placed, cutoff=6.0))
+            assert np.array_equal(enc.encode(graph, encoding), h)
             anchor = placed[0].position if placed else pocket.centroid()
             distance = np.linalg.norm(pocket.positions - anchor, axis=1)
             near, far = int(np.argmin(distance)), int(np.argmax(distance))
@@ -402,14 +403,12 @@ def pocket_graph(pocket_name):
 def union_grads(enc, steps, dcond):
     """The conditioners of the union of ``steps``, (graph, pocket graph,
     focal) triples, and the parameter gradient of ``sum(dcond * cond)``
-    through the union's backward pass and ``pocket_backward``."""
+    through the union's backward pass, pocket edges included."""
     union = StepUnion(steps, enc.cfg.n_layers)
     pockets = [enc.encode_pocket(graph) for graph in union.pockets]
     cond, cache = enc.encode_union(union, pockets)
     grads = ParamStore(enc.store.shapes)
     enc.backward(union, cache, dcond, grads)
-    for pocket in pockets:
-        enc.pocket_backward(pocket, grads)
     return cond, grads.flat
 
 
@@ -421,21 +420,26 @@ def full_path_grads(enc, pocket, placed, focal, dcond):
 
 
 def prefix_grads(enc, pocket, placed, focal, dcond):
-    """The same gradient through the pocket prefix and ``pocket_backward``."""
+    """The same gradient through the pocket prefix and its edges' pass."""
     pocket_only = build_graph(pocket, cutoff=6.0)
     graph = extend_graph(pocket_only, placed, 6.0)
     return union_grads(enc, [(graph, pocket_only, focal)], dcond[None])[1]
 
 
-def array_shapes(value) -> list[tuple[int, ...]]:
-    """The shape of every array in ``value``, through dicts, lists and tuples."""
+def array_leaves(value) -> list[np.ndarray]:
+    """Every array in ``value``, through dicts, lists and tuples."""
     if isinstance(value, np.ndarray):
-        return [value.shape]
+        return [value]
     if isinstance(value, dict):
         value = list(value.values())
     if isinstance(value, (list, tuple)):
-        return [shape for item in value for shape in array_shapes(item)]
+        return [array for item in value for array in array_leaves(item)]
     return []
+
+
+def array_shapes(value) -> list[tuple[int, ...]]:
+    """The shape of every array in ``value``, through dicts, lists and tuples."""
+    return [array.shape for array in array_leaves(value)]
 
 
 class TestPocketPairs:
@@ -454,8 +458,8 @@ class TestPocketPairs:
 
     def test_cache_rows_are_pairs(self):
         """One row per pair in the edge features and every layer's messages;
-        the cache keeps no hidden activations (width 5), which
-        ``pocket_backward`` recomputes."""
+        the cache keeps no hidden activations (width 5), which the backward
+        pass recomputes."""
         enc = make_encoder(EncoderConfig(embed_width=6, hidden_width=5, n_layers=3))
         graph = pocket_graph("shell400")
         encoding = enc.encode_pocket(graph)
@@ -526,7 +530,7 @@ class TestPocketPairs:
         gamma = 1.0 + float(enc.store["encoder.layer0.gate"]) * graph.bfactor_weights
         want = h0.copy()
         np.add.at(want, dst, h0[src] * encoding.messages[0][edge] * gamma[src, None])
-        assert np.array_equal(encoding.aggregate, want)
+        assert np.array_equal(encoding.x, want)
         want = np.zeros(h0.shape)
         np.add.at(want, src, encoding.messages[1][edge])
         assert np.array_equal(encoding.out_messages, want)
@@ -583,11 +587,37 @@ class TestPocketPairs:
 
 
 class TestPocketBackwardPasses:
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_pocket_encodings_are_read_only(self, n_layers):
+        """``encode_union`` and ``backward`` read every pocket's encoding and
+        write into none of its arrays."""
+        cfg = EncoderConfig(embed_width=6, hidden_width=5, n_layers=n_layers, bfactor_gating=True)
+        enc = make_encoder(cfg, randomize=True)
+        toy = toy_complex(VOCAB)
+        cases = [(toy.pocket, toy.ligand.atoms), (shell_pocket(60, seed=1), CAVITY_LIGAND)]
+        encodings = [enc.encode_pocket(build_graph(pocket, cutoff=6.0)) for pocket, _ in cases]
+        steps = []
+        for encoding, (_, ligand) in zip(encodings, cases):
+            for t in range(1, len(ligand) + 1):
+                graph = extend_graph(encoding.graph, ligand[:t], 6.0)
+                steps += [(graph, encoding.graph, 0), (graph, encoding.graph, graph.n_atoms - 1)]
+        before = [
+            [a.copy() for a in array_leaves(vars(e)) + array_leaves(vars(e.graph))]
+            for e in encodings
+        ]
+        union = StepUnion(steps, n_layers)
+        _, cache = enc.encode_union(union, encodings)
+        dcond = np.random.default_rng(7).standard_normal((len(steps), 12))
+        enc.backward(union, cache, dcond, ParamStore(enc.store.shapes))
+        for encoding, arrays in zip(encodings, before):
+            after = array_leaves(vars(encoding)) + array_leaves(vars(encoding.graph))
+            assert len(after) == len(arrays) and all(map(np.array_equal, after, arrays))
+
     @pytest.mark.parametrize("n_layers, passes", [(1, 0), (2, 1)])
     def test_layer0_pair_pass_runs_only_on_a_nonzero_adjoint(self, n_layers, passes):
         """With one layer the readout's adjoint never reaches layer 0's input,
-        so ``pocket_backward`` skips the pocket block's pass on the all-zero
-        ``g0``; the gradient still equals the full path's."""
+        so ``backward`` runs no pass of the pocket block at layer 0; the
+        gradient still equals the full path's."""
         cfg = EncoderConfig(embed_width=6, hidden_width=5, n_layers=n_layers, bfactor_gating=True)
         enc = make_encoder(cfg, randomize=True)
         complex_ = toy_complex(VOCAB)
@@ -599,15 +629,15 @@ class TestPocketBackwardPasses:
         grads = ParamStore(enc.store.shapes)
         union = StepUnion([(graph, encoding.graph, focal)], n_layers)
         _, cache = enc.encode_union(union, [encoding])
-        enc.backward(union, cache, dcond[None], grads)
         calls, real = [], enc._pass_backward
 
         def counting(*args):
-            calls.append(args[1])
+            if args[0] is encoding.graph:
+                calls.append(args[1])
             return real(*args)
 
         enc._pass_backward = counting
-        enc.pocket_backward(encoding, grads)
+        enc.backward(union, cache, dcond[None], grads)
         assert calls == [0] * passes
         want = full_path_grads(enc, pocket, placed, focal, dcond)
         assert np.max(np.abs(grads.flat - want)) <= 1e-12 * np.max(np.abs(want))

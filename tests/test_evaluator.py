@@ -185,6 +185,28 @@ class TestEvaluateSet:
         expected_mean = sum(s.pkd for s in report.scores if s.valid) / n_valid
         assert report.mean_pkd_valid == pytest.approx(expected_mean, rel=1e-15)
 
+    def test_mean_is_summed_in_index_order(self, monkeypatch):
+        """The mean pKd is the left-to-right sum, whatever ``sum`` rounds
+        like: a compensated builtin ``sum`` (Python 3.12 on) must not change it."""
+        pocket = pocket_of(*[Atom(C, (0, 0, float(z))) for z in range(0, 40, 4)])
+        molecules = [
+            ligand_of(
+                Atom(C, (0.3 * k, 4.0 + 0.7 * k, 0.1 * k)),
+                Atom(O, (1.2 + 0.3 * k, 4.0, 0)),
+                bonds=[(0, 1, 1)],
+            )
+            for k in range(8)
+        ]
+        monkeypatch.setattr("pocketflow.evaluator.sum", math.fsum, raising=False)
+        report = evaluate_set(molecules, pocket, MODEL, VOCAB)
+        pkds = [s.pkd for s in report.scores if s.valid]
+        total = 0.0
+        for value in pkds:
+            total += value
+        assert len(pkds) >= 3
+        assert math.fsum(pkds) != total  # the case tells the two sums apart
+        assert report.mean_pkd_valid == total / len(pkds)
+
     def test_no_molecules_rejected(self):
         pocket, _ = reference_complex()
         with pytest.raises(ValueError):

@@ -67,7 +67,7 @@ def small_model(seed=0, randomize_encoder=False):
 def condition(model, state, focal):
     """The conditioner that ``step`` forms for ``focal``, and the focal's
     position."""
-    graph, pocket = state.context(model)
+    graph, pocket = state.encoded(model).graph, state.encoded(model).pocket
     cond = model.encoder.encode_with_cache(graph, pocket, focal)
     return cond, graph.positions[focal]
 
@@ -386,7 +386,7 @@ class TestPocketCache:
         rng = np.random.default_rng(3)
         finished = False
         while True:
-            graph, cache = state.context(model)
+            graph, cache = state.encoded(model).graph, state.encoded(model).pocket
             full = build_graph(pocket, state.placed, cutoff=cfg.graph_cutoff)
             h = model.encoder.encode(graph, cache)
             assert np.array_equal(h, model.encoder.encode(full))
@@ -555,7 +555,7 @@ class TestPocketMemo:
             assert same_molecule(warm, cold)
         assert len(encodes) == 2
         assert not np.array_equal(
-            model.pocket_encoding(pocket).aggregate, model.pocket_encoding(shifted).aggregate
+            model.pocket_encoding(pocket).x, model.pocket_encoding(shifted).x
         )
 
     def test_cli_builds_the_pocket_graph_once_per_run(self, monkeypatch, tmp_path):

@@ -354,13 +354,13 @@ class TestNumericGuards:
 
     def test_non_finite_gradient_raises(self, monkeypatch):
         model, steps = self.setup_model()
-        finish = model.encoder.pocket_backward
+        finish = model.encoder._pocket_backward
 
-        def poisoned(pocket, grads):
-            finish(pocket, grads)
-            grads.flat[0] = np.inf
+        def poisoned(*args):
+            finish(*args)
+            args[-1].flat[0] = np.inf
 
-        monkeypatch.setattr(model.encoder, "pocket_backward", poisoned)
+        monkeypatch.setattr(model.encoder, "_pocket_backward", poisoned)
         with pytest.raises(NumericError, match="non-finite gradient"):
             grad(model, steps)
 
