@@ -67,9 +67,9 @@ def small_model(seed=0, randomize_encoder=False):
 def condition(model, state, focal):
     """The conditioner that ``step`` forms for ``focal``, and the focal's
     position."""
-    graph, pocket = state.encoded(model).graph, state.encoded(model).pocket
-    cond = model.encoder.encode_with_cache(graph, pocket, focal)
-    return cond, graph.positions[focal]
+    encoding = state.encoded(model)
+    cond = model.encoder.encode_with_cache(encoding.graph, encoding.pocket, focal)
+    return cond, encoding.graph.positions[focal]
 
 
 def coord_gaussian(model, cond, element):
@@ -386,7 +386,8 @@ class TestPocketCache:
         rng = np.random.default_rng(3)
         finished = False
         while True:
-            graph, cache = state.encoded(model).graph, state.encoded(model).pocket
+            encoding = state.encoded(model)
+            graph, cache = encoding.graph, encoding.pocket
             full = build_graph(pocket, state.placed, cutoff=cfg.graph_cutoff)
             h = model.encoder.encode(graph, cache)
             assert np.array_equal(h, model.encoder.encode(full))
