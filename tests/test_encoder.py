@@ -468,6 +468,23 @@ class TestPocketPairs:
         assert [m.shape for m in encoding.messages] == [(n_pairs, 6)] * 3
         assert all(5 not in shape for shape in array_shapes(vars(encoding)))
 
+    def test_pocket_messages_are_not_copied(self):
+        """``encode_pocket`` keeps each layer's edge-MLP output as formed: a
+        copy would cost every gradient evaluation one more array of the
+        pocket's edge count per layer."""
+        enc = make_encoder(randomize=True)
+        formed, real = [], enc._edge_mlp
+
+        def recording(layer, edge_feat):
+            t, m = real(layer, edge_feat)
+            formed.append(m)
+            return t, m
+
+        enc._edge_mlp = recording
+        encoding = enc.encode_pocket(pocket_graph("shell400"))
+        assert len(formed) == len(encoding.messages) == 2
+        assert all(kept is m for kept, m in zip(encoding.messages, formed))
+
     def test_union_rows_are_the_rows_a_step_changes_or_reads(self):
         """With two layers, the union of a batch's steps keeps, per step, its
         placed atoms and only the pocket atoms that its own edges touch or
