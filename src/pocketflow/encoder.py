@@ -17,7 +17,7 @@ embeddings are invariant under rigid motions of the whole context.  The
 module also implements the exact reverse-mode derivative of the encoding,
 used by the trainer.
 
-Pocket prefix: every context graph extends a :class:`PocketEncoding`, the
+Pocket prefix: every context graph extends a pocket's encoding, the
 forward-pass values that only the pocket determines (its edges' edge-MLP
 outputs, the first layer's pocket rows and the last layer's outgoing message
 sums), or else the encoder's empty prefix, the encoding of an empty graph.
@@ -25,7 +25,7 @@ A pocket's encoding is its :class:`ContextEncoding` on the empty prefix:
 :meth:`Encoder.encode_pocket` extends the empty prefix to the pocket graph
 once, and nothing writes into it after.  :func:`extend_graph` adds placed
 atoms at O(L*(n+L)) cost.  Training shares one prefix across the steps of a
-trajectory within a gradient evaluation.
+trajectory in a gradient evaluation, built by :meth:`Encoder.encode_union`.
 
 Context encoding: the encoder has one forward path, in two pieces.  A
 :class:`ContextEncoding` starts as a prefix and keeps what later atoms only
@@ -71,7 +71,7 @@ Step union: training encodes a batch's steps as one disjoint union, a
 :class:`StepUnion`.  A step's rows are its placed atoms plus only the pocket
 atoms it changes or reads: the pocket ends of its own edges, its focal and
 the focal's partners.  Every other pocket atom keeps its row of the pocket
-alone at the last layer's input (``PocketEncoding.x``: the embeddings with
+alone at the last layer's input (its encoding's ``x``: the embeddings with
 one layer, layer 0's output with two), so it adds the same term into every
 such step's mean, and :meth:`Encoder.encode_union` adds the pocket's sum of
 those terms and, on a step's own pocket rows, the difference from them.
@@ -89,10 +89,10 @@ move in the last ulp against a full encoding.
 Memory: the union's layout holds index arrays only, and between the forward
 and backward passes only the union edges' RBF features and the (U, H) inputs
 of the layers after the first are kept; the backward pass recomputes the edge
-MLP and the embeddings.  The union's values are dropped before the pocket
-edges' passes, and each pocket's encoding once its pass has run.  A pocket's
-encoding keeps its edges' RBF features but not the edge MLP's hidden
-activations, which its edges' backward pass recomputes.
+MLP and the embeddings.  Per pocket it also keeps the edges' RBF features and
+the input embeddings that encoding the pocket formed, but not the edge MLP's
+hidden activations.  The union's values are dropped before the pocket edges'
+passes, and each pocket's once its pass has run.
 """
 
 from __future__ import annotations
@@ -230,30 +230,17 @@ class ContextEncoding:
     bit for bit.
     """
 
-    pocket: PocketEncoding  # the prefix it extends
+    pocket: ContextEncoding  # the prefix it extends
     graph: ContextGraph  # extends pocket.graph
     messages: list[np.ndarray]  # per layer, m of the edges after the pocket's (E', H)
     x: np.ndarray  # (N, H) layer 0's output, or its input with one layer
     out_messages: np.ndarray  # (N, H) the last layer's m summed per atom over its edges
 
     @classmethod
-    def of(cls, pocket: PocketEncoding) -> "ContextEncoding":
+    def of(cls, pocket: ContextEncoding) -> "ContextEncoding":
         """The encoding of ``pocket``'s graph alone, to extend."""
         messages = [m[:0] for m in pocket.messages]
         return cls(pocket, pocket.graph, messages, pocket.x, pocket.out_messages)
-
-
-@dataclass(eq=False)
-class PocketEncoding(ContextEncoding):
-    """A pocket prefix: the encoding of a pocket-only graph on the encoder's
-    empty prefix, so ``messages`` has one row per pocket edge, plus what the
-    pocket edges' backward pass reads.  :meth:`Encoder.encode_pocket` builds
-    it, and nothing writes into it after; it is valid only while the encoder
-    parameters stay fixed.  The empty prefix is its own prefix.
-    """
-
-    edge_feat: np.ndarray  # (E, n_rbf); the backward pass recomputes t from it
-    h0: np.ndarray  # (n, H) layer 0's input embeddings
 
 
 def _out_sums(out: np.ndarray, block: np.ndarray, m: np.ndarray) -> None:
@@ -294,9 +281,9 @@ class StepUnion:
     A step's rows are its placed atoms plus only the pocket atoms it changes
     or reads: the pocket ends of its own edges, its focal and the focal's
     partners.  Every other pocket atom keeps its row of the pocket alone,
-    which :meth:`Encoder.encode_union` and :meth:`Encoder.backward` read from
-    the pocket's encoding.  With more than two layers every step extends the
-    empty prefix instead of its pocket, so ``pockets`` is that one graph.
+    which :meth:`Encoder.encode_union` encodes and :meth:`Encoder.backward`
+    reads.  With more than two layers every step extends the empty prefix
+    instead of its pocket, so ``pockets`` is that one graph.
 
     The rows come as every step's placed atoms, then every step's pocket
     rows; the edges as every step's own edges, those after its pocket's.
@@ -383,10 +370,11 @@ class StepUnion:
 class UnionPass:
     """The values of :meth:`Encoder.encode_union` that :meth:`Encoder.backward`
     reads, which it drops as it goes.  The backward pass recomputes the
-    edge MLP and the input embeddings rather than keep them across the
-    flows."""
+    union's edge MLP and input embeddings rather than keep them across the
+    flows, but keeps the pockets' inputs, which encoding them formed."""
 
-    pockets: list[PocketEncoding]  # the encodings of the union's pockets
+    pockets: list[ContextEncoding]  # the encodings of the union's pockets
+    pocket_inputs: list[tuple[np.ndarray, np.ndarray]]  # per pocket, (E, n_rbf) and (n, H)
     edge_feat: np.ndarray | None  # (E, n_rbf) the union edges' RBF features
     inputs: list[np.ndarray]  # the (U, H) input rows of every layer after the first
 
@@ -418,8 +406,7 @@ class Encoder:
         self.bank = bank
         self.store = store
         none = np.zeros((0, cfg.embed_width))
-        messages, edge_feat = [none] * cfg.n_layers, np.zeros((0, len(bank)))
-        self.empty_pocket = PocketEncoding(None, _EMPTY, messages, none, none, edge_feat, none)
+        self.empty_pocket = ContextEncoding(None, _EMPTY, [none] * cfg.n_layers, none, none)
         self.empty_pocket.pocket = self.empty_pocket
 
     @staticmethod
@@ -498,7 +485,7 @@ class Encoder:
         graph: ContextGraph,
         layer: int,
         m: np.ndarray | None = None,
-        pocket: PocketEncoding | None = None,
+        pocket: ContextEncoding | None = None,
     ) -> np.ndarray:
         """One residual message-passing update of ``graph``, which extends
         ``pocket.graph`` (by default the empty prefix).
@@ -532,11 +519,11 @@ class Encoder:
             rows *= gamma[block, None]
         scatter_add(out, block[::-1], rows)
 
-    def encode(self, graph: ContextGraph, pocket: PocketEncoding | None = None) -> np.ndarray:
+    def encode(self, graph: ContextGraph, pocket: ContextEncoding | None = None) -> np.ndarray:
         return self.encode_with_cache(graph, pocket)
 
     def encode_with_cache(
-        self, graph: ContextGraph, pocket: PocketEncoding | None = None, focal: int | None = None
+        self, graph: ContextGraph, pocket: ContextEncoding | None = None, focal: int | None = None
     ) -> np.ndarray:
         """Embed atoms then run all message layers: :meth:`extend` the
         encoding of ``pocket.graph`` (see :meth:`encode_pocket`; by default
@@ -593,13 +580,12 @@ class Encoder:
         mean = (x + gx * context.out_messages).mean(axis=0)
         return np.concatenate([row, mean])
 
-    def encode_union(
-        self, union: StepUnion, pockets: list[PocketEncoding]
-    ) -> tuple[np.ndarray, UnionPass]:
+    def encode_union(self, union: StepUnion) -> tuple[np.ndarray, UnionPass]:
         """Every step's conditioner, (S, 2H): row s equals the readout of
         :meth:`encode_with_cache` on step s, up to the reassociation of its
-        mean.  ``pockets`` are the encodings of ``union.pockets``, in order;
-        any other list raises ``ValueError``.
+        mean.  It first encodes each of ``union.pockets`` as
+        :meth:`encode_pocket` does, keeping the pocket edges' RBF features and
+        the pocket's embeddings for :meth:`backward`.
 
         A pocket atom outside a step's rows has the row of the pocket alone
         at the last layer's input and among its outgoing messages, so its
@@ -607,8 +593,8 @@ class Encoder:
         pocket's sum of those terms and, on the step's own pocket rows, the
         difference from them.
         """
-        if [id(p.graph) for p in pockets] != [id(graph) for graph in union.pockets]:
-            raise ValueError("pockets must be the encodings of union.pockets")
+        pockets = [ContextEncoding.of(self.empty_pocket) for _ in union.pockets]
+        kept = [self.extend(pocket, graph) for pocket, graph in zip(pockets, union.pockets)]
         last, width = self.cfg.n_layers - 1, self.cfg.embed_width
         placed = union.n_placed
         edge_feat = self.edge_features(union)
@@ -637,10 +623,10 @@ class Encoder:
         mean = per_pocket[union.pocket_of]
         scatter_add(mean, union.row_step, terms)
         mean /= union.sizes[:, None]
-        return np.hstack([x[union.focal] + row, mean]), UnionPass(list(pockets), edge_feat, inputs)
+        return np.hstack([x[union.focal] + row, mean]), UnionPass(pockets, kept, edge_feat, inputs)
 
     def _union_terms(
-        self, union: StepUnion, pockets: list[PocketEncoding], m: np.ndarray
+        self, union: StepUnion, pockets: list[ContextEncoding], m: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Given the last layer's ``m`` on the union edges, each row's outgoing
         ``m`` summed and the ``m`` of the edges into each step's focal."""
@@ -655,19 +641,20 @@ class Encoder:
             in_m[at] = pocket.messages[last][ids]
         return out_m, in_m
 
-    def _pocket_only(self, union: StepUnion, pockets: list[PocketEncoding]):
+    def _pocket_only(self, union: StepUnion, pockets: list[ContextEncoding]):
         """The stacked pocket atoms' rows in the pocket alone: the last
         layer's input, the outgoing message sums and the gate factors."""
         x0 = np.concatenate([p.x for p in pockets])
         out0 = np.concatenate([p.out_messages for p in pockets])
         return x0, out0, self._gamma(union.stack_weights, self.cfg.n_layers - 1)
 
-    def encode_pocket(self, graph: ContextGraph) -> PocketEncoding:
-        """Encode a pocket-only graph once for reuse by every context built on
-        it with :func:`extend_graph`: :meth:`extend` the empty prefix to it."""
+    def encode_pocket(self, graph: ContextGraph) -> ContextEncoding:
+        """Encode a pocket-only graph once for reuse, while the parameters stay
+        fixed, by every context built on it with :func:`extend_graph`:
+        :meth:`extend` the empty prefix to it."""
         context = ContextEncoding.of(self.empty_pocket)
-        edge_feat, h0 = self.extend(context, graph)
-        return PocketEncoding(**vars(context), edge_feat=edge_feat, h0=h0)
+        self.extend(context, graph)
+        return context
 
     # -- backward --------------------------------------------------------
 
@@ -752,9 +739,9 @@ class Encoder:
         del dx, g, edge_feat
         for k, (edges, rows) in enumerate(into):  # dropping each pocket once its pass has run
             at = slice(union.atom_offsets[k], union.atom_offsets[k + 1])
-            g0_at = None if g0 is None else g0[at]
-            pocket = pockets.pop(0)
-            self._pocket_backward(pocket, g0_at, outside[at], last_sum[at], edges, rows, grads)
+            sums = (None if g0 is None else g0[at]), outside[at], last_sum[at]
+            pocket, (feat, h0) = pockets.pop(0), cache.pocket_inputs.pop(0)
+            self._pocket_backward(pocket, feat, h0, *sums, edges, rows, grads)
 
     def _pass_backward(
         self, graph: ContextGraph, layer: int, block: np.ndarray, h, g, m, dh, grads: ParamStore
@@ -789,16 +776,18 @@ class Encoder:
         return dm
 
     def _pocket_backward(
-        self, pocket: PocketEncoding, g0, dh0, last, edges, rows, grads: ParamStore
+        self, pocket: ContextEncoding, feat, h0, g0, dh0, last, edges, rows, grads: ParamStore
     ) -> None:
         """Finish the pocket edges' share of the gradient for every step of
-        one :meth:`backward` pass on ``pocket``, given that pass's sums over
-        those steps: ``g0``, d(loss)/d(layer 0's output) on the pocket rows
-        (None with one layer); ``dh0``, d(loss)/d(embeddings) less layer 0's
-        pocket block; ``last``, gamma * x times the readout's mean adjoint; and
-        the pocket edges ``edges`` into the steps' focals with their ``rows``.
-        Each share is linear in those sums, and the edge MLP's backward pass
-        runs once per layer, on the edges' summed d(loss)/d(m):
+        one :meth:`backward` pass on ``pocket``, given its edges' RBF features
+        ``feat`` and its embeddings ``h0`` from :meth:`encode_union`, and that
+        pass's sums over those steps: ``g0``, d(loss)/d(layer 0's output) on
+        the pocket rows (None with one layer); ``dh0``, d(loss)/d(embeddings)
+        less layer 0's pocket block; ``last``, gamma * x times the readout's
+        mean adjoint; and the pocket edges ``edges`` into the steps' focals
+        with their ``rows``.  Each share is linear in those sums, and the edge
+        MLP's backward pass runs once per layer, on the edges' summed
+        d(loss)/d(m):
 
         - layer 0: the pocket rows' input embeddings ``h0`` are the same at
           every step, so the pocket block's backward pass on ``g0`` yields,
@@ -811,14 +800,13 @@ class Encoder:
         A deeper encoder's only pocket is the empty prefix (see
         :class:`StepUnion`).
         """
-        graph, dm, sent = pocket.graph, {}, np.zeros(pocket.h0.shape)
-        block, feat = graph.edges, pocket.edge_feat
+        graph, dm, sent = pocket.graph, {}, np.zeros(h0.shape)
         if g0 is not None and g0.any():
             m = pocket.messages[0]
-            dm[0] = self._pass_backward(graph, 0, block, pocket.h0, g0, m, sent, grads)
+            dm[0] = self._pass_backward(graph, 0, graph.edges, h0, g0, m, sent, grads)
         sent += dh0
         scatter_add(grads["encoder.embed"], graph.origins * self.vocab_size + graph.elements, sent)
-        dm[self.cfg.n_layers - 1] = _last_layer_dm(last, block, edges, rows)
+        dm[self.cfg.n_layers - 1] = _last_layer_dm(last, graph.edges, edges, rows)
         for layer, d in dm.items():
             self._mlp_backward(layer, feat, self._hidden(layer, feat), d, grads)
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .chem import ElementKind, Pocket, Vocabulary
-from .encoder import DEFAULT_GRAPH_CUTOFF, Encoder, EncoderConfig, PocketEncoding, build_graph
+from .encoder import DEFAULT_GRAPH_CUTOFF, ContextEncoding, Encoder, EncoderConfig, build_graph
 from .flows import DEFAULT_SCALE_FLOOR, FlowStack
 from .geometry import RbfBank
 from .params import CheckpointError, ParamStore, load_checkpoint, save_checkpoint
@@ -97,13 +97,14 @@ class Model:
         )
         self._pocket_memo: tuple = ((None,) * 4, None)  # (copies of the key, the encoding)
 
-    def pocket_encoding(self, pocket: Pocket) -> PocketEncoding:
-        """The encoding of ``pocket``'s graph under the current parameters.
+    def pocket_encoding(self, pocket: Pocket) -> ContextEncoding:
+        """The encoding of ``pocket``'s graph under the current parameters, a
+        :class:`~pocketflow.encoder.ContextEncoding` on the empty prefix.
 
         One entry is kept, reused while the pocket's positions, elements and
         B-factors and every parameter equal its copies of them (parameters are
-        written in place, so contents are compared).  Training encodes its own
-        pockets, since its parameters change at every step.
+        written in place, so contents are compared).  Training's
+        ``Encoder.encode_union`` encodes its own pockets, as its parameters change.
         """
         key = (pocket.positions, pocket.elements, pocket.bfactors, self.store.flat)
         if not all(map(np.array_equal, key, self._pocket_memo[0])):

@@ -13,20 +13,20 @@ the flow and encoder backward passes, and the optimizer is plain SGD.
 :func:`nll_loss`, :func:`grad` and :func:`train` share one pass that returns
 each step's loss together with the gradient of their mean.
 
-Every step of a trajectory extends the same pocket graph, so one pass encodes
-each pocket of the batch once, into one
-:class:`~pocketflow.encoder.PocketEncoding` (:meth:`Encoder.encode_pocket`),
-then all the steps at once, as one disjoint union
-(:class:`~pocketflow.encoder.StepUnion`, :meth:`Encoder.encode_union`).  With
-one or the default two layers a step's rows in the union are its placed
-atoms plus only the pocket atoms it changes or reads, and every other pocket
-row enters through per-pocket sums; a deeper encoder's steps extend the
-empty prefix, every atom a row of its own.  Every edge, pocket or ligand,
-is stored once, and its two directions share one edge-MLP row and one row of
-its backward pass.  Each flow then runs once, forward and backward, over the
-(N, C) conditioners of all N steps.  Last, :meth:`Encoder.backward` runs the
-union's backward pass once, sums each pocket's share over its steps, and
-pushes the sums through each pocket's edges once.
+Every step of a trajectory extends the same pocket graph, so one pass,
+:meth:`Encoder.encode_union`, encodes each pocket of the batch once, as a
+:class:`~pocketflow.encoder.ContextEncoding` on the empty prefix, then all
+the steps at once, as one disjoint union
+(:class:`~pocketflow.encoder.StepUnion`).  With one or the default two
+layers a step's rows in the union are its placed atoms plus only the pocket
+atoms it changes or reads, and every other pocket row enters through
+per-pocket sums; a deeper encoder's steps extend the empty prefix, every
+atom a row of its own.  Every edge, pocket or ligand, is stored once, and
+its two directions share one edge-MLP row and one row of its backward pass.
+Each flow then runs once, forward and backward, over the (N, C) conditioners
+of all N steps.  Last, :meth:`Encoder.backward` runs the union's backward
+pass once, sums each pocket's share over its steps, and pushes the sums
+through each pocket's edges once.
 The union's layout derives from the steps' graphs alone: :func:`train` builds
 it once for the full batch, and once per batch for mini-batches.  Sums are
 reassociated against encoding every step on its own full graph and against
@@ -151,16 +151,16 @@ def _loss_and_grad(
 ) -> tuple[np.ndarray, ParamStore]:
     """Each step's NLL, in step order, and the exact gradient of their mean.
 
-    ``union`` is the layout of ``steps``, built here when not given.  Every
-    pocket is encoded first, then the union of the steps; each flow runs once
-    over all the steps' conditioners; then the encoder's backward pass runs
-    the union, and each pocket's edges once, dropping the union's values
-    first and each pocket's encoding once its pass has run."""
+    ``union`` is the layout of ``steps``, built here when not given.
+    :meth:`Encoder.encode_union` encodes every pocket, then the union of the
+    steps; each flow runs once over all the steps' conditioners; then the
+    encoder's backward pass runs the union, and each pocket's edges once,
+    dropping the union's values first and each pocket's once its pass has run."""
     if not steps:
         raise ValueError("empty batch")
     encoder, width = model.encoder, 2 * model.cfg.embed_width
     union = union or _union(model, steps)
-    cond, cache = encoder.encode_union(union, [encoder.encode_pocket(g) for g in union.pockets])
+    cond, cache = encoder.encode_union(union)
     types = np.array([step.target_type for step in steps])
     offsets = np.array([step.target_offset for step in steps])
     element = np.eye(len(model.cfg.vocab))[types.argmax(axis=1)]

@@ -381,7 +381,7 @@ class TestFactoredReadout:
         # step 0's focal is a pocket atom that no ligand edge touches
         assert steps[0][0].n_edges == steps[0][1].n_edges and steps[0][2] < n
         union = StepUnion(steps, n_layers)
-        cond, _ = enc.encode_union(union, [enc.encode_pocket(g) for g in union.pockets])
+        cond, _ = enc.encode_union(union)
         want = np.array(readouts)
         assert np.max(np.abs(cond - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -405,8 +405,7 @@ def union_grads(enc, steps, dcond):
     focal) triples, and the parameter gradient of ``sum(dcond * cond)``
     through the union's backward pass, pocket edges included."""
     union = StepUnion(steps, enc.cfg.n_layers)
-    pockets = [enc.encode_pocket(graph) for graph in union.pockets]
-    cond, cache = enc.encode_union(union, pockets)
+    cond, cache = enc.encode_union(union)
     grads = ParamStore(enc.store.shapes)
     enc.backward(union, cache, dcond, grads)
     return cond, grads.flat
@@ -457,16 +456,21 @@ class TestPocketPairs:
         assert np.array_equal(graph.edge_dist, dense[graph.edge_dst, graph.edge_src])
 
     def test_cache_rows_are_pairs(self):
-        """One row per pair in the edge features and every layer's messages;
-        the cache keeps no hidden activations (width 5), which the backward
-        pass recomputes."""
+        """One row per pair in every layer's messages and in the edge
+        features that a union pass keeps per pocket; neither keeps hidden
+        activations (width 5), which the backward pass recomputes."""
         enc = make_encoder(EncoderConfig(embed_width=6, hidden_width=5, n_layers=3))
         graph = pocket_graph("shell400")
         encoding = enc.encode_pocket(graph)
         n_pairs = graph.n_edges
-        assert encoding.edge_feat.shape == (n_pairs, len(BANK))
         assert [m.shape for m in encoding.messages] == [(n_pairs, 6)] * 3
         assert all(5 not in shape for shape in array_shapes(vars(encoding)))
+        # a deeper encoder trains on the empty prefix, so the union is a two-layer one's
+        enc = make_encoder(EncoderConfig(embed_width=6, hidden_width=5, n_layers=2))
+        step = extend_graph(graph, CAVITY_LIGAND[:1], 6.0)
+        _, cache = enc.encode_union(StepUnion([(step, graph, step.n_atoms - 1)], 2))
+        assert cache.pocket_inputs[0][0].shape == (n_pairs, len(BANK))
+        assert all(5 not in shape for shape in array_shapes(cache.pocket_inputs))
 
     def test_pocket_messages_are_not_copied(self):
         """``encode_pocket`` keeps each layer's edge-MLP output as formed: a
@@ -517,19 +521,13 @@ class TestPocketPairs:
 
     def test_deep_union_extends_the_empty_prefix(self):
         """With three layers every step of a union extends the empty prefix,
-        so the union's one pocket is the empty graph, and handing it a real
-        pocket's encoding raises ``ValueError``."""
+        so the union's one pocket is the empty graph."""
         enc = make_encoder(EncoderConfig(embed_width=6, hidden_width=5, n_layers=3), randomize=True)
         graph = pocket_graph("toy")
-        encoding = enc.encode_pocket(graph)
         step = extend_graph(graph, CAVITY_LIGAND[:2], 6.0)
         union = StepUnion([(step, graph, step.n_atoms - 1)] * 2, 3)
         assert [p is enc.empty_pocket.graph for p in union.pockets] == [True]
         assert union.n_atoms == 2 * step.n_atoms
-        with pytest.raises(ValueError, match="union.pockets"):
-            enc.encode_union(union, [encoding])
-        with pytest.raises(ValueError, match="union.pockets"):
-            enc.encode_union(union, [])
 
     @pytest.mark.parametrize("pocket_name", ["toy", "shell400"])
     def test_directed_sums_are_bit_equal_to_a_directed_pass(self, pocket_name):
@@ -563,9 +561,10 @@ class TestPocketPairs:
         enc = make_encoder(cfg, randomize=True)
         pocket = pocket_of(*positions, bfactors=[10.0, 30.0, 50.0][: len(positions)])
         encoding = enc.encode_pocket(build_graph(pocket, cutoff=6.0))
-        assert encoding.graph.n_edges == 0 and encoding.edge_feat.shape == (0, len(BANK))
         placed = CAVITY_LIGAND[:2]
         graph = extend_graph(encoding.graph, placed, 6.0)
+        _, cache = enc.encode_union(StepUnion([(graph, encoding.graph, 0)], 2))
+        assert encoding.graph.n_edges == 0 and cache.pocket_inputs[0][0].shape == (0, len(BANK))
         assert np.array_equal(
             enc.encode(graph, encoding), enc.encode(build_graph(pocket, placed, cutoff=6.0))
         )
@@ -606,29 +605,33 @@ class TestPocketPairs:
 class TestPocketBackwardPasses:
     @pytest.mark.parametrize("n_layers", [1, 2])
     def test_pocket_encodings_are_read_only(self, n_layers):
-        """``encode_union`` and ``backward`` read every pocket's encoding and
-        write into none of its arrays."""
+        """``backward`` reads every pocket's encoding that ``encode_union``
+        built, and the inputs it kept with it, and writes into none of their
+        arrays."""
         cfg = EncoderConfig(embed_width=6, hidden_width=5, n_layers=n_layers, bfactor_gating=True)
         enc = make_encoder(cfg, randomize=True)
         toy = toy_complex(VOCAB)
         cases = [(toy.pocket, toy.ligand.atoms), (shell_pocket(60, seed=1), CAVITY_LIGAND)]
-        encodings = [enc.encode_pocket(build_graph(pocket, cutoff=6.0)) for pocket, _ in cases]
         steps = []
-        for encoding, (_, ligand) in zip(encodings, cases):
+        for pocket, ligand in cases:
+            pocket_only = build_graph(pocket, cutoff=6.0)
             for t in range(1, len(ligand) + 1):
-                graph = extend_graph(encoding.graph, ligand[:t], 6.0)
-                steps += [(graph, encoding.graph, 0), (graph, encoding.graph, graph.n_atoms - 1)]
-        before = [
-            [a.copy() for a in array_leaves(vars(e)) + array_leaves(vars(e.graph))]
-            for e in encodings
-        ]
+                graph = extend_graph(pocket_only, ligand[:t], 6.0)
+                steps += [(graph, pocket_only, 0), (graph, pocket_only, graph.n_atoms - 1)]
         union = StepUnion(steps, n_layers)
-        _, cache = enc.encode_union(union, encodings)
+        _, cache = enc.encode_union(union)
+        kept = list(zip(cache.pockets, cache.pocket_inputs))
+        assert len(kept) == 2
+
+        def arrays(encoding, inputs):
+            return array_leaves(vars(encoding)) + array_leaves(vars(encoding.graph)) + list(inputs)
+
+        before = [[a.copy() for a in arrays(*k)] for k in kept]
         dcond = np.random.default_rng(7).standard_normal((len(steps), 12))
         enc.backward(union, cache, dcond, ParamStore(enc.store.shapes))
-        for encoding, arrays in zip(encodings, before):
-            after = array_leaves(vars(encoding)) + array_leaves(vars(encoding.graph))
-            assert len(after) == len(arrays) and all(map(np.array_equal, after, arrays))
+        for k, snapshot in zip(kept, before):
+            after = arrays(*k)
+            assert len(after) == len(snapshot) and all(map(np.array_equal, after, snapshot))
 
     @pytest.mark.parametrize("n_layers, passes", [(1, 0), (2, 1)])
     def test_layer0_pair_pass_runs_only_on_a_nonzero_adjoint(self, n_layers, passes):
@@ -645,7 +648,7 @@ class TestPocketBackwardPasses:
         dcond = np.random.default_rng(4).standard_normal(12)
         grads = ParamStore(enc.store.shapes)
         union = StepUnion([(graph, encoding.graph, focal)], n_layers)
-        _, cache = enc.encode_union(union, [encoding])
+        _, cache = enc.encode_union(union)
         calls, real = [], enc._pass_backward
 
         def counting(*args):

@@ -19,7 +19,7 @@ from pocketflow.chem import (
     infer_bonds,
     open_valence,
 )
-from pocketflow.encoder import build_graph, extend_graph
+from pocketflow.encoder import ContextEncoding, build_graph, extend_graph
 from pocketflow.generator import (
     GenConfig,
     GenerationState,
@@ -529,6 +529,15 @@ class TestPocketMemo:
             cold = generate_ligand(cold_copy(model), pocket, cfg, np.random.default_rng(n))
             assert same_molecule(warm, cold)
             assert len(encodes) == n
+
+    def test_entry_is_a_plain_context_encoding(self):
+        """The memo keeps only what generation extends: a ``ContextEncoding``
+        on the empty prefix, without the inputs of training's backward pass."""
+        model = small_model(randomize_encoder=True)
+        encoding = model.pocket_encoding(random_pocket())
+        assert type(encoding) is ContextEncoding
+        assert list(vars(encoding)) == ["pocket", "graph", "messages", "x", "out_messages"]
+        assert encoding.pocket is model.encoder.empty_pocket
 
     def test_equal_content_pocket_reuses_the_entry(self, monkeypatch):
         model = small_model(randomize_encoder=True)

@@ -227,7 +227,7 @@ def per_step_grad(model, steps):
     empty = encoder.empty_pocket.graph
     for step in steps:
         union = StepUnion([(step.graph, empty, step.focal)], model.cfg.encoder_layers)
-        cond, cache = encoder.encode_union(union, [encoder.encode_pocket(empty)])
+        cond, cache = encoder.encode_union(union)
         cond_coord = np.concatenate([cond[0], model.one_hot(int(np.argmax(step.target_type)))])
         _, dcond_type = model.type_flow.nll_backward(step.target_type, cond[0], grads)
         _, dcond_coord = model.coord_flow.nll_backward(step.target_offset, cond_coord, grads)
