@@ -39,14 +39,14 @@ class ModelConfig:
     def __post_init__(self) -> None:
         checks = [
             (self.rbf_centers >= 2, "rbf_centers must be >= 2"),
-            (self.rbf_rmax > 0, "rbf_rmax must be positive"),
+            (0 < self.rbf_rmax < np.inf, "rbf_rmax must be positive and finite"),
             (self.embed_width >= 1, "embed_width must be >= 1"),
             (self.hidden_width >= 1, "hidden_width must be >= 1"),
             (self.encoder_layers >= 1, "encoder_layers must be >= 1"),
-            (self.graph_cutoff > 0, "graph_cutoff must be positive"),
+            (0 < self.graph_cutoff < np.inf, "graph_cutoff must be positive and finite"),
             (self.type_flow_layers >= 1, "type_flow_layers must be >= 1"),
             (self.coord_flow_layers >= 1, "coord_flow_layers must be >= 1"),
-            (self.scale_floor > 0, "scale_floor must be positive"),
+            (0 < self.scale_floor < np.inf, "scale_floor must be positive and finite"),
         ]
         for ok, message in checks:
             if not ok:
@@ -154,10 +154,11 @@ class Model:
             for item in meta["vocab"].split(","):
                 sym, z, radius, valence = item.split(":")
                 elements.append(ElementKind(sym, int(z), float(radius), int(valence)))
-            scalars = {
-                name: kind(int(meta[name])) if kind is bool else kind(meta[name])
-                for name, kind in _SCALAR_FIELDS.items()
-            }
+            scalars = {}
+            for key, kind in _SCALAR_FIELDS.items():
+                if kind is bool and meta[key] not in ("0", "1"):  # as meta() writes it
+                    raise ValueError(f"{key} must be 0 or 1, not {meta[key]!r}")
+                scalars[key] = meta[key] == "1" if kind is bool else kind(meta[key])
             cfg = ModelConfig(vocab=Vocabulary(elements), **scalars)
         except (KeyError, ValueError) as exc:
             raise CheckpointError(f"{path}: incomplete model metadata ({exc})") from exc

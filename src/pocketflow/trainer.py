@@ -5,7 +5,9 @@ enter in nearest-first order (first the atom closest to the pocket centroid,
 then whichever unplaced atom lies closest to an already placed one), and each
 step records the context snapshot, the focal atom (context atom nearest the
 target), the dequantized one-hot of the target element, and the target
-coordinate as a focal-relative offset.
+coordinate as a focal-relative offset.  As in generation, one context graph
+per complex grows by one :func:`~pocketflow.encoder.extend_graph` call per
+placed atom, starting from the pocket graph.
 
 The loss is the mean per-step negative log-likelihood under the type and
 coordinate flows; gradients are exact reverse-mode derivatives assembled from
@@ -71,7 +73,7 @@ class TrajectoryStep:
     focal: int  # graph node index
     target_type: np.ndarray  # dequantized one-hot, width V
     target_offset: np.ndarray  # target position minus focal position
-    pocket: ContextGraph  # the pocket alone; ``graph`` is extend_graph(pocket, placed)
+    pocket: ContextGraph  # the pocket alone, which ``graph`` extends by one atom per step
 
     def __post_init__(self) -> None:
         if not np.all(np.isfinite(self.target_offset)):
@@ -104,41 +106,35 @@ def sequentialize(
     cfg: ModelConfig,
     alpha: float = DEFAULT_DEQUANT_ALPHA,
 ) -> list[TrajectoryStep]:
-    """Unroll one complex into per-atom training steps (nearest-first order)."""
+    """Unroll one complex into per-atom training steps, nearest-first.
+
+    One context graph grows by one atom per step, as generation's does: each
+    step records the graph before its atom is placed, and the next step's
+    graph is ``extend_graph(graph, [atom])``, the call that
+    :meth:`~pocketflow.generator.GenerationState.encoded` makes."""
     n = len(entry.ligand)
     if n == 0:
         raise ValueError("empty ligand")
-    lig_pos = entry.ligand.positions
+    atoms, lig_pos, v = entry.ligand.atoms, entry.ligand.positions, len(cfg.vocab)
     dist = distance_matrix(lig_pos, lig_pos)
-    order = [int(np.argmin(distance_matrix(lig_pos, entry.pocket.centroid()[None])[:, 0]))]
-    dmin = dist[order[0]].copy()  # each atom's distance to its nearest placed atom
-    for _ in range(n - 1):
-        dmin[order] = np.inf
-        order.append(int(np.argmin(dmin)))
-        np.minimum(dmin, dist[order[-1]], out=dmin)
-
-    v = len(cfg.vocab)
+    dmin = np.full(n, np.inf)  # each unplaced atom's distance to its nearest placed atom
+    idx = int(np.argmin(distance_matrix(lig_pos, entry.pocket.centroid()[None])[:, 0]))
+    pocket = graph = build_graph(entry.pocket, cutoff=cfg.graph_cutoff)
     steps: list[TrajectoryStep] = []
-    placed = []
-    pocket_graph = build_graph(entry.pocket, cutoff=cfg.graph_cutoff)
-    for idx in order:
-        graph = extend_graph(pocket_graph, placed, cfg.graph_cutoff)
+    while True:
         target_pos = lig_pos[idx]
         focal = int(np.argmin(distance_matrix(target_pos[None], graph.positions)[0]))
         target_type = np.zeros(v)
-        target_type[entry.ligand.atoms[idx].element] = 1.0
+        target_type[atoms[idx].element] = 1.0
         target_type += rng.uniform(0.0, alpha, size=v)
-        steps.append(
-            TrajectoryStep(
-                graph=graph,
-                focal=focal,
-                target_type=target_type,
-                target_offset=target_pos - graph.positions[focal],
-                pocket=pocket_graph,
-            )
-        )
-        placed.append(entry.ligand.atoms[idx])
-    return steps
+        offset = target_pos - graph.positions[focal]
+        steps.append(TrajectoryStep(graph, focal, target_type, offset, pocket))
+        if len(steps) == n:
+            return steps
+        graph = extend_graph(graph, [atoms[idx]], cfg.graph_cutoff)
+        dist[:, idx] = dmin[idx] = np.inf  # placed: never a candidate again
+        np.minimum(dmin, dist[idx], out=dmin)
+        idx = int(np.argmin(dmin))
 
 
 def _union(model: Model, steps: list[TrajectoryStep]) -> StepUnion:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pocketflow.chem import Atom, Pocket, Vocabulary, VocabularyError
+from pocketflow.chem import Atom, Molecule, Pocket, Vocabulary, VocabularyError
 from pocketflow.encoder import (
     LIGAND,
     PROTEIN,
@@ -17,10 +17,13 @@ from pocketflow.encoder import (
     scatter_add,
 )
 from pocketflow.geometry import RbfBank, RigidTransform, apply_rigid, distance_matrix
+from pocketflow.model import ModelConfig
 from pocketflow.params import ParamStore
-from pocketflow.synthetic import toy_complex
+from pocketflow.pdb import ComplexEntry
+from pocketflow.synthetic import toy_complex, toy_dataset
+from pocketflow.trainer import build_steps
 
-from helpers import readout_backward
+from helpers import dense_encode, readout_backward
 
 VOCAB = Vocabulary.default()
 C, N, O = VOCAB.index("C"), VOCAB.index("N"), VOCAB.index("O")
@@ -383,6 +386,29 @@ class TestFactoredReadout:
         union = StepUnion(steps, n_layers)
         cond, _ = enc.encode_union(union)
         want = np.array(readouts)
+        assert np.max(np.abs(cond - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestDenseReference:
+    """Every row of ``encode_union``, pocket sums and factored readout
+    included, against the order-free :func:`helpers.dense_encode` of the
+    step's whole graph, on the steps that training builds."""
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    @pytest.mark.parametrize("gating", [False, True])
+    @pytest.mark.parametrize("dataset_name", ["toy_set", "shell400"])
+    def test_union_rows_equal_dense_readouts(self, n_layers, gating, dataset_name):
+        cfg = EncoderConfig(embed_width=6, hidden_width=5, n_layers=n_layers, bfactor_gating=gating)
+        enc = make_encoder(cfg, randomize=True)
+        if dataset_name == "toy_set":
+            dataset = toy_dataset(VOCAB)
+        else:
+            ligand = Molecule(CAVITY_LIGAND, [])
+            dataset = [ComplexEntry(pocket=shell_pocket(400, seed=0), ligand=ligand, entry_id="s")]
+        steps = build_steps(dataset, np.random.default_rng(0), ModelConfig(vocab=VOCAB))
+        union = StepUnion([(s.graph, s.pocket, s.focal) for s in steps], n_layers)
+        cond, _ = enc.encode_union(union)
+        want = np.array([aggregate_readout(dense_encode(enc, s.graph), s.focal) for s in steps])
         assert np.max(np.abs(cond - want)) <= 1e-12 * np.max(np.abs(want))
 
 

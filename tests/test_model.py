@@ -1,11 +1,15 @@
 """Model assembly over one parameter store, and checkpoint compatibility."""
 
+import re
 from pathlib import Path
 
 import pytest
 
+from pocketflow.chem import Vocabulary
+from pocketflow.cli import EXIT_DATA, main
 from pocketflow.model import Model, ModelConfig
 from pocketflow.params import CheckpointError, ParamStore
+from pocketflow.synthetic import toy_complex, toy_complex_pdb
 
 COMMITTED_CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "gen_model.ckpt"
 
@@ -29,6 +33,48 @@ def test_non_finite_vocabulary_radius_is_checkpoint_error(tmp_path, radius):
     path.write_text(path.read_text().replace(",C:6:0.77:4,", f",C:6:{radius}:4,"))
     with pytest.raises(CheckpointError, match="C: covalent radius must be positive and finite"):
         Model.load(path)
+
+
+def small_checkpoint_with(path, key, value):
+    """A saved small model whose metadata line ``key`` reads ``value``."""
+    Model(ModelConfig(encoder_layers=1, type_flow_layers=1, coord_flow_layers=1)).save(path)
+    text = re.sub(rf"^meta {key}=.*$", f"meta {key}={value}", path.read_text(), flags=re.M)
+    path.write_text(text)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["rbf_rmax", "graph_cutoff", "scale_floor"])
+def test_non_finite_config_float_is_checkpoint_error(tmp_path, key, value):
+    path = tmp_path / "model.ckpt"
+    small_checkpoint_with(path, key, value)
+    with pytest.raises(CheckpointError, match=f"{key} must be positive and finite"):
+        Model.load(path)
+
+
+@pytest.mark.parametrize("value", ["7", "-1", "01", "true", ""])
+def test_boolean_metadata_other_than_0_or_1_is_checkpoint_error(tmp_path, value):
+    path = tmp_path / "model.ckpt"
+    small_checkpoint_with(path, "bfactor_gating", value)
+    with pytest.raises(CheckpointError, match=f"bfactor_gating must be 0 or 1, not '{value}'"):
+        Model.load(path)
+
+
+@pytest.mark.parametrize("value", ["0", "1"])
+def test_boolean_metadata_reads_0_and_1(tmp_path, value):
+    path = tmp_path / "model.ckpt"
+    small_checkpoint_with(path, "bfactor_gating", value)
+    assert Model.load(path).cfg.bfactor_gating is (value == "1")
+
+
+@pytest.mark.parametrize("key, value", [("rbf_rmax", "inf"), ("bfactor_gating", "7")])
+def test_generate_exits_with_data_error_on_invalid_metadata(tmp_path, capsys, key, value):
+    checkpoint, pocket = tmp_path / "model.ckpt", tmp_path / "pocket.pdb"
+    small_checkpoint_with(checkpoint, key, value)
+    vocab = Vocabulary.default()
+    pocket.write_text(toy_complex_pdb(toy_complex(vocab), vocab))
+    argv = ["generate", str(checkpoint), str(pocket), "--out", str(tmp_path / "g")]
+    assert main(argv) == EXIT_DATA
+    assert key in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["vocab", "embed_width", "bfactor_gating"])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pocketflow.chem import Atom, ElementKind, Molecule, Pocket, Vocabulary, infer_bonds
-from pocketflow.encoder import StepUnion
+from pocketflow.encoder import StepUnion, extend_graph
 from pocketflow.flows import base_log_prob
 from pocketflow.geometry import RigidTransform, apply_rigid
 from pocketflow.model import Model, ModelConfig
@@ -24,6 +24,7 @@ from pocketflow.trainer import (
 )
 
 from helpers import max_relative_error
+from test_encoder import CAVITY_LIGAND, shell_pocket
 
 VOCAB = Vocabulary.default()
 C, O = VOCAB.index("C"), VOCAB.index("O")
@@ -98,6 +99,62 @@ class TestSequentialize:
             noise = s.target_type.copy()
             noise[np.argmax(s.target_type)] -= 1.0
             assert np.all(noise >= 0.0) and np.all(noise < 0.25)
+
+
+ATOM_ARRAYS = ("elements", "origins", "positions", "bfactor_weights")
+GRAPH_ARRAYS = ATOM_ARRAYS + ("edge_src", "edge_dst", "edge_dist")
+
+
+def target_atoms(entry, steps):
+    """Each step's target, the ligand atom at its focal plus its offset."""
+    lig = entry.ligand
+    at = [step.graph.positions[step.focal] + step.target_offset for step in steps]
+    return [lig.atoms[int(np.argmin(np.linalg.norm(lig.positions - x, axis=1)))] for x in at]
+
+
+def sorted_edges(graph):
+    order = np.lexsort((graph.edge_dst, graph.edge_src))
+    return graph.edge_src[order], graph.edge_dst[order], graph.edge_dist[order]
+
+
+class TestOneGrowthRule:
+    """Each step's graph is the previous step's grown by that step's atom, as
+    in generation, and it has the atoms, edges and readout of the pocket
+    extended by every atom placed so far at once; only the order of its
+    pocket-ligand edges differs."""
+
+    @pytest.mark.parametrize("complex_name", ["toy", "shell400"])
+    def test_each_graph_extends_the_previous_by_one_atom(self, complex_name):
+        if complex_name == "toy":
+            entry = toy_complex(VOCAB)
+        else:
+            ligand = Molecule(CAVITY_LIGAND, [])
+            entry = ComplexEntry(pocket=shell_pocket(400, seed=0), ligand=ligand, entry_id="s")
+        cfg = replace(tiny_model_config(VOCAB, gating=True), encoder_layers=2)
+        model = Model(cfg)
+        model.store.flat[:] = np.random.default_rng(17).uniform(-0.5, 0.5, size=model.store.size)
+        steps = sequentialize(entry, np.random.default_rng(0), cfg)
+        placed, pocket = target_atoms(entry, steps), steps[0].graph
+        assert all(step.pocket is pocket for step in steps)
+        encoding = model.encoder.encode_pocket(pocket)
+        reordered = False
+        for t in range(1, len(steps)):
+            step = steps[t]
+            grown = extend_graph(steps[t - 1].graph, placed[t - 1 : t], cfg.graph_cutoff)
+            for name in GRAPH_ARRAYS:
+                assert np.array_equal(getattr(step.graph, name), getattr(grown, name)), name
+            at_once = extend_graph(pocket, placed[:t], cfg.graph_cutoff)
+            for name in ATOM_ARRAYS:
+                assert np.array_equal(getattr(step.graph, name), getattr(at_once, name)), name
+            for ours, theirs in zip(sorted_edges(step.graph), sorted_edges(at_once)):
+                assert np.array_equal(ours, theirs)
+            reordered |= not np.array_equal(step.graph.edge_dst, at_once.edge_dst)
+            readouts = [
+                model.encoder.encode_with_cache(graph, encoding, step.focal)
+                for graph in (step.graph, at_once)
+            ]
+            assert np.array_equal(*readouts)
+        assert reordered
 
 
 class TestNllLoss:
