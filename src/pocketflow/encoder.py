@@ -276,7 +276,8 @@ class StepUnion:
     """The disjoint union of a batch's steps, as index arrays derived from
     their graphs alone, so that one layout serves every gradient evaluation
     of the same batch.  ``steps`` are ``(graph, pocket, focal)`` triples,
-    each ``graph`` extending the pocket graph ``pocket``.
+    each ``graph`` extending ``pocket``; pockets are grouped by identity, and
+    :func:`~pocketflow.trainer.build_steps` gives content-equal ones one graph.
 
     A step's rows are its placed atoms plus only the pocket atoms it changes
     or reads: the pocket ends of its own edges, its focal and the focal's

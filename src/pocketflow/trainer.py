@@ -15,8 +15,10 @@ the flow and encoder backward passes, and the optimizer is plain SGD.
 :func:`nll_loss`, :func:`grad` and :func:`train` share one pass that returns
 each step's loss together with the gradient of their mean.
 
-Every step of a trajectory extends the same pocket graph, so one pass,
-:meth:`Encoder.encode_union`, encodes each pocket of the batch once, as a
+Every step of a trajectory extends its pocket's graph, and :func:`build_steps`
+builds one graph per distinct pocket (equal positions, elements and
+B-factors, byte for byte), so one pass, :meth:`Encoder.encode_union`,
+encodes each distinct pocket of the batch once, as a
 :class:`~pocketflow.encoder.ContextEncoding` on the empty prefix, then all
 the steps at once, as one disjoint union
 (:class:`~pocketflow.encoder.StepUnion`).  With one or the default two
@@ -105,6 +107,7 @@ def sequentialize(
     rng: np.random.Generator,
     cfg: ModelConfig,
     alpha: float = DEFAULT_DEQUANT_ALPHA,
+    pocket: ContextGraph | None = None,  # the graph of entry.pocket, built here if None
 ) -> list[TrajectoryStep]:
     """Unroll one complex into per-atom training steps, nearest-first.
 
@@ -119,7 +122,7 @@ def sequentialize(
     dist = distance_matrix(lig_pos, lig_pos)
     dmin = np.full(n, np.inf)  # each unplaced atom's distance to its nearest placed atom
     idx = int(np.argmin(distance_matrix(lig_pos, entry.pocket.centroid()[None])[:, 0]))
-    pocket = graph = build_graph(entry.pocket, cutoff=cfg.graph_cutoff)
+    pocket = graph = pocket or build_graph(entry.pocket, cutoff=cfg.graph_cutoff)
     steps: list[TrajectoryStep] = []
     while True:
         target_pos = lig_pos[idx]
@@ -203,9 +206,15 @@ def build_steps(
     cfg: ModelConfig,
     alpha: float = DEFAULT_DEQUANT_ALPHA,
 ) -> list[TrajectoryStep]:
+    """Every complex's steps, in dataset order, on one graph per distinct pocket."""
     steps: list[TrajectoryStep] = []
+    graphs: dict[tuple[bytes, ...], ContextGraph] = {}
     for entry in dataset:
-        steps.extend(sequentialize(entry, rng, cfg, alpha))
+        pocket = entry.pocket
+        key = (pocket.positions.tobytes(), pocket.elements.tobytes(), pocket.bfactors.tobytes())
+        if key not in graphs:
+            graphs[key] = build_graph(pocket, cutoff=cfg.graph_cutoff)
+        steps.extend(sequentialize(entry, rng, cfg, alpha, graphs[key]))
     return steps
 
 

@@ -1,6 +1,6 @@
 """Trajectory building, NLL evaluation, exact gradients, SGD training."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -319,6 +319,107 @@ class TestSharedPocketGrad:
             reference = per_step_grad(model, batch)
             assert np.max(np.abs(analytic - reference)) <= 1e-12 * np.max(np.abs(reference))
             assert max_relative_error(analytic, fd_gradient(model, batch)) < 1e-3
+
+
+def equal_graphs(a, b):
+    """Every field of two context graphs equal, array for array."""
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+
+
+def moved_pocket(entry, name, index, value):
+    """``entry`` with a new pocket whose array ``name`` (positions, elements
+    or bfactors) holds ``value`` at ``index``."""
+    arrays = {key: getattr(entry.pocket, key).copy() for key in ("positions", "elements", "bfactors")}
+    arrays[name][index] = value
+    atoms = [Atom(int(e), p) for e, p in zip(arrays["elements"], arrays["positions"])]
+    return replace(entry, pocket=Pocket(atoms, arrays["bfactors"]))
+
+
+def content_equal_dataset(vocab):
+    """Three copies of ``tiny_complex`` (three ``Pocket`` objects of equal
+    content) interleaved with ``other_tiny_complex``."""
+    return [tiny_complex(vocab), other_tiny_complex(vocab), tiny_complex(vocab), tiny_complex(vocab)]
+
+
+def per_entry_steps(dataset, rng, cfg):
+    """The steps ``build_steps`` makes, each complex unrolled on its own."""
+    return [step for entry in dataset for step in sequentialize(entry, rng, cfg)]
+
+
+class TestContentEqualPockets:
+    """``build_steps`` gives complexes whose pockets hold equal positions,
+    elements and B-factors one pocket graph, so that the union encodes and
+    back-propagates each distinct pocket once."""
+
+    def test_content_equal_pockets_share_one_graph(self):
+        vocab = tiny_vocab()
+        cfg = tiny_model_config(vocab)
+        dataset = content_equal_dataset(vocab)
+        assert dataset[0].pocket is not dataset[2].pocket
+        steps = build_steps(dataset, np.random.default_rng(0), cfg)
+        kind = np.repeat([0, 1, 0, 0], [len(entry.ligand) for entry in dataset])
+        for a, b in zip(steps, kind):
+            for c, d in zip(steps, kind):
+                assert (a.pocket is c.pocket) == (b == d)
+        union = StepUnion([(s.graph, s.pocket, s.focal) for s in steps], cfg.encoder_layers)
+        assert len(union.pockets) == 2
+
+    @pytest.mark.parametrize(
+        "name, index, value",
+        [("positions", (1, 2), 1e-9), ("elements", 2, 2), ("bfactors", 0, 11.0)],
+        ids=["coordinate", "element", "bfactor"],
+    )
+    def test_one_changed_value_gets_its_own_graph(self, name, index, value):
+        vocab = tiny_vocab()
+        cfg = tiny_model_config(vocab)
+        entry = tiny_complex(vocab)
+        moved = moved_pocket(entry, name, index, value)
+        for array in ("positions", "elements", "bfactors"):
+            same = np.array_equal(getattr(entry.pocket, array), getattr(moved.pocket, array))
+            assert same == (array != name)
+        steps = build_steps([entry, moved, tiny_complex(vocab)], np.random.default_rng(0), cfg)
+        n = len(entry.ligand)
+        assert steps[n].pocket is not steps[0].pocket
+        assert steps[2 * n].pocket is steps[0].pocket
+        union = StepUnion([(s.graph, s.pocket, s.focal) for s in steps], cfg.encoder_layers)
+        assert len(union.pockets) == 2
+
+    def test_each_step_matches_its_complex_unrolled_alone(self):
+        vocab = tiny_vocab()
+        cfg = tiny_model_config(vocab)
+        dataset = content_equal_dataset(vocab)
+        shared = build_steps(dataset, np.random.default_rng(3), cfg)
+        alone = per_entry_steps(dataset, np.random.default_rng(3), cfg)
+        assert len(shared) == len(alone)
+        for a, b in zip(shared, alone):
+            assert equal_graphs(a.graph, b.graph)
+            assert equal_graphs(a.pocket, b.pocket)
+            assert a.focal == b.focal
+            assert np.array_equal(a.target_type, b.target_type)
+            assert np.array_equal(a.target_offset, b.target_offset)
+
+    @pytest.mark.parametrize("gating", [False, True])
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_loss_and_grad_match_per_entry_steps(self, n_layers, gating):
+        """The losses are equal bit for bit: each distinct pocket encodes to
+        the same values.  The gradient sums a pocket's share over all its
+        steps before its edges' backward pass, not over each complex's, so
+        it is held to 1e-12 relative, as against ``per_step_grad``."""
+        vocab = tiny_vocab()
+        cfg = replace(tiny_model_config(vocab, gating=gating), encoder_layers=n_layers)
+        model = Model(cfg)
+        dataset = content_equal_dataset(vocab)
+        shared = build_steps(dataset, np.random.default_rng(0), cfg)
+        alone = per_entry_steps(dataset, np.random.default_rng(0), cfg)
+        assert len({id(step.pocket) for step in shared}) == 2
+        assert len({id(step.pocket) for step in alone}) == len(dataset)
+        rng = np.random.default_rng(5)
+        for _ in range(2):
+            model.store.flat[:] = rng.uniform(-0.5, 0.5, size=model.store.size)
+            assert nll_loss(model, shared) == nll_loss(model, alone)
+            analytic = grad(model, shared).flat
+            for reference in (grad(model, alone).flat, per_step_grad(model, shared)):
+                assert np.max(np.abs(analytic - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
 def partners(graph, atom):
