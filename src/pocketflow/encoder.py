@@ -80,19 +80,20 @@ step plus the focal's, so such an atom's adjoint is ``c`` times a row of the
 pocket alone; over the steps, a per-pocket sum of ``c``.
 :meth:`Encoder.backward` runs the union once, sums each pocket's share into
 (n, H) locals of the call, and then pushes them through the pocket's edges
-once for all the steps.  An encoder deeper than two layers, whose placed
+once for all the steps.  A pocket's encoding lives only inside
+:meth:`Encoder.encode_union`.  An encoder deeper than two layers, whose placed
 atoms reach pocket rows two edges away by the last layer's input, trains on
 the empty prefix: every atom of a step is a row of its own, and there are no
 pocket sums.  The sums are reassociated, so the readout and gradients can
 move in the last ulp against a full encoding.
 
 Memory: the union's layout holds index arrays only, and between the forward
-and backward passes only the union edges' RBF features and the (U, H) inputs
-of the layers after the first are kept; the backward pass recomputes the edge
-MLP and the embeddings.  Per pocket it also keeps the edges' RBF features and
-the input embeddings that encoding the pocket formed, but not the edge MLP's
-hidden activations.  The union's values are dropped before the pocket edges'
-passes, and each pocket's once its pass has run.
+and backward passes only union-shaped arrays are kept: the union edges' RBF
+features, the (U, H) inputs of the layers after the first, the last layer's
+readout sums and the pocket-alone rows.  The backward pass recomputes the
+edge MLP below the last layer and the embeddings, and forms what it needs of
+a pocket's edges again from the pocket graph.  The union's values are
+dropped before the pocket edges' passes, which run one pocket at a time.
 """
 
 from __future__ import annotations
@@ -370,14 +371,15 @@ class StepUnion:
 @dataclass(eq=False)
 class UnionPass:
     """The values of :meth:`Encoder.encode_union` that :meth:`Encoder.backward`
-    reads, which it drops as it goes.  The backward pass recomputes the
-    union's edge MLP and input embeddings rather than keep them across the
-    flows, but keeps the pockets' inputs, which encoding them formed."""
+    reads, which it drops as it goes: union-shaped arrays only, nothing of a
+    pocket's edges (see the module docstring's "Memory")."""
 
-    pockets: list[ContextEncoding]  # the encodings of the union's pockets
-    pocket_inputs: list[tuple[np.ndarray, np.ndarray]]  # per pocket, (E, n_rbf) and (n, H)
     edge_feat: np.ndarray | None  # (E, n_rbf) the union edges' RBF features
     inputs: list[np.ndarray]  # the (U, H) input rows of every layer after the first
+    x0: np.ndarray | None  # (P, H) the stacked pocket atoms' last-layer input, pocket alone
+    out0: np.ndarray | None  # (P, H) and their outgoing last-layer m, summed
+    out_m: np.ndarray | None  # (U, H) each row's outgoing last-layer m, summed
+    in_m: np.ndarray | None  # the last-layer m of the edges into each step's focal
 
 
 @dataclass(frozen=True)
@@ -534,14 +536,12 @@ class Encoder:
         self.extend(context, graph)
         return self.readout(context, focal)
 
-    def extend(
-        self, context: ContextEncoding, graph: ContextGraph
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def extend(self, context: ContextEncoding, graph: ContextGraph) -> None:
         """Extend ``context`` to ``graph``, which extends ``context.graph``:
         form the new edges' edge-MLP rows at every layer, append the new
         atoms' rows, and add the new edges' layer-0 messages (with more than
-        one layer) and last-layer ``m`` into their ends' rows.  Returns the new
-        edges' RBF features and ``graph``'s input embeddings."""
+        one layer) and last-layer ``m`` into their ends' rows.  The new
+        edges' RBF features and the input embeddings are not kept."""
         n, start = context.graph.n_atoms, context.graph.n_edges
         block = graph.edges[:, start:]
         edge_feat = self.edge_features(graph, slice(start, None))
@@ -555,7 +555,6 @@ class Encoder:
         if start > context.pocket.graph.n_edges:  # a first block's rows are kept, not copied
             m = [np.concatenate(pair) for pair in zip(context.messages, m)]
         context.graph, context.messages, context.x, context.out_messages = graph, m, x, out_m
-        return edge_feat, h0
 
     def readout(self, context: ContextEncoding, focal: int | None = None) -> np.ndarray:
         """The embeddings of ``context`` or, given a ``focal`` atom, their
@@ -584,9 +583,9 @@ class Encoder:
     def encode_union(self, union: StepUnion) -> tuple[np.ndarray, UnionPass]:
         """Every step's conditioner, (S, 2H): row s equals the readout of
         :meth:`encode_with_cache` on step s, up to the reassociation of its
-        mean.  It first encodes each of ``union.pockets`` as
-        :meth:`encode_pocket` does, keeping the pocket edges' RBF features and
-        the pocket's embeddings for :meth:`backward`.
+        mean.  It encodes each of ``union.pockets`` with :meth:`encode_pocket`,
+        reads the pocket-alone rows and the ``m`` of the pocket edges into the
+        steps' focals, and lets the encoding go.
 
         A pocket atom outside a step's rows has the row of the pocket alone
         at the last layer's input and among its outgoing messages, so its
@@ -594,60 +593,45 @@ class Encoder:
         pocket's sum of those terms and, on the step's own pocket rows, the
         difference from them.
         """
-        pockets = [ContextEncoding.of(self.empty_pocket) for _ in union.pockets]
-        kept = [self.extend(pocket, graph) for pocket, graph in zip(pockets, union.pockets)]
-        last, width = self.cfg.n_layers - 1, self.cfg.embed_width
-        placed = union.n_placed
+        last, width, placed = self.cfg.n_layers - 1, self.cfg.embed_width, union.n_placed
+        kept, in_m = [], np.empty((len(union.in_src), width))  # in_m: edges into each focal
+        for graph, (at, ids) in zip(union.pockets, union.pocket_in):
+            pocket = self.encode_pocket(graph)
+            kept.append((pocket.x, pocket.out_messages))
+            in_m[at] = pocket.messages[last][ids]
+        x0, out0 = (np.concatenate(rows) for rows in zip(*kept))
+        del pocket, kept
         edge_feat = self.edge_features(union)
         x, inputs = self.initial_embeddings(union), []
         for layer in range(last):
             out = x.copy()
             if layer == 0:
-                out[placed:] = np.concatenate([p.x for p in pockets])[union.pocket_rows]
+                out[placed:] = x0[union.pocket_rows]
             gamma = self._gamma(union.bfactor_weights, layer)
             self._pass(out, x, union.edges, self._edge_mlp(layer, edge_feat)[1], gamma)
             x = out
             inputs.append(x)
+        m = self._edge_mlp(last, edge_feat)[1]
+        in_m[union.into_at] = m[union.into]
+        out_m = np.concatenate([np.zeros((placed, width)), out0[union.pocket_rows]])
+        scatter_add(out_m, union.edges[1], m)  # as _out_sums, one end at a time
+        scatter_add(out_m, union.edges[0], m)
+        del m
         gamma = self._gamma(union.bfactor_weights, last)
         gx = x if gamma is None else x * gamma[:, None]
-        terms, in_m = self._union_terms(union, pockets, self._edge_mlp(last, edge_feat)[1])
         row = np.zeros((union.n_steps, width))
         scatter_add(row, union.in_step, gx[union.in_src] * in_m)
-        terms *= gx  # each row's term of the mean, x + gamma * x * out_m
-        terms += x
-        x0, out0, gamma0 = self._pocket_only(union, pockets)
-        alone = (x0 if gamma0 is None else x0 * gamma0[:, None]) * out0
-        alone += x0
+        terms = gx * out_m + x  # each row's term of the mean
+        gamma0 = self._gamma(union.stack_weights, last)
+        alone = (x0 if gamma0 is None else x0 * gamma0[:, None]) * out0 + x0
         terms[placed:] -= alone[union.pocket_rows]
-        per_pocket = np.zeros((len(pockets), width))
+        per_pocket = np.zeros((len(union.pockets), width))
         scatter_add(per_pocket, union.stack_pocket, alone)
         mean = per_pocket[union.pocket_of]
         scatter_add(mean, union.row_step, terms)
         mean /= union.sizes[:, None]
-        return np.hstack([x[union.focal] + row, mean]), UnionPass(pockets, kept, edge_feat, inputs)
-
-    def _union_terms(
-        self, union: StepUnion, pockets: list[ContextEncoding], m: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Given the last layer's ``m`` on the union edges, each row's outgoing
-        ``m`` summed and the ``m`` of the edges into each step's focal."""
-        last, placed = self.cfg.n_layers - 1, union.n_placed
-        out_m = np.zeros((union.n_atoms, self.cfg.embed_width))
-        out_m[placed:] = np.concatenate([p.out_messages for p in pockets])[union.pocket_rows]
-        scatter_add(out_m, union.edges[1], m)  # as _out_sums, one end at a time
-        scatter_add(out_m, union.edges[0], m)
-        in_m = np.empty((len(union.in_src), self.cfg.embed_width))
-        in_m[union.into_at] = m[union.into]
-        for pocket, (at, ids) in zip(pockets, union.pocket_in):
-            in_m[at] = pocket.messages[last][ids]
-        return out_m, in_m
-
-    def _pocket_only(self, union: StepUnion, pockets: list[ContextEncoding]):
-        """The stacked pocket atoms' rows in the pocket alone: the last
-        layer's input, the outgoing message sums and the gate factors."""
-        x0 = np.concatenate([p.x for p in pockets])
-        out0 = np.concatenate([p.out_messages for p in pockets])
-        return x0, out0, self._gamma(union.stack_weights, self.cfg.n_layers - 1)
+        cache = UnionPass(edge_feat, inputs, x0, out0, out_m, in_m)
+        return np.hstack([x[union.focal] + row, mean]), cache
 
     def encode_pocket(self, graph: ContextGraph) -> ContextEncoding:
         """Encode a pocket-only graph once for reuse, while the parameters stay
@@ -673,8 +657,9 @@ class Encoder:
         :meth:`_pocket_backward` finishes it once per pocket, after the union.
         """
         last, width = self.cfg.n_layers - 1, self.cfg.embed_width
-        pockets, edge_feat, inputs = cache.pockets, cache.edge_feat, cache.inputs
-        cache.edge_feat = None  # freed with the union's values, before the pocket passes
+        edge_feat, inputs, x0, out0 = cache.edge_feat, cache.inputs, cache.x0, cache.out0
+        dx, in_m = cache.out_m, cache.in_m  # the readout sums, freed before the pocket passes
+        cache.edge_feat = cache.x0 = cache.out0 = cache.out_m = cache.in_m = None
         placed, in_src = union.n_placed, union.in_src
         df, c = dcond[:, :width], dcond[:, width:] / union.sizes[:, None]
         x = inputs.pop() if last else self.initial_embeddings(union)
@@ -688,8 +673,8 @@ class Encoder:
         # the pocket atoms outside a step's rows: the sums over the steps
         # that leave each atom out of ``last`` and of d(loss)/d(x)
         gate = f"encoder.layer{last}.gate"
-        x0, out0, gamma0 = self._pocket_only(union, pockets)
-        per_pocket = np.zeros((len(pockets), width))
+        gamma0 = self._gamma(union.stack_weights, last)
+        per_pocket = np.zeros((len(union.pockets), width))
         scatter_add(per_pocket, union.pocket_of, c)
         c_out = per_pocket[union.stack_pocket]
         scatter_add(c_out, union.pocket_rows, -c[union.row_step[placed:]])
@@ -707,8 +692,7 @@ class Encoder:
         del last_rows, df_rows
         self._mlp_backward(last, edge_feat, self._hidden(last, edge_feat), dm, grads)
         del dm
-        # d(loss)/d(x)
-        dx, in_m = self._union_terms(union, pockets, self._edge_mlp(last, edge_feat)[1])
+        # d(loss)/d(x), from the readout sums
         dx *= c[union.row_step]
         in_m *= df[union.in_step]
         if gamma is not None:
@@ -738,11 +722,10 @@ class Encoder:
         table = union.origins[:placed] * self.vocab_size + union.elements[:placed]
         scatter_add(grads["encoder.embed"], table, g[:placed])
         del dx, g, edge_feat
-        for k, (edges, rows) in enumerate(into):  # dropping each pocket once its pass has run
+        for k, (graph, (edges, rows)) in enumerate(zip(union.pockets, into)):
             at = slice(union.atom_offsets[k], union.atom_offsets[k + 1])
             sums = (None if g0 is None else g0[at]), outside[at], last_sum[at]
-            pocket, (feat, h0) = pockets.pop(0), cache.pocket_inputs.pop(0)
-            self._pocket_backward(pocket, feat, h0, *sums, edges, rows, grads)
+            self._pocket_backward(graph, *sums, edges, rows, grads)
 
     def _pass_backward(
         self, graph: ContextGraph, layer: int, block: np.ndarray, h, g, m, dh, grads: ParamStore
@@ -777,11 +760,11 @@ class Encoder:
         return dm
 
     def _pocket_backward(
-        self, pocket: ContextEncoding, feat, h0, g0, dh0, last, edges, rows, grads: ParamStore
+        self, graph: ContextGraph, g0, dh0, last, edges, rows, grads: ParamStore
     ) -> None:
         """Finish the pocket edges' share of the gradient for every step of
-        one :meth:`backward` pass on ``pocket``, given its edges' RBF features
-        ``feat`` and its embeddings ``h0`` from :meth:`encode_union`, and that
+        one :meth:`backward` pass on the pocket graph ``graph``, whose edges'
+        RBF features, embeddings ``h0`` and edge MLP it forms again, given that
         pass's sums over those steps: ``g0``, d(loss)/d(layer 0's output) on
         the pocket rows (None with one layer); ``dh0``, d(loss)/d(embeddings)
         less layer 0's pocket block; ``last``, gamma * x times the readout's
@@ -801,15 +784,17 @@ class Encoder:
         A deeper encoder's only pocket is the empty prefix (see
         :class:`StepUnion`).
         """
-        graph, dm, sent = pocket.graph, {}, np.zeros(h0.shape)
+        feat, h0 = self.edge_features(graph), self.initial_embeddings(graph)
+        sent = np.zeros(h0.shape)
         if g0 is not None and g0.any():
-            m = pocket.messages[0]
-            dm[0] = self._pass_backward(graph, 0, graph.edges, h0, g0, m, sent, grads)
+            t, m = self._edge_mlp(0, feat)
+            dm = self._pass_backward(graph, 0, graph.edges, h0, g0, m, sent, grads)
+            self._mlp_backward(0, feat, t, dm, grads)
+            del t, m, dm
         sent += dh0
         scatter_add(grads["encoder.embed"], graph.origins * self.vocab_size + graph.elements, sent)
-        dm[self.cfg.n_layers - 1] = _last_layer_dm(last, graph.edges, edges, rows)
-        for layer, d in dm.items():
-            self._mlp_backward(layer, feat, self._hidden(layer, feat), d, grads)
+        dm, layer = _last_layer_dm(last, graph.edges, edges, rows), self.cfg.n_layers - 1
+        self._mlp_backward(layer, feat, self._hidden(layer, feat), dm, grads)
 
     def _mlp_backward(
         self, layer: int, edge_feat: np.ndarray, t: np.ndarray, dm: np.ndarray, grads: ParamStore

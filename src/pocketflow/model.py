@@ -149,6 +149,9 @@ class Model:
     @classmethod
     def load(cls, path: str | Path) -> "Model":
         store, meta = load_checkpoint(path)
+        unknown = [key for key in meta if key != "vocab" and key not in _SCALAR_FIELDS]
+        if unknown:
+            raise CheckpointError(f"{path}: unknown model metadata key {unknown[0]!r}")
         try:
             elements = []
             for item in meta["vocab"].split(","):

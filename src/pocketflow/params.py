@@ -127,6 +127,8 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, dict[str, str]]:
     for lineno, line in enumerate(lines[1:], start=2):
         if line.startswith("meta "):
             key, _, value = line.removeprefix("meta ").partition("=")
+            if key in meta:
+                raise CheckpointError(f"{path}:{lineno}: repeated metadata key {key!r}")
             meta[key] = value
         elif line.startswith("section "):
             header = _SECTION_HEADER.fullmatch(line.rstrip())

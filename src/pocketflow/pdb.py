@@ -139,9 +139,12 @@ def parse_pdb(
 
 def _format_atom_name(name: str) -> str:
     # 1-3 char names start in column 14 by convention; 4-char names fill 13-16.
-    if len(name) >= 4:
-        return name[:4]
+    if len(name) == 4:
+        return name
     return f" {name:<3s}"
+
+
+_TEXT_WIDTHS = {"record_kind": 6, "atom_name": 4, "residue_name": 3, "chain": 1, "element": 2}
 
 
 def serialize_pdb(records: list[StructureRecord]) -> str:
@@ -156,6 +159,11 @@ def serialize_pdb(records: list[StructureRecord]) -> str:
             raise PdbRangeError("occupancy/B-factor does not fit in %6.2f")
         if not -9999 <= r.serial <= 99999:
             raise PdbRangeError(f"serial {r.serial} does not fit in 5 columns")
+        if not -999 <= r.residue_seq <= 9999:
+            raise PdbRangeError(f"residue number {r.residue_seq} does not fit in 4 columns")
+        for name, width in _TEXT_WIDTHS.items():
+            if len(getattr(r, name)) > width:
+                raise PdbRangeError(f"{name} {getattr(r, name)!r} does not fit in {width} columns")
         lines.append(
             f"{r.record_kind:<6s}{r.serial:>5d} {_format_atom_name(r.atom_name)} "
             f"{r.residue_name:>3s} {r.chain:1s}{r.residue_seq:>4d}    "

@@ -151,10 +151,10 @@ def _loss_and_grad(
     """Each step's NLL, in step order, and the exact gradient of their mean.
 
     ``union`` is the layout of ``steps``, built here when not given.
-    :meth:`Encoder.encode_union` encodes every pocket, then the union of the
-    steps; each flow runs once over all the steps' conditioners; then the
-    encoder's backward pass runs the union, and each pocket's edges once,
-    dropping the union's values first and each pocket's once its pass has run."""
+    :meth:`Encoder.encode_union` encodes every pocket, keeping only what the
+    union reads, then the union of the steps; each flow runs once over all
+    the steps' conditioners; then the encoder's backward pass runs the union,
+    then each pocket's edges once, re-derived from its graph."""
     if not steps:
         raise ValueError("empty batch")
     encoder, width = model.encoder, 2 * model.cfg.embed_width

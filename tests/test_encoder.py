@@ -17,7 +17,8 @@ from pocketflow.encoder import (
     scatter_add,
 )
 from pocketflow.geometry import RbfBank, RigidTransform, apply_rigid, distance_matrix
-from pocketflow.model import ModelConfig
+from pocketflow.generator import GenConfig, generate_ligand
+from pocketflow.model import Model, ModelConfig
 from pocketflow.params import ParamStore
 from pocketflow.pdb import ComplexEntry
 from pocketflow.synthetic import toy_complex, toy_dataset
@@ -389,10 +390,24 @@ class TestFactoredReadout:
         assert np.max(np.abs(cond - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def assert_close_to(got, want):
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 class TestDenseReference:
-    """Every row of ``encode_union``, pocket sums and factored readout
+    """The encoder's outputs, pocket prefix, pocket sums and factored readout
     included, against the order-free :func:`helpers.dense_encode` of the
-    step's whole graph, on the steps that training builds."""
+    whole graph: every row of ``encode_union`` on the steps that training
+    builds, ``encode`` on their graphs, and the conditioner that generation
+    reads out of its kept encoding at every step."""
+
+    def training_steps(self, dataset_name):
+        if dataset_name == "toy_set":
+            dataset = toy_dataset(VOCAB)
+        else:
+            ligand = Molecule(CAVITY_LIGAND, [])
+            dataset = [ComplexEntry(pocket=shell_pocket(400, seed=0), ligand=ligand, entry_id="s")]
+        return build_steps(dataset, np.random.default_rng(0), ModelConfig(vocab=VOCAB))
 
     @pytest.mark.parametrize("n_layers", [1, 2, 3])
     @pytest.mark.parametrize("gating", [False, True])
@@ -400,16 +415,57 @@ class TestDenseReference:
     def test_union_rows_equal_dense_readouts(self, n_layers, gating, dataset_name):
         cfg = EncoderConfig(embed_width=6, hidden_width=5, n_layers=n_layers, bfactor_gating=gating)
         enc = make_encoder(cfg, randomize=True)
-        if dataset_name == "toy_set":
-            dataset = toy_dataset(VOCAB)
-        else:
-            ligand = Molecule(CAVITY_LIGAND, [])
-            dataset = [ComplexEntry(pocket=shell_pocket(400, seed=0), ligand=ligand, entry_id="s")]
-        steps = build_steps(dataset, np.random.default_rng(0), ModelConfig(vocab=VOCAB))
+        steps = self.training_steps(dataset_name)
         union = StepUnion([(s.graph, s.pocket, s.focal) for s in steps], n_layers)
         cond, _ = enc.encode_union(union)
         want = np.array([aggregate_readout(dense_encode(enc, s.graph), s.focal) for s in steps])
-        assert np.max(np.abs(cond - want)) <= 1e-12 * np.max(np.abs(want))
+        assert_close_to(cond, want)
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    @pytest.mark.parametrize("gating", [False, True])
+    @pytest.mark.parametrize("dataset_name", ["toy_set", "shell400"])
+    def test_full_embeddings_equal_dense(self, n_layers, gating, dataset_name):
+        cfg = EncoderConfig(embed_width=6, hidden_width=5, n_layers=n_layers, bfactor_gating=gating)
+        enc = make_encoder(cfg, randomize=True)
+        graphs = {id(s.graph): s.graph for s in self.training_steps(dataset_name)}.values()
+        for graph in graphs:
+            assert_close_to(enc.encode(graph), dense_encode(enc, graph))
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    @pytest.mark.parametrize("gating", [False, True])
+    @pytest.mark.parametrize("pocket_name", ["toy", "shell400"])
+    def test_generation_conditioners_equal_dense(self, n_layers, gating, pocket_name):
+        """Every conditioner that ``step`` reads out of the state's kept
+        encoding, extended by one atom per placement, on the state's graph."""
+        cfg = ModelConfig(
+            vocab=VOCAB,
+            rbf_centers=len(BANK),
+            embed_width=6,
+            hidden_width=5,
+            encoder_layers=n_layers,
+            bfactor_gating=gating,
+            type_flow_layers=1,
+            coord_flow_layers=1,
+        )
+        model = Model.initialized(cfg, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        for name in model.store.section_names():
+            if name.startswith("encoder."):
+                model.store.set(name, rng.uniform(-0.3, 0.3, size=model.store[name].shape))
+        read, real = [], model.encoder.readout
+
+        def recording(context, focal=None):
+            cond = real(context, focal)
+            read.append((context.graph, focal, cond))
+            return cond
+
+        model.encoder.readout = recording
+        pocket, gen_cfg = pocket_atoms(pocket_name), GenConfig(6, valence_constrained=False)
+        for seed in range(4):  # between them, every count of placed atoms up to 5
+            generate_ligand(model, pocket, gen_cfg, np.random.default_rng(seed))
+        assert max(graph.n_atoms for graph, _, _ in read) == len(pocket) + 5
+        for graph, focal, cond in read:
+            assert_close_to(cond, aggregate_readout(dense_encode(model.encoder, graph), focal))
 
 
 def partners(graph, atom):
@@ -482,9 +538,10 @@ class TestPocketPairs:
         assert np.array_equal(graph.edge_dist, dense[graph.edge_dst, graph.edge_src])
 
     def test_cache_rows_are_pairs(self):
-        """One row per pair in every layer's messages and in the edge
-        features that a union pass keeps per pocket; neither keeps hidden
-        activations (width 5), which the backward pass recomputes."""
+        """One row per pair in every layer's messages of a pocket's encoding,
+        which keeps no hidden activations (width 5); a union pass keeps
+        neither, nor any other array of the pocket's edge count, since the
+        backward pass forms them again."""
         enc = make_encoder(EncoderConfig(embed_width=6, hidden_width=5, n_layers=3))
         graph = pocket_graph("shell400")
         encoding = enc.encode_pocket(graph)
@@ -495,8 +552,8 @@ class TestPocketPairs:
         enc = make_encoder(EncoderConfig(embed_width=6, hidden_width=5, n_layers=2))
         step = extend_graph(graph, CAVITY_LIGAND[:1], 6.0)
         _, cache = enc.encode_union(StepUnion([(step, graph, step.n_atoms - 1)], 2))
-        assert cache.pocket_inputs[0][0].shape == (n_pairs, len(BANK))
-        assert all(5 not in shape for shape in array_shapes(cache.pocket_inputs))
+        shapes = array_shapes(vars(cache))
+        assert shapes and all(n_pairs not in shape and 5 not in shape for shape in shapes)
 
     def test_pocket_messages_are_not_copied(self):
         """``encode_pocket`` keeps each layer's edge-MLP output as formed: a
@@ -589,8 +646,8 @@ class TestPocketPairs:
         encoding = enc.encode_pocket(build_graph(pocket, cutoff=6.0))
         placed = CAVITY_LIGAND[:2]
         graph = extend_graph(encoding.graph, placed, 6.0)
-        _, cache = enc.encode_union(StepUnion([(graph, encoding.graph, 0)], 2))
-        assert encoding.graph.n_edges == 0 and cache.pocket_inputs[0][0].shape == (0, len(BANK))
+        enc.encode_union(StepUnion([(graph, encoding.graph, 0)], 2))
+        assert encoding.graph.n_edges == 0
         assert np.array_equal(
             enc.encode(graph, encoding), enc.encode(build_graph(pocket, placed, cutoff=6.0))
         )
@@ -631,9 +688,9 @@ class TestPocketPairs:
 class TestPocketBackwardPasses:
     @pytest.mark.parametrize("n_layers", [1, 2])
     def test_pocket_encodings_are_read_only(self, n_layers):
-        """``backward`` reads every pocket's encoding that ``encode_union``
-        built, and the inputs it kept with it, and writes into none of their
-        arrays."""
+        """``encode_union`` and ``backward`` encode every pocket graph of the
+        union and read it again, but write into none of the graphs' arrays,
+        nor into an encoding of each pocket made before them."""
         cfg = EncoderConfig(embed_width=6, hidden_width=5, n_layers=n_layers, bfactor_gating=True)
         enc = make_encoder(cfg, randomize=True)
         toy = toy_complex(VOCAB)
@@ -645,18 +702,18 @@ class TestPocketBackwardPasses:
                 graph = extend_graph(pocket_only, ligand[:t], 6.0)
                 steps += [(graph, pocket_only, 0), (graph, pocket_only, graph.n_atoms - 1)]
         union = StepUnion(steps, n_layers)
-        _, cache = enc.encode_union(union)
-        kept = list(zip(cache.pockets, cache.pocket_inputs))
+        kept = [enc.encode_pocket(graph) for graph in union.pockets]
         assert len(kept) == 2
 
-        def arrays(encoding, inputs):
-            return array_leaves(vars(encoding)) + array_leaves(vars(encoding.graph)) + list(inputs)
+        def arrays(encoding):
+            return array_leaves(vars(encoding)) + array_leaves(vars(encoding.graph))
 
-        before = [[a.copy() for a in arrays(*k)] for k in kept]
+        before = [[a.copy() for a in arrays(k)] for k in kept]
+        _, cache = enc.encode_union(union)
         dcond = np.random.default_rng(7).standard_normal((len(steps), 12))
         enc.backward(union, cache, dcond, ParamStore(enc.store.shapes))
         for k, snapshot in zip(kept, before):
-            after = arrays(*k)
+            after = arrays(k)
             assert len(after) == len(snapshot) and all(map(np.array_equal, after, snapshot))
 
     @pytest.mark.parametrize("n_layers, passes", [(1, 0), (2, 1)])

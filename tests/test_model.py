@@ -36,9 +36,13 @@ def test_non_finite_vocabulary_radius_is_checkpoint_error(tmp_path, radius):
 
 
 def small_checkpoint_with(path, key, value):
-    """A saved small model whose metadata line ``key`` reads ``value``."""
+    """A saved small model whose metadata line ``key`` reads ``value``; a key
+    the model does not write is added after its metadata."""
     Model(ModelConfig(encoder_layers=1, type_flow_layers=1, coord_flow_layers=1)).save(path)
-    text = re.sub(rf"^meta {key}=.*$", f"meta {key}={value}", path.read_text(), flags=re.M)
+    line = f"meta {key}={value}"
+    text, found = re.subn(rf"^meta {key}=.*$", line, path.read_text(), flags=re.M)
+    if not found:
+        text = re.sub(r"^section ", f"{line}\nsection ", text, count=1, flags=re.M)
     path.write_text(text)
 
 
@@ -66,7 +70,9 @@ def test_boolean_metadata_reads_0_and_1(tmp_path, value):
     assert Model.load(path).cfg.bfactor_gating is (value == "1")
 
 
-@pytest.mark.parametrize("key, value", [("rbf_rmax", "inf"), ("bfactor_gating", "7")])
+@pytest.mark.parametrize(
+    "key, value", [("rbf_rmax", "inf"), ("bfactor_gating", "7"), ("coord_frame", "local")]
+)
 def test_generate_exits_with_data_error_on_invalid_metadata(tmp_path, capsys, key, value):
     checkpoint, pocket = tmp_path / "model.ckpt", tmp_path / "pocket.pdb"
     small_checkpoint_with(checkpoint, key, value)
@@ -84,4 +90,24 @@ def test_missing_metadata_key_is_checkpoint_error(tmp_path, key):
     lines = [line for line in path.read_text().splitlines() if not line.startswith(f"meta {key}=")]
     path.write_text("".join(line + "\n" for line in lines))
     with pytest.raises(CheckpointError, match=rf"incomplete model metadata \('{key}'\)"):
+        Model.load(path)
+
+
+@pytest.mark.parametrize("key", ["coord_frame", "embed"])
+def test_unknown_metadata_key_is_checkpoint_error(tmp_path, key):
+    path = tmp_path / "model.ckpt"
+    small_checkpoint_with(path, key, "local")
+    with pytest.raises(CheckpointError, match=f"unknown model metadata key '{key}'"):
+        Model.load(path)
+
+
+@pytest.mark.parametrize("value", ["6.0", "4.0"])
+def test_repeated_metadata_key_is_checkpoint_error(tmp_path, value):
+    """A second ``graph_cutoff`` line is an error whether or not it agrees
+    with the first, rather than the last one silently winning."""
+    path = tmp_path / "model.ckpt"
+    Model(ModelConfig(encoder_layers=1, type_flow_layers=1, coord_flow_layers=1)).save(path)
+    repeat = rf"\1\nmeta graph_cutoff={value}"
+    path.write_text(re.sub(r"^(meta graph_cutoff=.*)$", repeat, path.read_text(), flags=re.M))
+    with pytest.raises(CheckpointError, match=r"ckpt:\d+: repeated metadata key 'graph_cutoff'"):
         Model.load(path)

@@ -123,8 +123,18 @@ class TestSerialize:
             ({"occupancy": 1000.0}, "occupancy/B-factor"),
             ({"bfactor": -100.0}, "occupancy/B-factor"),
             ({"serial": 100000}, "serial 100000"),
+            ({"seq": 10000}, "residue number 10000"),
+            ({"seq": -1000}, "residue number -1000"),
+            ({"kind": "HETATMS"}, "record_kind 'HETATMS' does not fit in 6"),
+            ({"name": "CA123"}, "atom_name 'CA123' does not fit in 4"),
+            ({"residue": "LIGAND"}, "residue_name 'LIGAND' does not fit in 3"),
+            ({"chain": "AB"}, "chain 'AB' does not fit in 1"),
+            ({"element": "Cl1"}, "element 'Cl1' does not fit in 2"),
         ],
-        ids=["occupancy", "bfactor", "serial"],
+        ids=[
+            "occupancy", "bfactor", "serial", "residue_seq_high", "residue_seq_low",
+            "record_kind", "atom_name", "residue_name", "chain", "element",
+        ],
     )
     def test_column_out_of_range(self, fields, message):
         with pytest.raises(PdbRangeError, match=message):
