@@ -203,7 +203,8 @@ class Molecule:
 
 @dataclass
 class Pocket:
-    """Protein binding-pocket atoms with per-atom B-factors (Angstrom^2).
+    """Protein binding-pocket atoms with per-atom B-factors (Angstrom^2), each
+    finite and non-negative.
 
     ``positions`` and ``elements`` are read-only arrays stacked once from the
     atoms; a pocket is not meant to change after construction.
@@ -219,6 +220,10 @@ class Pocket:
         self.bfactors = np.asarray(self.bfactors, dtype=float)
         if self.bfactors.shape != (len(self.atoms),):
             raise ValueError("bfactors length must equal atom count")
+        bad = ~((self.bfactors >= 0.0) & (self.bfactors < np.inf))  # NaN fails both tests
+        if bad.any():
+            b = float(self.bfactors[bad][0])
+            raise ValueError(f"B-factor {b!r} is not finite and non-negative")
         self.positions, self.elements = _atom_arrays(self.atoms)
         self._centroid = self.positions.mean(axis=0) if self.atoms else np.full(3, np.nan)
         self._centroid.flags.writeable = False

@@ -11,7 +11,6 @@ single).
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -88,15 +87,9 @@ def _entry(item: dict, vocab: Vocabulary, path: Path) -> ComplexEntry:
             )
     try:
         pocket = Pocket(_atoms(item, "pocket", vocab), item["pocket"]["bfactors"])
-        entry = ComplexEntry(pocket, Molecule(_atoms(item, "ligand", vocab), bonds), entry_id)
+        return ComplexEntry(pocket, Molecule(_atoms(item, "ligand", vocab), bonds), entry_id)
     except ValueError as exc:  # the checks of _atoms, Atom, Pocket, Molecule and ComplexEntry
         raise DatasetError(f"{path}: entry {entry_id!r}: {exc}") from None
-    for b in pocket.bfactors.tolist():  # NaN fails both tests
-        if not 0.0 <= b < math.inf:
-            raise DatasetError(
-                f"{path}: entry {entry_id!r}: B-factor {b!r} is not finite and non-negative"
-            )
-    return entry
 
 
 def _atoms(item: dict, part: str, vocab: Vocabulary) -> list[Atom]:

@@ -45,18 +45,19 @@ Pair blocks: a graph stores each undirected edge once, as (i, j) with
 i < j, and a message weight depends on its edge's distance alone, so both
 directions of an edge share one edge-MLP row: the RBF expansion, the edge
 MLP and its backward pass run once per edge.  Every message is formed by
-:meth:`Encoder._pass` and back-propagated by :meth:`Encoder._pass_backward`
-on a pair block, a run of edges sent as ``[i; j]`` and received as
-``[j; i]``: every i -> j, then every j -> i.  An atom v thus meets the
-edges (u, v) first, then (v, w).  A graph's edges come as the pocket's
-pairs, then per :func:`extend_graph` call the old-new pairs, then the
-new-new pairs, each run in lexicographic order, and a later call's atoms
-have higher indices, so v adds its terms in increasing partner order,
-whichever calls placed the atoms and whichever blocks the edges are split
-into; the per-atom sums of a prefix encoding equal a full encoding's bit
-for bit.  Backward, each edge runs as its reverse,
-which has the same row: the adjoint goes into the forward pass's receivers,
-in the same order, and an edge's d(loss)/d(m) is the sum of its two rows.
+:meth:`Encoder._pass` and back-propagated, a whole layer of a graph at a
+time, by :meth:`Encoder._pass_backward` on a pair block, a run of edges
+sent as ``[i; j]`` and received as ``[j; i]``: every i -> j, then every
+j -> i.  An atom v thus meets the edges (u, v) first, then (v, w).  A
+graph's edges come as the pocket's pairs, then per :func:`extend_graph`
+call the old-new pairs, then the new-new pairs, each run in lexicographic
+order, and a later call's atoms have higher indices, so v adds its terms in
+increasing partner order, whichever calls placed the atoms and whichever
+blocks the edges are split into; the per-atom sums of a prefix encoding
+equal a full encoding's bit for bit.  Backward, each edge runs as its
+reverse, which has the same row: the adjoint goes into the forward pass's
+receivers, in the same order, and an edge's d(loss)/d(m) is the sum of its
+two rows.
 
 Factored readout: generation and training need only the conditioner
 :func:`aggregate_readout`, the focal row and the mean of the last layer's
@@ -248,18 +249,6 @@ def _out_sums(out: np.ndarray, block: np.ndarray, m: np.ndarray) -> None:
     """Add each edge's ``m`` into both its ends' rows of ``out``, the dst ends
     first, so that each atom adds its terms in increasing partner order."""
     scatter_add(out, block[::-1].ravel(), np.concatenate([m, m]))
-
-
-def _last_layer_dm(
-    last: np.ndarray, block: np.ndarray, edges: np.ndarray, rows: np.ndarray
-) -> np.ndarray:
-    """The last layer's d(loss)/d(m) on ``block`` given a focal: each edge's
-    ``m`` enters the readout's mean once from each end, so edge (i, j) gets
-    ``last[i] + last[j]`` (``last`` is gamma * x times the mean's adjoint), and
-    the edges into a focal add ``rows``."""
-    dm = last[block[0]] + last[block[1]]
-    scatter_add(dm, edges, rows)
-    return dm
 
 
 def scatter_add(out: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
@@ -614,8 +603,7 @@ class Encoder:
         m = self._edge_mlp(last, edge_feat)[1]
         in_m[union.into_at] = m[union.into]
         out_m = np.concatenate([np.zeros((placed, width)), out0[union.pocket_rows]])
-        scatter_add(out_m, union.edges[1], m)  # as _out_sums, one end at a time
-        scatter_add(out_m, union.edges[0], m)
+        _out_sums(out_m, union.edges, m)
         del m
         gamma = self._gamma(union.bfactor_weights, last)
         gx = x if gamma is None else x * gamma[:, None]
@@ -655,6 +643,8 @@ class Encoder:
         steps, that is a per-pocket sum of ``c`` times that row.  The pocket
         edges' share is summed over each pocket's steps, and
         :meth:`_pocket_backward` finishes it once per pocket, after the union.
+        The union and the pockets run each pass through one routine:
+        :meth:`_pass_backward` below the last layer, :meth:`_last_backward` at it.
         """
         last, width = self.cfg.n_layers - 1, self.cfg.embed_width
         edge_feat, inputs, x0, out0 = cache.edge_feat, cache.inputs, cache.x0, cache.out0
@@ -669,7 +659,6 @@ class Encoder:
         # from both ends, and the edges into a focal into its row
         df_rows = gx[in_src] * df[union.in_step]
         last_rows = gx * c[union.row_step]
-        dm = _last_layer_dm(last_rows, union.edges, union.into, df_rows[union.into_at])
         # the pocket atoms outside a step's rows: the sums over the steps
         # that leave each atom out of ``last`` and of d(loss)/d(x)
         gate = f"encoder.layer{last}.gate"
@@ -689,9 +678,9 @@ class Encoder:
         del x0, out0, c_out
         scatter_add(last_sum, union.pocket_rows, last_rows[placed:])
         into = [(ids, df_rows[at]) for at, ids in union.pocket_in]  # each pocket's focal edges
-        del last_rows, df_rows
-        self._mlp_backward(last, edge_feat, self._hidden(last, edge_feat), dm, grads)
-        del dm
+        into_focal = df_rows[union.into_at]
+        self._last_backward(union.edges, edge_feat, last_rows, union.into, into_focal, grads)
+        del last_rows, df_rows, into_focal
         # d(loss)/d(x), from the readout sums
         dx *= c[union.row_step]
         in_m *= df[union.in_step]
@@ -712,12 +701,9 @@ class Encoder:
             if layer == 0:  # layer 0's pocket block runs in _pocket_backward
                 g0 = outside.copy()
                 scatter_add(g0, union.pocket_rows, g[placed:])
-            m = self._edge_mlp(layer, edge_feat)[1]
             # the residual path: g takes the messages' share in place, read before it adds
-            dm = self._pass_backward(union, layer, union.edges, h, g, m, g, grads)
-            del h, m
-            self._mlp_backward(layer, edge_feat, self._hidden(layer, edge_feat), dm, grads)
-            del dm
+            self._pass_backward(union, layer, edge_feat, h, g, g, grads)
+            del h
         scatter_add(outside, union.pocket_rows, g[placed:])
         table = union.origins[:placed] * self.vocab_size + union.elements[:placed]
         scatter_add(grads["encoder.embed"], table, g[:placed])
@@ -728,19 +714,21 @@ class Encoder:
             self._pocket_backward(graph, *sums, edges, rows, grads)
 
     def _pass_backward(
-        self, graph: ContextGraph, layer: int, block: np.ndarray, h, g, m, dh, grads: ParamStore
-    ) -> np.ndarray:
-        """Back through :meth:`_pass` of ``block`` at layer ``layer``, given
-        its input ``h`` and d(loss)/d(out) ``g``: add the messages' share of
-        d(loss)/d(h) into ``dh`` and the gate's gradient into ``grads``, and
-        return d(loss)/d(m), one row per edge.
+        self, graph: ContextGraph, layer: int, edge_feat: np.ndarray, h, g, dh, grads: ParamStore
+    ) -> None:
+        """Back through layer ``layer``'s messages on all of ``graph``'s edges,
+        one pair block of RBF features ``edge_feat``, given their input ``h``
+        and d(loss)/d(out) ``g``: form the edge MLP once, add the messages'
+        share of d(loss)/d(h) into ``dh``, and add the gate's and the edge
+        MLP's gradients into ``grads``.
 
         Each edge runs as its reverse, which has the same row of ``m``: rows
         ``g[send] * m`` are scattered into the forward pass's receivers, in
         its order, so each atom adds its terms in increasing partner order.
         An edge's d(loss)/d(m) is the sum of its two rows.
         """
-        send, recv = block, block[::-1]
+        t, m = self._edge_mlp(layer, edge_feat)
+        send, recv = graph.edges, graph.edges[::-1]
         dmsg = g[send]  # d(loss)/d(message) of each reverse edge recv -> send
         gamma = self._gamma(graph.bfactor_weights, layer)
         if gamma is not None:
@@ -748,6 +736,7 @@ class Encoder:
             pre *= m
             dgamma = (dmsg * pre).sum(axis=-1)
             grads[f"encoder.layer{layer}.gate"][...] += np.sum(dgamma * graph.bfactor_weights[recv])
+            del pre
             dmsg *= gamma[recv, None]
         dm, other = h[recv[0]], h[recv[1]]
         dm *= dmsg[0]
@@ -757,29 +746,41 @@ class Encoder:
         dmsg *= m
         scatter_add(dh, recv[0], dmsg[0])  # one direction at a time, in block order
         scatter_add(dh, recv[1], dmsg[1])
-        return dm
+        del dmsg, m
+        self._mlp_backward(layer, edge_feat, t, dm, grads)
+
+    def _last_backward(
+        self, block: np.ndarray, edge_feat: np.ndarray, last, edges, rows, grads: ParamStore
+    ) -> None:
+        """Back through the last layer's edge MLP on the pair block ``block``
+        of RBF features ``edge_feat``, given a focal: each edge's ``m`` enters
+        the readout's mean once from each end, so edge (i, j) gets
+        d(loss)/d(m) ``last[i] + last[j]`` (``last`` is gamma * x times the
+        mean's adjoint), and the edges ``edges`` into a focal add ``rows``."""
+        dm = last[block[0]] + last[block[1]]
+        scatter_add(dm, edges, rows)
+        layer = self.cfg.n_layers - 1
+        self._mlp_backward(layer, edge_feat, self._hidden(layer, edge_feat), dm, grads)
 
     def _pocket_backward(
         self, graph: ContextGraph, g0, dh0, last, edges, rows, grads: ParamStore
     ) -> None:
         """Finish the pocket edges' share of the gradient for every step of
         one :meth:`backward` pass on the pocket graph ``graph``, whose edges'
-        RBF features, embeddings ``h0`` and edge MLP it forms again, given that
-        pass's sums over those steps: ``g0``, d(loss)/d(layer 0's output) on
-        the pocket rows (None with one layer); ``dh0``, d(loss)/d(embeddings)
-        less layer 0's pocket block; ``last``, gamma * x times the readout's
-        mean adjoint; and the pocket edges ``edges`` into the steps' focals
-        with their ``rows``.  Each share is linear in those sums, and the edge
-        MLP's backward pass runs once per layer, on the edges' summed
-        d(loss)/d(m):
+        RBF features and embeddings ``h0`` it forms again, given that pass's
+        sums over those steps: ``g0``, d(loss)/d(layer 0's output) on the
+        pocket rows (None with one layer); ``dh0``, d(loss)/d(embeddings) less
+        layer 0's pocket block; ``last``, gamma * x times the readout's mean
+        adjoint; and the pocket edges ``edges`` into the steps' focals with
+        their ``rows``.  Each share is linear in those sums, so each layer's
+        pass runs once, on the sums:
 
         - layer 0: the pocket rows' input embeddings ``h0`` are the same at
-          every step, so the pocket block's backward pass on ``g0`` yields,
-          for all the steps, the edges' d(loss)/d(m), the messages' share of
-          d(loss)/d(embeddings) and the gate gradient; it is skipped when
-          ``g0`` is all zero, as in a fresh model, whose flows start
-          independent of the conditioner;
-        - the last layer: :func:`_last_layer_dm` of ``last`` and ``rows``.
+          every step, so :meth:`_pass_backward` on ``g0`` yields, for all the
+          steps, the messages' share of d(loss)/d(embeddings) and the gate's
+          and edge MLP's gradients; it is skipped when ``g0`` is all zero, as
+          in a fresh model, whose flows start independent of the conditioner;
+        - the last layer: :meth:`_last_backward` of ``last`` and ``rows``.
 
         A deeper encoder's only pocket is the empty prefix (see
         :class:`StepUnion`).
@@ -787,14 +788,10 @@ class Encoder:
         feat, h0 = self.edge_features(graph), self.initial_embeddings(graph)
         sent = np.zeros(h0.shape)
         if g0 is not None and g0.any():
-            t, m = self._edge_mlp(0, feat)
-            dm = self._pass_backward(graph, 0, graph.edges, h0, g0, m, sent, grads)
-            self._mlp_backward(0, feat, t, dm, grads)
-            del t, m, dm
+            self._pass_backward(graph, 0, feat, h0, g0, sent, grads)
         sent += dh0
         scatter_add(grads["encoder.embed"], graph.origins * self.vocab_size + graph.elements, sent)
-        dm, layer = _last_layer_dm(last, graph.edges, edges, rows), self.cfg.n_layers - 1
-        self._mlp_backward(layer, feat, self._hidden(layer, feat), dm, grads)
+        self._last_backward(graph.edges, feat, last, edges, rows, grads)
 
     def _mlp_backward(
         self, layer: int, edge_feat: np.ndarray, t: np.ndarray, dm: np.ndarray, grads: ParamStore

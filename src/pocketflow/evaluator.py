@@ -27,6 +27,7 @@ from .chem import (
     Molecule,
     Pocket,
     Vocabulary,
+    VocabularyError,
     check_validity,
     infer_bonds,
 )
@@ -83,8 +84,11 @@ def count_contacts(
     """Tally pocket-ligand atom pairs within ``cutoff`` by polarity class."""
     if len(pocket) == 0 or len(ligand) == 0:
         raise ValueError("pocket and ligand must be non-empty")
-    pocket_polar = np.array([is_polar(vocab[e].symbol) for e in pocket.elements])
-    ligand_polar = np.array([is_polar(vocab[e].symbol) for e in ligand.elements])
+    elements = np.concatenate([pocket.elements, ligand.elements])
+    if elements.min() < 0 or elements.max() >= len(vocab):
+        raise VocabularyError(f"element index out of range for {len(vocab)} elements")
+    polar = np.array([is_polar(e.symbol) for e in vocab.elements])
+    pocket_polar, ligand_polar = polar[pocket.elements], polar[ligand.elements]
     within = distance_matrix(pocket.positions, ligand.positions) <= cutoff
     both = pocket_polar[:, None] & ligand_polar[None, :]
     neither = ~pocket_polar[:, None] & ~ligand_polar[None, :]
@@ -164,6 +168,8 @@ def evaluate_set(
         raise ValueError("no molecules to evaluate")
     if ids is None:
         ids = [f"mol_{i:03d}" for i in range(len(molecules))]
+    elif len(ids) != len(molecules):
+        raise ValueError(f"{len(ids)} ids for {len(molecules)} molecules")
     scores = []
     for mol_id, mol in zip(ids, molecules):
         valid = _validity(mol, vocab, clash_factor, bond_tolerance) if len(mol) else False

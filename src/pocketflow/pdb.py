@@ -235,8 +235,6 @@ def normalize_bfactors(pocket: Pocket) -> np.ndarray:
     if len(pocket) == 0:
         raise ValueError("empty pocket")
     b = pocket.bfactors
-    if np.any(b < 0):
-        raise ValueError("negative B-factor")
     lo, hi = float(b.min()), float(b.max())
     if hi == lo:
         return np.full(len(b), 0.5)

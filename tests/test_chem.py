@@ -183,6 +183,14 @@ class TestMoleculeInvariants:
                 holder.elements[0] = O
         assert Molecule().positions.shape == (0, 3)
 
+    @pytest.mark.parametrize("bad", [-5.0, np.nan, np.inf, -np.inf])
+    def test_pocket_rejects_bad_bfactor(self, bad):
+        """A B-factor is finite and non-negative: a NaN would make every
+        gated conditioner NaN, and a negative one has no physical meaning."""
+        atoms = [Atom(C, (0, 0, 0)), Atom(O, (1.2, 0, 0))]
+        with pytest.raises(ValueError, match="B-factor"):
+            Pocket(atoms, [10.0, bad])
+
     def test_rejects_self_bond(self):
         with pytest.raises(ValueError):
             Molecule([Atom(C, (0, 0, 0))], [(0, 0, 1)])

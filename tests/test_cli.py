@@ -151,6 +151,20 @@ class TestIngest:
         manifest.write_text("")
         assert main(["ingest", str(manifest), "--out", str(tmp_path / "x.json")]) == EXIT_DATA
 
+    def test_negative_bfactor_entry_fails(self, workspace, capsys):
+        """A pocket atom with a negative B-factor fails its entry at ingest,
+        rather than an archive that ``train`` then rejects."""
+        tmp_path, manifest, cfg_path = workspace
+        entry_id, path, ligand = manifest.read_text().splitlines()[0].split("\t")
+        text = Path(path).read_text()
+        assert text[60:66] == " 12.00"  # the first pocket atom's B-factor column
+        Path(path).write_text(text[:60] + " -5.00" + text[66:])
+        manifest.write_text(f"{entry_id}\t{path}\t{ligand}\n")
+        archive = tmp_path / "x.json"
+        assert main(["ingest", str(manifest), "--out", str(archive), "--config", str(cfg_path)]) == EXIT_DATA
+        assert f"{entry_id}\tfailed: B-factor -5.0 is not finite" in capsys.readouterr().out
+        assert not archive.exists()
+
     def test_all_entries_failing_fails(self, workspace):
         tmp_path, manifest, cfg_path = workspace
         manifest.write_text("a\t/nope/1.pdb\tLIG\nb\t/nope/2.pdb\tLIG\n")

@@ -745,6 +745,33 @@ class TestPocketBackwardPasses:
         want = full_path_grads(enc, pocket, placed, focal, dcond)
         assert np.max(np.abs(grads.flat - want)) <= 1e-12 * np.max(np.abs(want))
 
+    def test_each_pass_forms_its_edge_mlp_once(self):
+        """``backward`` forms the edge MLP's hidden activations once per edge
+        set and layer: the union's layer 0 and last layer, and the pocket's.
+        The encoder is randomized, so the pocket's layer-0 pass runs."""
+        enc = make_encoder(EncoderConfig(embed_width=6, hidden_width=5, n_layers=2), randomize=True)
+        complex_ = toy_complex(VOCAB)
+        pocket_only = build_graph(complex_.pocket, cutoff=6.0)
+        steps = []
+        for t in range(1, len(complex_.ligand) + 1):
+            graph = extend_graph(pocket_only, complex_.ligand.atoms[:t], 6.0)
+            steps.append((graph, pocket_only, graph.n_atoms - 1))
+        union = StepUnion(steps, 2)
+        _, cache = enc.encode_union(union)
+        formed, real = [], enc._hidden
+
+        def recording(layer, edge_feat):
+            formed.append((layer, len(edge_feat)))
+            return real(layer, edge_feat)
+
+        enc._hidden = recording
+        dcond = np.random.default_rng(3).standard_normal((len(steps), 12))
+        enc.backward(union, cache, dcond, ParamStore(enc.store.shapes))
+        union_edges, pocket_edges = union.n_edges, pocket_only.n_edges
+        assert union_edges != pocket_edges
+        want = [(0, union_edges), (1, union_edges), (0, pocket_edges), (1, pocket_edges)]
+        assert sorted(formed) == sorted(want)
+
 
 def hand_graph(edges):
     """A three-atom carbon graph with the given edges."""

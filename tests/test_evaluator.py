@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pocketflow.chem import Atom, Molecule, Pocket, Vocabulary
+from pocketflow.chem import Atom, Molecule, Pocket, Vocabulary, VocabularyError
 from pocketflow.evaluator import (
     AffinityModel,
     AffinityRangeError,
@@ -66,6 +66,14 @@ class TestContacts:
         a = count_contacts(pocket_of(*pocket_atoms), ligand_of(*ligand_atoms), VOCAB)
         b = count_contacts(pocket_of(*ligand_atoms), ligand_of(*pocket_atoms), VOCAB)
         assert a == b
+
+    @pytest.mark.parametrize("element", [-1, len(VOCAB)])
+    def test_element_outside_vocabulary_rejected(self, element):
+        """Polarity is read from one array over the vocabulary, so an index
+        outside it must fail rather than wrap or read another element."""
+        pocket, ligand = pocket_of(Atom(element, (0, 0, 0))), ligand_of(Atom(C, (3.0, 0, 0)))
+        with pytest.raises(VocabularyError):
+            count_contacts(pocket, ligand, VOCAB)
 
     def test_polarity_classification(self):
         assert all(is_polar(s) for s in ("N", "O", "S", "P"))
@@ -211,6 +219,14 @@ class TestEvaluateSet:
         pocket, _ = reference_complex()
         with pytest.raises(ValueError):
             evaluate_set([], pocket, MODEL, VOCAB)
+
+    @pytest.mark.parametrize("ids", [["only"], ["a", "b", "c"]])
+    def test_ids_must_match_molecules(self, ids):
+        """One id per molecule: a short list would score only the molecules
+        it names, and report their validity as the whole set's."""
+        pocket, reference = reference_complex()
+        with pytest.raises(ValueError, match="ids for 2 molecules"):
+            evaluate_set([reference, five_h_carbon()], pocket, MODEL, VOCAB, ids=ids)
 
     def test_empty_molecule_scores_the_intercept(self):
         pocket, reference = reference_complex()

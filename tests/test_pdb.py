@@ -268,9 +268,8 @@ class TestNormalizeBfactors:
         assert np.array_equal(normalize_bfactors(pocket), [0.5, 0.5, 0.5])
 
     def test_negative_bfactor(self):
-        pocket = Pocket([Atom(0, (0, 0, 0))] * 2, np.array([-1.0, 5.0]))
         with pytest.raises(ValueError):
-            normalize_bfactors(pocket)
+            Pocket([Atom(0, (0, 0, 0))] * 2, np.array([-1.0, 5.0]))
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(0, 1e3, allow_nan=False), min_size=1, max_size=20))
