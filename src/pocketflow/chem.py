@@ -206,8 +206,8 @@ class Pocket:
     """Protein binding-pocket atoms with per-atom B-factors (Angstrom^2), each
     finite and non-negative.
 
-    ``positions`` and ``elements`` are read-only arrays stacked once from the
-    atoms; a pocket is not meant to change after construction.
+    ``positions`` and ``elements`` (stacked once from the atoms) and
+    ``bfactors`` (a copy) are read-only; a pocket is not meant to change.
     """
 
     atoms: list[Atom]
@@ -217,7 +217,8 @@ class Pocket:
     _centroid: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.bfactors = np.asarray(self.bfactors, dtype=float)
+        self.bfactors = np.array(self.bfactors, dtype=float)  # the caller's array stays theirs
+        self.bfactors.flags.writeable = False
         if self.bfactors.shape != (len(self.atoms),):
             raise ValueError("bfactors length must equal atom count")
         bad = ~((self.bfactors >= 0.0) & (self.bfactors < np.inf))  # NaN fails both tests

@@ -49,12 +49,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def count(text: str) -> int:
-    """argparse type of ``generate --count``: a non-negative integer."""
+def count(text: str, name: str = "count") -> int:
+    """argparse type of ``generate --count``, and of ``--seed`` by :func:`seed`: an int >= 0."""
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"count must be >= 0, got {value}")
+        raise argparse.ArgumentTypeError(f"{name} must be >= 0, got {value}")
     return value
+
+
+def seed(text: str) -> int:
+    return count(text, "seed")
 
 
 def _atomic_write(path: Path, write: Callable[[Path], object]) -> None:
@@ -181,7 +185,7 @@ def build_parser() -> _Parser:
 
     def common(p: _Parser) -> None:
         p.add_argument("--config", help=f"config file (default: ${CONFIG_ENV_VAR})")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--seed", type=seed, default=None, help="override the config seed")
 
     p = sub.add_parser("ingest", help="parse complexes from a manifest into a dataset archive")
     p.add_argument("manifest", help="tab-separated entry_id/path/ligand_residue lines")

@@ -49,15 +49,14 @@ MLP and its backward pass run once per edge.  Every message is formed by
 time, by :meth:`Encoder._pass_backward` on a pair block, a run of edges
 sent as ``[i; j]`` and received as ``[j; i]``: every i -> j, then every
 j -> i.  An atom v thus meets the edges (u, v) first, then (v, w).  A
-graph's edges come as the pocket's pairs, then per :func:`extend_graph`
-call the old-new pairs, then the new-new pairs, each run in lexicographic
-order, and a later call's atoms have higher indices, so v adds its terms in
-increasing partner order, whichever calls placed the atoms and whichever
-blocks the edges are split into; the per-atom sums of a prefix encoding
-equal a full encoding's bit for bit.  Backward, each edge runs as its
-reverse, which has the same row: the adjoint goes into the forward pass's
-receivers, in the same order, and an edge's d(loss)/d(m) is the sum of its
-two rows.
+graph's edges come as the pocket's pairs, in lexicographic order, then per
+placed atom, in placement order, its edges to all earlier atoms with
+partners ascending, whichever :func:`extend_graph` calls placed the atoms;
+so v adds its terms in increasing partner order, whichever blocks the edges
+are split into, and the per-atom sums of a prefix encoding equal a full
+encoding's bit for bit.  Backward, each edge runs as its reverse, which has
+the same row: the adjoint goes into the forward pass's receivers, in the
+same order, and an edge's d(loss)/d(m) is the sum of its two rows.
 
 Factored readout: generation and training need only the conditioner
 :func:`aggregate_readout`, the focal row and the mean of the last layer's
@@ -144,17 +143,21 @@ class ContextGraph:
         if (self.edge_src >= self.edge_dst).any():
             raise ValueError("each edge must be stored once, as (src, dst) with src < dst")
 
+    def prefix(self, n_atoms: int) -> ContextGraph:
+        """The first ``n_atoms`` atoms and the edges among them, which in a graph
+        grown by :func:`extend_graph` lead the edge list: every array is a view."""
+        n_edges = int(np.count_nonzero(self.edge_dst < n_atoms))
+        graph = object.__new__(ContextGraph)  # views: no copy, and no check to repeat
+        for name in ("elements", "origins", "positions", "bfactor_weights"):
+            setattr(graph, name, getattr(self, name)[:n_atoms])
+        graph.edge_src, graph.edge_dst = graph.edges = self.edges[:, :n_edges]
+        graph.edge_dist = self.edge_dist[:n_edges]
+        graph.n_atoms, graph.n_edges = n_atoms, n_edges
+        return graph
+
 
 _NONE = np.zeros(0, dtype=int)
 _EMPTY = ContextGraph(_NONE, _NONE, np.zeros((0, 3)), _NONE, _NONE, np.zeros(0), np.zeros(0))
-
-
-def _upper_pairs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (i, j) with i < j where ``mask`` is set, in lexicographic order:
-    ``np.nonzero(np.triu(mask, 1))``, without ``np.triu``'s per-call cost."""
-    i, j = np.nonzero(mask)
-    upper = i < j
-    return i[upper], j[upper]
 
 
 def build_graph(
@@ -175,7 +178,9 @@ def build_graph(
         raise ValueError("empty context")
     n = len(pocket)
     dist = distance_matrix(pocket.positions, pocket.positions)
-    src, dst = _upper_pairs(dist <= cutoff)
+    src, dst = np.nonzero(dist <= cutoff)
+    upper = src < dst  # each pair once, in lexicographic order
+    src, dst = src[upper], dst[upper]
     graph = ContextGraph(
         elements=pocket.elements,
         origins=np.full(n, PROTEIN),
@@ -195,27 +200,27 @@ def extend_graph(
 ) -> ContextGraph:
     """``graph`` plus ``placed`` as ligand atoms, at O(L*(n+L)) distance cost.
 
-    The edges of ``graph`` keep the head of the list; the new ones follow as
-    old-new pairs, then new-new pairs, each run in lexicographic order, so
-    that the encoder's per-atom sums match a full encoding bit for bit (see
-    the module docstring).
+    The edges of ``graph`` keep the head of the list; the new ones follow per
+    placed atom, in placement order, its edges to all earlier atoms with
+    partners ascending.  So growing by ``a + b`` in one call or in two gives
+    the same graph, array for array, and the encoder's per-atom sums match a
+    full encoding bit for bit (see the module docstring).
     """
     n, n_new = graph.n_atoms, len(placed)
     new_pos, new_elements = _atom_arrays(placed)
     positions = np.vstack([graph.positions, new_pos])
     dist = distance_matrix(new_pos, positions)  # (L, n + L)
     near = dist <= cutoff
-    old_src, new_dst = np.nonzero(near[:, :n].T)
-    new_src, new_pair = _upper_pairs(near[:, n:])
+    rank = np.arange(n_new)
+    near[:, n:] &= rank[None, :] < rank[:, None]  # new-new pairs: earlier partners only
+    new, partner = np.nonzero(near)
     return ContextGraph(
         elements=np.concatenate([graph.elements, new_elements]),
         origins=np.concatenate([graph.origins, np.full(n_new, LIGAND)]),
         positions=positions,
-        edge_src=np.concatenate([graph.edge_src, old_src, n + new_src]),
-        edge_dst=np.concatenate([graph.edge_dst, n + new_dst, n + new_pair]),
-        edge_dist=np.concatenate(
-            [graph.edge_dist, dist[new_dst, old_src], dist[new_src, n + new_pair]]
-        ),
+        edge_src=np.concatenate([graph.edge_src, partner]),
+        edge_dst=np.concatenate([graph.edge_dst, n + new]),
+        edge_dist=np.concatenate([graph.edge_dist, dist[new, partner]]),
         bfactor_weights=np.concatenate([graph.bfactor_weights, np.zeros(n_new)]),
     )
 

@@ -5,9 +5,9 @@ enter in nearest-first order (first the atom closest to the pocket centroid,
 then whichever unplaced atom lies closest to an already placed one), and each
 step records the context snapshot, the focal atom (context atom nearest the
 target), the dequantized one-hot of the target element, and the target
-coordinate as a focal-relative offset.  As in generation, one context graph
-per complex grows by one :func:`~pocketflow.encoder.extend_graph` call per
-placed atom, starting from the pocket graph.
+coordinate as a focal-relative offset.  Each step's graph is a prefix of the
+one graph per complex that a single :func:`~pocketflow.encoder.extend_graph`
+call grows from the pocket graph: the graph generation grows atom by atom.
 
 The loss is the mean per-step negative log-likelihood under the type and
 coordinate flows; gradients are exact reverse-mode derivatives assembled from
@@ -69,17 +69,13 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class TrajectoryStep:
-    """One autoregressive target with its conditioning context."""
+    """One autoregressive target with its context: ``pocket`` or a prefix of one grown graph."""
 
     graph: ContextGraph  # context snapshot before this atom is placed
     focal: int  # graph node index
     target_type: np.ndarray  # dequantized one-hot, width V
     target_offset: np.ndarray  # target position minus focal position
-    pocket: ContextGraph  # the pocket alone, which ``graph`` extends by one atom per step
-
-    def __post_init__(self) -> None:
-        if not np.all(np.isfinite(self.target_offset)):
-            raise ValueError("non-finite target offset")
+    pocket: ContextGraph  # the pocket alone, which ``graph`` extends
 
 
 @dataclass
@@ -95,6 +91,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 0:
             raise ValueError("batch_size must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         # rate 0 is allowed: it freezes the parameters, useful for smoke tests
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError("learning_rate must be finite and >= 0")
@@ -109,40 +107,42 @@ def sequentialize(
     alpha: float = DEFAULT_DEQUANT_ALPHA,
     pocket: ContextGraph | None = None,  # the graph of entry.pocket, built here if None
 ) -> list[TrajectoryStep]:
-    """Unroll one complex into per-atom training steps, nearest-first.
-
-    One context graph grows by one atom per step, as generation's does: each
-    step records the graph before its atom is placed, and the next step's
-    graph is ``extend_graph(graph, [atom])``, the call that
-    :meth:`~pocketflow.generator.GenerationState.encoded` makes."""
+    """Unroll one complex into per-atom training steps, nearest-first: one
+    :func:`extend_graph` call grows the pocket graph by every atom but the
+    last, in placement order, and step t's graph is its
+    :meth:`~pocketflow.encoder.ContextGraph.prefix` of the first t atoms."""
     n = len(entry.ligand)
     if n == 0:
         raise ValueError("empty ligand")
-    atoms, lig_pos, v = entry.ligand.atoms, entry.ligand.positions, len(cfg.vocab)
-    dist = distance_matrix(lig_pos, lig_pos)
-    dmin = np.full(n, np.inf)  # each unplaced atom's distance to its nearest placed atom
-    idx = int(np.argmin(distance_matrix(lig_pos, entry.pocket.centroid()[None])[:, 0]))
-    pocket = graph = pocket or build_graph(entry.pocket, cutoff=cfg.graph_cutoff)
-    steps: list[TrajectoryStep] = []
-    while True:
-        target_pos = lig_pos[idx]
-        focal = int(np.argmin(distance_matrix(target_pos[None], graph.positions)[0]))
-        target_type = np.zeros(v)
-        target_type[atoms[idx].element] = 1.0
-        target_type += rng.uniform(0.0, alpha, size=v)
-        offset = target_pos - graph.positions[focal]
-        steps.append(TrajectoryStep(graph, focal, target_type, offset, pocket))
-        if len(steps) == n:
-            return steps
-        graph = extend_graph(graph, [atoms[idx]], cfg.graph_cutoff)
-        dist[:, idx] = dmin[idx] = np.inf  # placed: never a candidate again
-        np.minimum(dmin, dist[idx], out=dmin)
-        idx = int(np.argmin(dmin))
+    pocket = pocket or build_graph(entry.pocket, cutoff=cfg.graph_cutoff)
+    lig_pos, p = entry.ligand.positions, pocket.n_atoms
+    # each ligand atom's distances to the pocket, the ligand and the centroid
+    dist = distance_matrix(lig_pos, np.vstack([pocket.positions, lig_pos, entry.pocket.centroid()]))
+    # dmin: each unplaced atom's distance to its nearest placed atom
+    lig, dmin = dist[:, p : p + n].copy(), np.full(n, np.inf)
+    order = [int(dist[:, -1].argmin())]
+    for _ in range(n - 1):
+        lig[:, order[-1]] = dmin[order[-1]] = np.inf  # placed: never a candidate again
+        np.minimum(dmin, lig[order[-1]], out=dmin)
+        order.append(int(dmin.argmin()))
+    grown = extend_graph(pocket, [entry.ligand.atoms[i] for i in order[:-1]], cfg.graph_cutoff)
+    # step t's focal: the nearest of the pocket and the first t placed, in graph order
+    order, rank = np.array(order), np.arange(n)
+    near = dist[order, :-1]
+    near[:, p:] = np.where(rank < rank[:, None], near[:, p + order], np.inf)
+    focals = near.argmin(axis=1)
+    offsets = lig_pos[order] - grown.positions[focals]
+    if not np.isfinite(offsets).all():
+        raise ValueError("non-finite target offset")
+    types = rng.uniform(0.0, alpha, size=(n, len(cfg.vocab)))  # dequantized one-hots
+    types[rank, entry.ligand.elements[order]] += 1.0
+    graphs = [pocket] + [grown.prefix(p + t) for t in range(1, n)]
+    steps = zip(graphs, focals.tolist(), types, offsets)
+    return [TrajectoryStep(*step, pocket) for step in steps]
 
 
 def _union(model: Model, steps: list[TrajectoryStep]) -> StepUnion:
-    triples = [(step.graph, step.pocket, step.focal) for step in steps]
-    return StepUnion(triples, model.cfg.encoder_layers)
+    return StepUnion([(s.graph, s.pocket, s.focal) for s in steps], model.cfg.encoder_layers)
 
 
 def _loss_and_grad(

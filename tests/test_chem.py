@@ -183,6 +183,17 @@ class TestMoleculeInvariants:
                 holder.elements[0] = O
         assert Molecule().positions.shape == (0, 3)
 
+    def test_pocket_bfactors_are_a_read_only_copy(self):
+        """Neither a write into the pocket's B-factors nor one into the
+        caller's array gets round the B-factor rule or changes the pocket."""
+        atoms = [Atom(C, (0, 0, 0)), Atom(O, (1.2, 0, 0))]
+        given = np.array([10.0, 20.0])
+        pocket = Pocket(atoms, given)
+        with pytest.raises(ValueError):
+            pocket.bfactors[0] = np.nan
+        given[0] = np.nan
+        assert pocket.bfactors.tolist() == [10.0, 20.0]
+
     @pytest.mark.parametrize("bad", [-5.0, np.nan, np.inf, -np.inf])
     def test_pocket_rejects_bad_bfactor(self, bad):
         """A B-factor is finite and non-negative: a NaN would make every

@@ -282,6 +282,22 @@ class TestGenerate:
         assert "count" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_negative_seed_is_usage_error(self, workspace, capsys):
+        """A negative ``--seed`` is a usage error naming the seed; a negative
+        config seed is a config error naming it."""
+        tmp_path, _, cfg_path = workspace
+        pocket_pdb = next((tmp_path / "pdb").glob("*.pdb"))
+        out_dir = tmp_path / "gen"
+        argv = ["generate", str(tmp_path / "none.ckpt"), str(pocket_pdb), "--out", str(out_dir)]
+        assert main(argv + ["--seed", "-1", "--config", str(cfg_path)]) == EXIT_USAGE
+        assert "seed must be >= 0" in capsys.readouterr().err
+        bad_cfg = tmp_path / "bad.cfg"
+        bad_cfg.write_text(cfg_path.read_text().replace("seed = 3", "seed = -5"))
+        assert bad_cfg.read_text() != cfg_path.read_text()
+        assert main(argv + ["--config", str(bad_cfg)]) == EXIT_DATA
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_missing_checkpoint(self, workspace):
         tmp_path, manifest, cfg_path = workspace
         pocket_pdb = next((tmp_path / "pdb").glob("*.pdb"))

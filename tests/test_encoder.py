@@ -49,6 +49,12 @@ def pocket_of(*positions, elements=None, bfactors=None):
     return Pocket(atoms, bf)
 
 
+def assert_same_graph(ours, theirs):
+    assert (ours.n_atoms, ours.n_edges) == (theirs.n_atoms, theirs.n_edges)
+    for name in ("elements", "origins", "positions", "bfactor_weights", "edges", "edge_dist"):
+        assert np.array_equal(getattr(ours, name), getattr(theirs, name)), name
+
+
 class TestBuildGraph:
     def test_pair_within_cutoff(self):
         graph = build_graph(pocket_of((0, 0, 0), (3, 0, 0)), cutoff=6.0)
@@ -91,8 +97,8 @@ class TestBuildGraph:
     @pytest.mark.parametrize("pocket_name", ["toy", "shell400"])
     def test_edges_are_the_dense_triu_pairs(self, pocket_name):
         """Each undirected edge once, as the np.triu pairs of a dense distance
-        matrix: the pocket's pairs, then pocket-ligand, then ligand-ligand,
-        each run in lexicographic order, with the dense matrix's distances."""
+        matrix: the pocket's pairs in lexicographic order, then the ligand
+        edges ordered by (dst, src), with the dense matrix's distances."""
         pocket = pocket_atoms(pocket_name)
         rng = np.random.default_rng(4)
         anchor = pocket.centroid() if pocket_name == "toy" else np.zeros(3)
@@ -102,12 +108,32 @@ class TestBuildGraph:
             positions = np.vstack([pocket.positions, *[a.position for a in placed[:t]]])
             dense = distance_matrix(positions, positions)
             src, dst = np.nonzero(np.triu(dense <= 6.0, 1))
-            run = np.argsort((src >= n).astype(int) + (dst >= n), kind="stable")
+            run = np.lexsort((src, np.where(dst >= n, dst, -1)))  # stable: pocket pairs first
             src, dst = src[run], dst[run]
             pocket_only = build_graph(pocket)
             for graph in (build_graph(pocket, placed[:t]), extend_graph(pocket_only, placed[:t])):
                 assert np.array_equal(graph.edge_src, src) and np.array_equal(graph.edge_dst, dst)
                 assert np.array_equal(graph.edge_dist, dense[src, dst])
+
+    @pytest.mark.parametrize("pocket_name", ["toy", "shell400"])
+    def test_growth_composes(self, pocket_name):
+        """Growing by a list of atoms in one call equals growing by any split
+        of it in two calls, and the grown graph's prefix of the first k atoms
+        is the graph grown by those atoms alone, array for array."""
+        pocket = pocket_atoms(pocket_name)
+        rng = np.random.default_rng(5)
+        anchor = pocket.centroid() if pocket_name == "toy" else np.zeros(3)
+        graph = build_graph(pocket)
+        for _ in range(3):
+            elements, offsets = rng.choice([C, N, O], 8), rng.uniform(-2.5, 2.5, (8, 3))
+            placed = [Atom(int(e), anchor + p) for e, p in zip(elements, offsets)]
+            at_once = extend_graph(graph, placed)
+            for s in range(len(placed) + 1):
+                in_two = extend_graph(extend_graph(graph, placed[:s]), placed[s:])
+                assert_same_graph(at_once, in_two)
+                prefix = at_once.prefix(graph.n_atoms + s)
+                assert_same_graph(prefix, extend_graph(graph, placed[:s]))
+                assert np.shares_memory(prefix.edges, at_once.edges) or prefix.n_edges == 0
 
 
 class TestMessageLayer:

@@ -112,16 +112,10 @@ def target_atoms(entry, steps):
     return [lig.atoms[int(np.argmin(np.linalg.norm(lig.positions - x, axis=1)))] for x in at]
 
 
-def sorted_edges(graph):
-    order = np.lexsort((graph.edge_dst, graph.edge_src))
-    return graph.edge_src[order], graph.edge_dst[order], graph.edge_dist[order]
-
-
 class TestOneGrowthRule:
     """Each step's graph is the previous step's grown by that step's atom, as
-    in generation, and it has the atoms, edges and readout of the pocket
-    extended by every atom placed so far at once; only the order of its
-    pocket-ligand edges differs."""
+    in generation, and it is the pocket extended by every atom placed so far
+    at once, array for array."""
 
     @pytest.mark.parametrize("complex_name", ["toy", "shell400"])
     def test_each_graph_extends_the_previous_by_one_atom(self, complex_name):
@@ -137,24 +131,18 @@ class TestOneGrowthRule:
         placed, pocket = target_atoms(entry, steps), steps[0].graph
         assert all(step.pocket is pocket for step in steps)
         encoding = model.encoder.encode_pocket(pocket)
-        reordered = False
         for t in range(1, len(steps)):
             step = steps[t]
             grown = extend_graph(steps[t - 1].graph, placed[t - 1 : t], cfg.graph_cutoff)
+            at_once = extend_graph(pocket, placed[:t], cfg.graph_cutoff)
             for name in GRAPH_ARRAYS:
                 assert np.array_equal(getattr(step.graph, name), getattr(grown, name)), name
-            at_once = extend_graph(pocket, placed[:t], cfg.graph_cutoff)
-            for name in ATOM_ARRAYS:
                 assert np.array_equal(getattr(step.graph, name), getattr(at_once, name)), name
-            for ours, theirs in zip(sorted_edges(step.graph), sorted_edges(at_once)):
-                assert np.array_equal(ours, theirs)
-            reordered |= not np.array_equal(step.graph.edge_dst, at_once.edge_dst)
             readouts = [
                 model.encoder.encode_with_cache(graph, encoding, step.focal)
                 for graph in (step.graph, at_once)
             ]
             assert np.array_equal(*readouts)
-        assert reordered
 
 
 class TestNllLoss:
